@@ -18,14 +18,13 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("entry")
     parser.add_argument("--n-max", type=int, default=30)
-    parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args()
 
     entry = get_entry(args.entry)
     if entry.predictor is not None:
         values = [entry.predictor(n) for n in range(1, args.n_max + 1)]
     else:
-        values = list(profile(args.entry, args.n_max, jobs=args.jobs).values)
+        values = list(profile(args.entry, args.n_max).values)
     report = growth_estimate(values)
     print("# n  value  nth_root  ratio")
     for i, v in enumerate(values):

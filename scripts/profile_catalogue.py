@@ -1,7 +1,7 @@
 """Sweep the catalogue and print every profile with its saturation sizes.
 
 Example:
-    python3 scripts/profile_catalogue.py --n-max 6 --jobs 2
+    python3 scripts/profile_catalogue.py --n-max 6
 """
 
 import argparse
@@ -14,7 +14,6 @@ from oligoprofile import age_predictor, default_sweep_ids, profile
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n-max", type=int, default=6)
-    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--entries", nargs="*", default=None,
                         help="entry ids; defaults to the whole sweep list")
     args = parser.parse_args()
@@ -23,7 +22,7 @@ def main() -> int:
     status = 0
     for entry_id in entries:
         t0 = time.time()
-        seq = profile(entry_id, args.n_max, jobs=args.jobs)
+        seq = profile(entry_id, args.n_max)
         elapsed = time.time() - t0
         predicted = [age_predictor(entry_id, n) for n in range(1, args.n_max + 1)]
         agree = all(p is None or p == v for p, v in zip(predicted, seq.values))

@@ -37,6 +37,7 @@ from .glueing import (
 )
 from .growth import (
     GrowthReport,
+    compositions_count,
     constants_table,
     fibonacci,
     growth_estimate,
@@ -56,7 +57,6 @@ from .posets import (
 from .profiles import (
     ProfileSequence,
     class_codes,
-    compositions_count,
     profile,
 )
 from .structures import (

@@ -24,13 +24,25 @@ across blocks forward. tree_c puts the canonical ternary branching relation
 C(x;y,z) (meet(y,z) strictly below meet(x,y) = meet(x,z)) on the leaves of
 a universal binary tree, see _universal_tree_depths.
 
-Subset keys. profile() enumerates every n-subset of a sampled model; the
-entry's subset_key maps a sorted subset to a hashable key such that subsets
-with equal keys induce substructures with equal canonical codes. Keys only
-serve to collapse duplicate canonicalisation work; counting still happens
-on canonical codes of per-key representatives. For the order reducts the
-induced literal structure of a sorted subset is independent of the subset
-(the defining formulas only compare arguments), so the key is constant.
+Subset keys and steps. profile() needs every n-subset's class but not every
+n-subset. The entry's subset_key maps a sorted subset to a hashable key such
+that subsets with equal keys induce substructures with equal canonical
+codes. Keys only serve to collapse duplicate canonicalisation work; counting
+still happens on canonical codes of per-key representatives. For the order
+reducts the induced literal structure of a sorted subset is independent of
+the subset (the defining formulas only compare arguments), so the key is
+constant.
+
+The optional subset_step goes further and prunes the subset scan itself.
+The engine grows sorted prefixes one point at a time, and step(state, last,
+e) gives the state of the prefix extended by a point e larger than its last
+point (last is None for the empty prefix, whose state is ()). Of all
+prefixes sharing a state only the first one reached is extended. The
+contract: for any two prefixes with the same state, every key that some
+extension of the later prefix reaches is also reached by an extension of
+the first. A state that determines the states of all extensions, and with
+them the key, satisfies it; so does the prefix itself, which is the state
+used when an entry has no step and turns the scan into the full one.
 """
 
 from __future__ import annotations
@@ -39,9 +51,11 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import ParameterError
-from .growth import tree_count
-from .profiles import compositions_count
+from .growth import compositions_count, tree_count
 from .structures import FiniteStructure, Signature, signature
+
+# step(state, last, e): the state of a prefix extended by e, see above
+SubsetStep = Callable[[object, int | None, int], object]
 
 SIG_SET = Signature(())
 SIG_ORDER = signature(("leq", 2))
@@ -63,6 +77,8 @@ class CatalogueEntry:
     predictor(n) gives the expected number of n-point classes, None when no
     closed form is part of the family. subset_key_factory(model) returns a
     key function over sorted subsets, or None for literal-encoding dedup.
+    subset_step_factory(model) returns the prefix step of the module
+    docstring, or None to scan every subset.
     """
 
     entry_id: str
@@ -71,6 +87,7 @@ class CatalogueEntry:
     predictor: Callable[[int], int] | None
     saturation_rule: Callable[[int], int]
     subset_key_factory: Callable[[FiniteStructure], Callable[[tuple[int, ...]], object]] | None
+    subset_step_factory: Callable[[FiniteStructure], SubsetStep] | None = None
 
 
 def _chain_leq(n: int) -> set[tuple[int, int]]:
@@ -241,6 +258,15 @@ def _const_key_factory(model: FiniteStructure) -> Callable[[tuple[int, ...]], ob
     return key
 
 
+def _const_step(state: object, last: int | None, e: int) -> object:
+    # One key for all subsets, so the first prefix of each length reaches it.
+    return ()
+
+
+def _const_step_factory(model: FiniteStructure) -> SubsetStep:
+    return _const_step
+
+
 def _local_order_key_factory(model: FiniteStructure) -> Callable[[tuple[int, ...]], object]:
     # Gap vector around the cycle, minimised over rotations: translation is
     # an automorphism of the circulant, so equal keys give isomorphic
@@ -264,6 +290,18 @@ def _local_order_key_factory(model: FiniteStructure) -> Callable[[tuple[int, ...
     return key
 
 
+def _gap_step(state: object, last: int | None, e: int) -> object:
+    # The gap vector of a prefix. Prefixes sharing it are translates, and
+    # the first one reached starts at 0: where a translate by t extends by
+    # e, it extends by e - t to the same gaps, closing gap included, and so
+    # to the same key.
+    return () if last is None else state + (e - last,)
+
+
+def _local_order_step_factory(model: FiniteStructure) -> SubsetStep:
+    return _gap_step
+
+
 def _make_fibered_key_factory(k: int):
     def factory(model: FiniteStructure) -> Callable[[tuple[int, ...]], object]:
         def key(subset: tuple[int, ...]) -> object:
@@ -283,14 +321,29 @@ def _make_fibered_key_factory(k: int):
     return factory
 
 
+def _make_fibered_step_factory(k: int):
+    # State: the block run lengths, which are the key, plus the last point,
+    # which fixes the run lengths of every extension.
+    def step(state: object, last: int | None, e: int) -> object:
+        if last is None:
+            return (1,), e
+        runs = state[0]
+        if e // k == last // k:
+            return runs[:-1] + (runs[-1] + 1,), e
+        return runs + (1,), e
+
+    def factory(model: FiniteStructure) -> SubsetStep:
+        return step
+
+    return factory
+
+
 def _tree_key_factory(model: FiniteStructure) -> Callable[[tuple[int, ...]], object]:
     # Consecutive meet depths determine every pairwise meet depth for leaves
     # in left-to-right order (range minima), and the induced relation only
     # compares depths, so the dense rank pattern is enough. A reversed
     # pattern is the mirror image, hence isomorphic; keep the smaller.
-    size = model.size
-    param = next(s for s in range(1, 64) if _universal_leaf_count(s) == size)
-    md = _universal_tree_depths(param)
+    md = _model_tree_depths(model)
 
     def key(subset: tuple[int, ...]) -> object:
         k = len(subset)
@@ -303,6 +356,25 @@ def _tree_key_factory(model: FiniteStructure) -> Callable[[tuple[int, ...]], obj
         return min(pat, rev)
 
     return key
+
+
+def _tree_step_factory(model: FiniteStructure) -> SubsetStep:
+    # State: the raw consecutive meet depths, from which the key is
+    # computed, plus the last leaf, which fixes the depths of every extension.
+    md = _model_tree_depths(model)
+
+    def step(state: object, last: int | None, e: int) -> object:
+        if last is None:
+            return (), e
+        return state[0] + (md[last][e],), e
+
+    return step
+
+
+def _model_tree_depths(model: FiniteStructure) -> list[list[int]]:
+    size = model.size
+    param = next(s for s in range(1, 64) if _universal_leaf_count(s) == size)
+    return _universal_tree_depths(param)
 
 
 def _rule_desk(n: int) -> int:
@@ -331,33 +403,29 @@ def _fibered_entry(k: int) -> CatalogueEntry:
         predictor=lambda n, _k=k: compositions_count(n, _k),
         saturation_rule=lambda n, _k=k: _k * n,
         subset_key_factory=_make_fibered_key_factory(k),
+        subset_step_factory=_make_fibered_step_factory(k),
+    )
+
+
+def _reduct_entry(entry_id: str, sig: Signature, sampler) -> CatalogueEntry:
+    return CatalogueEntry(
+        entry_id, sig, sampler, lambda n: 1, _rule_desk, _const_key_factory, _const_step_factory
     )
 
 
 _BASE_ENTRIES = {
-    "pure_set": CatalogueEntry(
-        "pure_set", SIG_SET, _sample_pure_set, lambda n: 1, _rule_desk, _const_key_factory
-    ),
-    "dlo": CatalogueEntry(
-        "dlo", SIG_ORDER, _sample_dlo, lambda n: 1, _rule_desk, _const_key_factory
-    ),
-    "betweenness": CatalogueEntry(
-        "betweenness", SIG_BETWEENNESS, _sample_betweenness, lambda n: 1, _rule_desk,
-        _const_key_factory,
-    ),
-    "circular": CatalogueEntry(
-        "circular", SIG_CIRCULAR, _sample_circular, lambda n: 1, _rule_desk, _const_key_factory
-    ),
-    "separation": CatalogueEntry(
-        "separation", SIG_SEPARATION, _sample_separation, lambda n: 1, _rule_desk,
-        _const_key_factory,
-    ),
+    "pure_set": _reduct_entry("pure_set", SIG_SET, _sample_pure_set),
+    "dlo": _reduct_entry("dlo", SIG_ORDER, _sample_dlo),
+    "betweenness": _reduct_entry("betweenness", SIG_BETWEENNESS, _sample_betweenness),
+    "circular": _reduct_entry("circular", SIG_CIRCULAR, _sample_circular),
+    "separation": _reduct_entry("separation", SIG_SEPARATION, _sample_separation),
     "local_order": CatalogueEntry(
         "local_order", SIG_TOURNAMENT, _sample_local_order, None, _rule_desk,
-        _local_order_key_factory,
+        _local_order_key_factory, _local_order_step_factory,
     ),
     "tree_c": CatalogueEntry(
-        "tree_c", SIG_TREE, _sample_tree, tree_count, lambda n: n, _tree_key_factory
+        "tree_c", SIG_TREE, _sample_tree, tree_count, lambda n: n, _tree_key_factory,
+        _tree_step_factory,
     ),
 }
 

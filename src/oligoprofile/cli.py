@@ -69,7 +69,7 @@ def _cmd_catalogue_list(args, cfg: RunConfig) -> str:
 
 
 def _cmd_profile(args, cfg: RunConfig) -> str:
-    seq = profile(args.entry, args.n_max, budget=cfg.budget, jobs=cfg.jobs)
+    seq = profile(args.entry, args.n_max, budget=cfg.budget)
     if cfg.output_format == "json":
         return _json_text(seq.to_json_dict())
     return seq.to_csv()
@@ -85,7 +85,7 @@ def _growth_values(args, cfg: RunConfig) -> list[int]:
     entry = get_entry(args.entry)
     if entry.predictor is not None:
         return [age_predictor(entry, n) for n in range(1, args.n_max + 1)]
-    return list(profile(args.entry, args.n_max, budget=cfg.budget, jobs=cfg.jobs).values)
+    return list(profile(args.entry, args.n_max, budget=cfg.budget).values)
 
 
 def _cmd_growth(args, cfg: RunConfig) -> str:
@@ -159,8 +159,14 @@ _HANDLERS = {
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="run seed, recorded for reproducibility")
-    common.add_argument("--jobs", type=int, default=None, help="worker processes; defaults to OLIGO_JOBS or 1")
-    common.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="max subsets to enumerate per count")
+    common.add_argument(
+        "--jobs", type=int, default=None,
+        help="worker processes for witness verification; defaults to OLIGO_JOBS or 1",
+    )
+    common.add_argument(
+        "--budget", type=int, default=DEFAULT_BUDGET,
+        help="largest C(sample size, n) a profile count may have",
+    )
     common.add_argument("--out", default=None, help="write output to this file instead of stdout")
 
     parser = argparse.ArgumentParser(

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DomainError
+from .errors import DomainError, ParameterError
 
 
 @lru_cache(maxsize=None)
@@ -39,6 +39,18 @@ def fibonacci(n: int) -> int:
     for _ in range(n - 1):
         a, b = b, a + b
     return a
+
+
+def compositions_count(n: int, max_part: int) -> int:
+    """Number of compositions of n into parts of size at most max_part."""
+    if n < 0:
+        raise ParameterError(f"compositions_count needs n >= 0, got {n}")
+    if max_part < 1:
+        raise ParameterError(f"max_part must be >= 1, got {max_part}")
+    acc = [1] + [0] * n
+    for m in range(1, n + 1):
+        acc[m] = sum(acc[m - j] for j in range(1, min(m, max_part) + 1))
+    return acc[n]
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,17 @@
 
 profile(entry, n_max) computes, for each n up to n_max, the number of
 distinct canonical codes among the induced substructures on all n-subsets
-of a finite model sampled at the entry's saturation size. The count is
-recomputed on a strictly larger sample (rule size + 2); agreement is the
-saturation check, disagreement triggers one retry two sizes further before
-a SaturationError.
+of a finite model sampled at the entry's saturation size. The code set is
+recomputed on a strictly larger sample (rule size + 2); equal sets are the
+saturation check, unequal ones trigger one retry two sizes further before a
+SaturationError.
+
+Subsets are enumerated as a frontier of sorted prefixes, one level per
+length. Each level maps a prefix state (the entry's subset step, see
+catalogue) to the first prefix that reached it, and only that prefix is
+extended; without a step the state is the prefix itself and the scan is
+exhaustive. The last level applies the entry's subset key to every
+extension and keeps the first subset per key.
 
 Counting never trusts the dedup key alone: keys only pick one
 representative subset per key, canonical codes of the representatives are
@@ -17,60 +24,20 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
+# catalogue.get_entry is looked up per call, so a wrapped one is honoured
+from . import catalogue
 from .errors import ParameterError, ResourceError, SaturationError
 from .structures import canonical_form, induced_substructure, structure_encoding
 
 DEFAULT_BUDGET = 10_000_000
 
-# Worker-side state for parallel subset enumeration; set by the pool
-# initializer, one model per worker process.
-_WORKER: dict = {}
 
-
-def _init_subset_worker(entry_id: str, size: int) -> None:
-    from .catalogue import get_entry
-
-    entry = get_entry(entry_id)
-    model = entry.sampler(size)
-    keyf = entry.subset_key_factory(model) if entry.subset_key_factory else None
-    _WORKER["model"] = model
-    _WORKER["keyf"] = keyf
-
-
-def _subset_chunk(args: tuple[int, int]) -> dict:
-    """Representatives (key -> lexicographically least subset) for all
-    n-subsets whose smallest element is `first`."""
-    first, n = args
-    model = _WORKER["model"]
-    keyf = _WORKER["keyf"]
-    reps: dict = {}
-    for rest in itertools.combinations(range(first + 1, model.size), n - 1):
-        subset = (first,) + rest
-        if keyf is not None:
-            k = keyf(subset)
-        else:
-            k = structure_encoding(induced_substructure(model, subset))
-        if k not in reps:
-            reps[k] = subset
-    return reps
-
-
-def compositions_count(n: int, max_part: int) -> int:
-    """Number of compositions of n into parts of size at most max_part."""
-    if n < 0:
-        raise ParameterError(f"compositions_count needs n >= 0, got {n}")
-    if max_part < 1:
-        raise ParameterError(f"max_part must be >= 1, got {max_part}")
-    acc = [1] + [0] * n
-    for m in range(1, n + 1):
-        acc[m] = sum(acc[m - j] for j in range(1, min(m, max_part) + 1))
-    return acc[n]
+def _prefix_step(state: tuple[int, ...], last: int | None, e: int) -> tuple[int, ...]:
+    return state + (e,)
 
 
 @dataclass(frozen=True)
@@ -115,10 +82,9 @@ class _ClassCounter:
     """Counts distinct substructure classes per (sampler size, n) with caches
     shared across sizes: models by size, canonical codes by literal encoding."""
 
-    def __init__(self, entry, budget: int, jobs: int = 1):
+    def __init__(self, entry, budget: int):
         self.entry = entry
         self.budget = budget
-        self.jobs = jobs
         self._models: dict[int, object] = {}
         self._canon: dict[bytes, bytes] = {}
 
@@ -127,38 +93,37 @@ class _ClassCounter:
             self._models[size] = self.entry.sampler(size)
         return self._models[size]
 
-    def _representatives(self, size: int, model, n: int) -> dict:
-        if self.jobs > 1 and model.size > n:
-            merged: dict = {}
-            with ProcessPoolExecutor(
-                max_workers=self.jobs,
-                initializer=_init_subset_worker,
-                initargs=(self.entry.entry_id, size),
-            ) as pool:
-                for part in pool.map(
-                    _subset_chunk, [(first, n) for first in range(model.size - n + 1)]
-                ):
-                    for k, subset in part.items():
-                        old = merged.get(k)
-                        if old is None or subset < old:
-                            merged[k] = subset
-            return merged
-        keyf = (
-            self.entry.subset_key_factory(model)
-            if self.entry.subset_key_factory
-            else None
-        )
+    def _representatives(self, model, n: int) -> dict:
+        """Key -> the first n-subset with that key the frontier reaches."""
+        entry = self.entry
+        keyf = entry.subset_key_factory(model) if entry.subset_key_factory else None
+        step = entry.subset_step_factory(model) if entry.subset_step_factory else _prefix_step
+        size = model.size
+        level: dict = {(): ()}
+        for _ in range(n - 1):
+            nxt: dict = {}
+            for state, prefix in level.items():
+                last = prefix[-1] if prefix else None
+                for e in range(0 if last is None else last + 1, size):
+                    s = step(state, last, e)
+                    if s not in nxt:
+                        nxt[s] = prefix + (e,)
+            level = nxt
         reps: dict = {}
-        for subset in itertools.combinations(range(model.size), n):
-            if keyf is not None:
-                k = keyf(subset)
-            else:
-                k = structure_encoding(induced_substructure(model, subset))
-            if k not in reps:
-                reps[k] = subset
+        for prefix in level.values():
+            for e in range(prefix[-1] + 1 if prefix else 0, size):
+                subset = prefix + (e,)
+                if keyf is not None:
+                    k = keyf(subset)
+                else:
+                    k = structure_encoding(induced_substructure(model, subset))
+                if k not in reps:
+                    reps[k] = subset
         return reps
 
     def codes(self, size: int, n: int) -> frozenset[bytes]:
+        if n < 1:
+            raise ParameterError(f"subset size must be >= 1, got {n}")
         model = self.model(size)
         if n > model.size:
             raise ParameterError(
@@ -170,7 +135,7 @@ class _ClassCounter:
                 f"{self.entry.entry_id}: {total} subsets of size {n} exceed budget {self.budget}"
             )
         out = set()
-        for subset in self._representatives(size, model, n).values():
+        for subset in self._representatives(model, n).values():
             sub = induced_substructure(model, subset)
             lit = structure_encoding(sub)
             code = self._canon.get(lit)
@@ -184,44 +149,50 @@ class _ClassCounter:
 def profile(entry, n_max: int, budget: int = DEFAULT_BUDGET, jobs: int = 1) -> ProfileSequence:
     """Profile f_1..f_{n_max} of a catalogue entry with saturation checking.
 
-    Accepts an entry object or a stable identifier string. jobs > 1 fans the
-    subset stream out to a worker pool; the result does not depend on jobs.
+    Accepts an entry object or a stable identifier string. budget bounds
+    C(sample size, n) for every count. jobs is accepted for compatibility
+    and ignored: there is one serial enumeration path.
     """
     if isinstance(entry, str):
-        from .catalogue import get_entry
-
-        entry = get_entry(entry)
+        entry = catalogue.get_entry(entry)
     if n_max < 1:
         raise ParameterError(f"n_max must be >= 1, got {n_max}")
-    counter = _ClassCounter(entry, budget, jobs)
+    counter = _ClassCounter(entry, budget)
     values = []
     sat = []
     for n in range(1, n_max + 1):
         base = entry.saturation_rule(n)
-        c1 = len(counter.codes(base, n))
-        c2 = len(counter.codes(base + 2, n))
-        if c1 == c2:
-            values.append(c1)
+        s1 = counter.codes(base, n)
+        s2 = counter.codes(base + 2, n)
+        if s1 == s2:
+            values.append(len(s1))
             sat.append(base)
             continue
-        c3 = len(counter.codes(base + 4, n))
-        if c2 == c3:
-            values.append(c2)
+        s3 = counter.codes(base + 4, n)
+        if s2 == s3:
+            values.append(len(s2))
             sat.append(base + 2)
             continue
-        raise SaturationError(entry.entry_id, n, (c1, c2, c3), (base, base + 2, base + 4))
+        raise SaturationError(
+            entry.entry_id,
+            n,
+            (len(s1), len(s2), len(s3)),
+            (base, base + 2, base + 4),
+            ((len(s1 - s2), len(s2 - s1)), (len(s2 - s3), len(s3 - s2))),
+        )
     return ProfileSequence(entry.entry_id, tuple(values), tuple(sat))
 
 
 def class_codes(
     entry, size: int, n: int, budget: int = DEFAULT_BUDGET, jobs: int = 1
 ) -> frozenset[bytes]:
-    """Canonical codes of all n-point substructure classes of one sample."""
-    if isinstance(entry, str):
-        from .catalogue import get_entry
+    """Canonical codes of all n-point substructure classes of one sample.
 
-        entry = get_entry(entry)
-    return _ClassCounter(entry, budget, jobs).codes(size, n)
+    jobs is accepted for compatibility and ignored.
+    """
+    if isinstance(entry, str):
+        entry = catalogue.get_entry(entry)
+    return _ClassCounter(entry, budget).codes(size, n)
 
 
 def profile_to_json(seq: ProfileSequence) -> str:

@@ -1,20 +1,23 @@
 """Profile computation: dedup, saturation, budgets and known sequences."""
 
+import functools
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oligoprofile.catalogue import CatalogueEntry, get_entry, sample_model
+from oligoprofile.catalogue import CatalogueEntry, default_sweep_ids, get_entry, sample_model
 from oligoprofile.errors import ParameterError, ResourceError, SaturationError
-from oligoprofile.growth import fibonacci
-from oligoprofile.profiles import (
-    ProfileSequence,
-    class_codes,
-    compositions_count,
-    profile,
-    profile_to_json,
+from oligoprofile.growth import compositions_count, fibonacci
+from oligoprofile.profiles import ProfileSequence, class_codes, profile, profile_to_json
+from oligoprofile.structures import (
+    FiniteStructure,
+    canonical_form,
+    induced_substructure,
+    signature,
+    structure_encoding,
 )
-from oligoprofile.structures import FiniteStructure, signature
 
 from oracles import (
     brute_compositions,
@@ -124,6 +127,80 @@ def test_unstable_counts_raise_saturation_error():
     )
     with pytest.raises(SaturationError):
         profile(entry, 1)
+
+
+def _swapping_entry(labels):
+    """One-point classes that keep their count but change their code."""
+    sig = signature(("a", 1), ("b", 1))
+
+    def sampler(size):
+        rel = labels[size]
+        return FiniteStructure.build(sig, size, {rel: {(e,) for e in range(size)}})
+
+    return CatalogueEntry("swap", sig, sampler, None, lambda n: 3, None)
+
+
+def test_equal_counts_with_different_codes_are_rechecked():
+    seq = profile(_swapping_entry({3: "a", 5: "b", 7: "b"}), 1)
+    assert seq.values == (1,)
+    assert seq.saturated_at == (5,)
+
+
+def test_saturation_error_reports_code_set_differences():
+    with pytest.raises(SaturationError) as info:
+        profile(_swapping_entry({3: "a", 5: "b", 7: "a"}), 1)
+    assert info.value.counts == (1, 1, 1)
+    assert info.value.sizes == (3, 5, 7)
+    assert info.value.lacking == ((1, 1), (1, 1))
+    assert "3->5: 1 lost, 1 new" in str(info.value)
+
+
+def _brute_codes(entry_id, size, n):
+    # canonical forms are memoised by literal encoding, which is lossless,
+    # so this is the plain scan over every subset with no key and no step
+    model = sample_model(entry_id, size)
+    codes = {}
+    for subset in itertools.combinations(range(model.size), n):
+        sub = induced_substructure(model, subset)
+        lit = structure_encoding(sub)
+        if lit not in codes:
+            codes[lit] = canonical_form(sub)
+    return set(codes.values())
+
+
+@pytest.mark.parametrize("entry_id", default_sweep_ids())
+def test_class_codes_match_brute_scan(entry_id):
+    """The pruned scan finds every class the exhaustive scan finds.
+
+    Brute codes canonicalise every n-subset with no key and no step, at the
+    two sample sizes the saturation check compares.
+    """
+    entry = get_entry(entry_id)
+    n_max = 6 if entry_id == "tree_c" else 5
+    for n in range(1, n_max + 1):
+        base = entry.saturation_rule(n)
+        for size in (base, base + 2):
+            assert class_codes(entry, size, n) == _brute_codes(entry_id, size, n), (size, n)
+
+
+@functools.lru_cache(maxsize=None)
+def _model_and_codes(entry_id, size, n):
+    return sample_model(entry_id, size), class_codes(entry_id, size, n)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.sampled_from([("tree_c", 10, 30), ("fibered_order:3", 26, 26)]),
+    st.randoms(use_true_random=False),
+)
+def test_random_subsets_have_a_found_class(case, rnd):
+    """Where the brute scan is unaffordable (C(30, 8) = 5.85M subsets for
+    tree_c), every sampled 8-subset's class is among the found ones."""
+    entry_id, size, points = case
+    model, codes = _model_and_codes(entry_id, size, 8)
+    assert model.size == points
+    subset = tuple(sorted(rnd.sample(range(points), 8)))
+    assert canonical_form(induced_substructure(model, subset)) in codes
 
 
 def test_parallel_jobs_do_not_change_values():
