@@ -97,13 +97,13 @@ def _chain_leq(n: int) -> set[tuple[int, int]]:
 def _sample_pure_set(size: int) -> FiniteStructure:
     if size < 0:
         raise ParameterError(f"pure_set needs size >= 0, got {size}")
-    return FiniteStructure.build(SIG_SET, size)
+    return FiniteStructure._trusted(SIG_SET, size, ())
 
 
 def _sample_dlo(size: int) -> FiniteStructure:
     if size < 1:
         raise ParameterError(f"dlo needs size >= 1, got {size}")
-    return FiniteStructure.build(SIG_ORDER, size, {"leq": _chain_leq(size)})
+    return FiniteStructure._trusted(SIG_ORDER, size, (frozenset(_chain_leq(size)),))
 
 
 def _sample_betweenness(size: int) -> FiniteStructure:
@@ -116,7 +116,7 @@ def _sample_betweenness(size: int) -> FiniteStructure:
         for z in range(size)
         if x <= y <= z or z <= y <= x
     }
-    return FiniteStructure.build(SIG_BETWEENNESS, size, {"btw": tuples})
+    return FiniteStructure._trusted(SIG_BETWEENNESS, size, (frozenset(tuples),))
 
 
 def _cyc(x: int, y: int, z: int) -> bool:
@@ -133,21 +133,25 @@ def _sample_circular(size: int) -> FiniteStructure:
         for z in range(size)
         if _cyc(x, y, z)
     }
-    return FiniteStructure.build(SIG_CIRCULAR, size, {"cyc": tuples})
-
-
-def _sep(x: int, y: int, z: int, t: int) -> bool:
-    return (_cyc(x, y, z) and _cyc(y, z, t) and _cyc(z, t, x) and _cyc(t, x, y)) or (
-        _cyc(t, z, y) and _cyc(z, y, x) and _cyc(y, x, t) and _cyc(x, t, z)
-    )
+    return FiniteStructure._trusted(SIG_CIRCULAR, size, (frozenset(tuples),))
 
 
 def _sample_separation(size: int) -> FiniteStructure:
     if size < 1:
         raise ParameterError(f"separation needs size >= 1, got {size}")
     rng = range(size)
-    tuples = {(x, y, z, t) for x in rng for y in rng for z in rng for t in rng if _sep(x, y, z, t)}
-    return FiniteStructure.build(SIG_SEPARATION, size, {"sep": tuples})
+    # c[x][y][z] = C(x, y, z); the S formula of the module docstring by lookups
+    c = [[[_cyc(x, y, z) for z in rng] for y in rng] for x in rng]
+    tuples = frozenset(
+        (x, y, z, t)
+        for x in rng
+        for y in rng
+        for z in rng
+        for t in rng
+        if (c[x][y][z] and c[y][z][t] and c[z][t][x] and c[t][x][y])
+        or (c[t][z][y] and c[z][y][x] and c[y][x][t] and c[x][t][z])
+    )
+    return FiniteStructure._trusted(SIG_SEPARATION, size, (tuples,))
 
 
 def _sample_local_order(size: int) -> FiniteStructure:
@@ -160,7 +164,7 @@ def _sample_local_order(size: int) -> FiniteStructure:
         for y in range(size)
         if 1 <= (y - x) % size <= half
     }
-    return FiniteStructure.build(SIG_TOURNAMENT, size, {"arc": tuples})
+    return FiniteStructure._trusted(SIG_TOURNAMENT, size, (frozenset(tuples),))
 
 
 def _make_fibered_sampler(k: int) -> Callable[[int], FiniteStructure]:
@@ -169,7 +173,7 @@ def _make_fibered_sampler(k: int) -> Callable[[int], FiniteStructure]:
             raise ParameterError(f"fibered_order:{k} needs size >= 1, got {size}")
         blk = [e // k for e in range(size)]
         tuples = {(a, b) for a in range(size) for b in range(size) if blk[a] <= blk[b]}
-        return FiniteStructure.build(SIG_FIBERED, size, {"prec": tuples})
+        return FiniteStructure._trusted(SIG_FIBERED, size, (frozenset(tuples),))
 
     return sample
 
@@ -248,7 +252,7 @@ def _sample_tree(param: int) -> FiniteStructure:
         raise ParameterError(f"tree_c needs size >= 1, got {param}")
     md = _universal_tree_depths(param)
     leaves = list(range(len(md)))
-    return FiniteStructure.build(SIG_TREE, len(md), {"branch": _branch_tuples(md, leaves)})
+    return FiniteStructure._trusted(SIG_TREE, len(md), (frozenset(_branch_tuples(md, leaves)),))
 
 
 def _const_key_factory(model: FiniteStructure) -> Callable[[tuple[int, ...]], object]:

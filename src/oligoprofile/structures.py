@@ -18,16 +18,27 @@ are derived only from isomorphism-invariant data, so they are stable across
 relabellings), then branch on the first non-singleton colour class,
 individualising one vertex at a time and refining again. Leaves of the
 search are discrete colourings, i.e. relabellings; the canonical code is the
-byte-wise minimum of their encodings. Branches whose chosen vertex is
-swapped onto an already-explored one by a transposition automorphism are
-skipped; this keeps highly symmetric inputs (pure antichains, unmarked sets)
-linear instead of factorial.
+byte-wise minimum of their encodings. Two rules skip a branch whose subtree
+is the image of an explored sibling's under an automorphism, so its leaves
+carry codes already seen and the minimum is unchanged:
+
+  * transposition pruning: the chosen vertex is swapped onto an explored
+    sibling by a transposition automorphism; this keeps highly symmetric
+    inputs (pure antichains, unmarked sets) linear instead of factorial;
+  * orbit pruning (McKay & Piperno 2014): a leaf whose encoding equals the
+    first or the best leaf's yields the automorphism between the two
+    labellings. At a node, the recorded automorphisms that fix the node's
+    individualised vertices pointwise generate a group (orbits kept in a
+    union-find), and a vertex in the orbit of an explored sibling is
+    skipped. This catches symmetries without transpositions, such as the
+    rotations and reflections of the circular and separation reducts or of
+    circulant tournaments. Only the first and the best leaf are kept.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from itertools import chain, compress, product
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InvalidSubsetError, ParameterError, SignatureMismatchError
@@ -71,7 +82,18 @@ def signature(*relations: tuple[str, int]) -> Signature:
 
 @dataclass(frozen=True)
 class FiniteStructure:
-    """Immutable finite structure over domain {0..size-1}."""
+    """Immutable finite structure over domain {0..size-1}.
+
+    Validation (tuple arities, entries in range) happens in the public
+    constructor, and so in build, from_json_dict and relabel, which go
+    through it. Structures the library derives itself skip it through
+    _trusted: induced_substructure (restricting a valid structure to
+    distinct in-range points gives a valid one) and the catalogue samplers
+    (tuples drawn from range(size) by construction). These are the hot
+    producers of the profile engine, where validation would cost about a
+    sixth of the time; tests re-validate their output through the public
+    constructor.
+    """
 
     signature: Signature
     size: int
@@ -91,6 +113,15 @@ class FiniteStructure:
                     raise ParameterError(f"tuple {t} in {name!r} has wrong arity (want {arity})")
                 if any(not (0 <= x < self.size) for x in t):
                     raise ParameterError(f"tuple {t} in {name!r} out of range for size {self.size}")
+
+    @classmethod
+    def _trusted(
+        cls, sig: Signature, size: int, relations: tuple[frozenset[tuple[int, ...]], ...]
+    ) -> "FiniteStructure":
+        """Construct without validation, for producers that guarantee it."""
+        obj = object.__new__(cls)
+        obj.__dict__.update(signature=sig, size=size, relations=relations)
+        return obj
 
     @classmethod
     def build(
@@ -156,17 +187,19 @@ def induced_substructure(model: FiniteStructure, subset: Sequence[int]) -> Finit
     rels = []
     for (_, arity), tuples in zip(model.signature.relations, model.relations):
         if k ** arity <= len(tuples):
+            # probe: the i-th tuple over subset is the i-th over range(k)
             kept = frozenset(
-                tuple(pos[x] for x in t)
-                for t in itertools.product(subset, repeat=arity)
-                if t in tuples
+                compress(
+                    product(range(k), repeat=arity),
+                    map(tuples.__contains__, product(subset, repeat=arity)),
+                )
             )
         else:
             kept = frozenset(
                 tuple(pos[x] for x in t) for t in tuples if all(x in pos for x in t)
             )
         rels.append(kept)
-    return FiniteStructure(model.signature, k, tuple(rels))
+    return FiniteStructure._trusted(model.signature, k, tuple(rels))
 
 
 # Encoding: unsigned LEB128 varints, layout
@@ -201,11 +234,15 @@ def _encode_labelled(
         if perm is None:
             mapped = sorted(tuples)
         else:
-            mapped = sorted(tuple(perm[x] for x in t) for t in tuples)
+            mapped = sorted(tuple(map(perm.__getitem__, t)) for t in tuples)
         _emit(buf, len(mapped))
-        for t in mapped:
-            for x in t:
-                _emit(buf, x)
+        if size < 128:
+            # every entry is below 128, so its varint is the byte itself
+            buf += bytes(chain.from_iterable(mapped))
+        else:
+            for t in mapped:
+                for x in t:
+                    _emit(buf, x)
     return bytes(buf)
 
 
@@ -251,6 +288,13 @@ def _is_transposition_automorphism(
     return True
 
 
+def _orbit_root(parent: list[int], x: int) -> int:
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 def canonical_form(s: FiniteStructure) -> CanonicalCode:
     """Canonical byte code: equal codes iff isomorphic (same signature).
 
@@ -258,6 +302,7 @@ def canonical_form(s: FiniteStructure) -> CanonicalCode:
     search. Every step uses only invariant data, so the set of candidate
     relabellings is the same for isomorphic structures, and the code is a
     lossless encoding, so distinct codes separate non-isomorphic ones.
+    Pruned branches (module docstring) hold only codes of explored leaves.
     """
     size = s.size
     arities = tuple(a for _, a in s.signature.relations)
@@ -266,10 +311,31 @@ def canonical_form(s: FiniteStructure) -> CanonicalCode:
         return _encode_labelled(size, arities, tuple(t for _, t in rels), None)
     rel_sets = [frozenset(t) for _, t in rels]
     rel_tuples = tuple(t for _, t in rels)
-    best: bytes | None = None
+    # (labelling, code) of the first leaf and of the least one so far
+    first: tuple[list[int], bytes] | None = None
+    best: tuple[list[int], bytes] | None = None
+    # automorphisms found from equal leaves, as g[x] = image of x
+    gens: list[list[int]] = []
 
-    def search(colors: list[int]) -> None:
-        nonlocal best
+    def leaf(colors: list[int]) -> None:
+        nonlocal first, best
+        code = _encode_labelled(size, arities, rel_tuples, colors)
+        if first is None:
+            first = best = (colors, code)
+            return
+        for perm, other in (first, best):
+            if code == other:
+                # relabelling by perm and by colors gives the same structure,
+                # so x -> perm^-1(colors[x]) is an automorphism
+                inv = [0] * size
+                for x, c in enumerate(perm):
+                    inv[c] = x
+                gens.append([inv[c] for c in colors])
+                return
+        if code < best[1]:
+            best = (colors, code)
+
+    def search(colors: list[int], fixed: tuple[int, ...]) -> None:
         counts: dict[int, int] = {}
         for c in colors:
             counts[c] = counts.get(c, 0) + 1
@@ -279,23 +345,39 @@ def canonical_form(s: FiniteStructure) -> CanonicalCode:
                 target = c
                 break
         if target < 0:
-            code = _encode_labelled(size, arities, rel_tuples, colors)
-            if best is None or code < best:
-                best = code
+            leaf(colors)
             return
         members = [v for v in range(size) if colors[v] == target]
         branched: list[int] = []
+        # orbits of the recorded automorphisms fixing `fixed` pointwise,
+        # updated only when a sibling's subtree recorded new ones
+        parent: list[int] | None = None
+        used = 0
         for v in members:
+            if used < len(gens):
+                if parent is None:
+                    parent = list(range(size))
+                for g in gens[used:]:
+                    if all(g[x] == x for x in fixed):
+                        for x, y in enumerate(g):
+                            rx, ry = _orbit_root(parent, x), _orbit_root(parent, y)
+                            if rx != ry:
+                                parent[ry] = rx
+                used = len(gens)
+            if parent is not None:
+                root = _orbit_root(parent, v)
+                if any(_orbit_root(parent, w) == root for w in branched):
+                    continue
             if any(_is_transposition_automorphism(v, w, rels, rel_sets) for w in branched):
                 continue
             branched.append(v)
             split = [c * 2 + 1 for c in colors]
             split[v] = colors[v] * 2
-            search(_refine(size, rels, split))
+            search(_refine(size, rels, split), fixed + (v,))
 
-    search(_refine(size, rels, [0] * size))
+    search(_refine(size, rels, [0] * size), ())
     assert best is not None
-    return best
+    return best[1]
 
 
 def _same_signature(a: FiniteStructure, b: FiniteStructure) -> None:

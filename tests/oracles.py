@@ -15,6 +15,7 @@ import math
 from oligoprofile.catalogue import SIG_TOURNAMENT
 from oligoprofile.structures import (
     FiniteStructure,
+    Signature,
     canonical_form,
     induced_substructure,
     structure_encoding,
@@ -35,6 +36,78 @@ def brute_isomorphic(a: FiniteStructure, b: FiniteStructure) -> bool:
     return any(
         a.relabel(perm).relations == b.relations
         for perm in itertools.permutations(range(a.size))
+    )
+
+
+def restrict(model: FiniteStructure, subset) -> FiniteStructure:
+    """Induced substructure by the definition: keep the tuples inside subset,
+    renamed to positions, validated by the public constructor."""
+    pos = {x: i for i, x in enumerate(subset)}
+    rels = tuple(
+        frozenset(tuple(pos[x] for x in t) for t in tuples if set(t) <= set(subset))
+        for tuples in model.relations
+    )
+    return FiniteStructure(model.signature, len(subset), rels)
+
+
+def leb128(x: int) -> bytes:
+    """Unsigned LEB128: seven bits per byte, low first, high bit = more."""
+    out = bytearray()
+    while True:
+        out.append((x & 0x7F) | (0x80 if x >> 7 else 0))
+        x >>= 7
+        if not x:
+            return bytes(out)
+
+
+def leb128_encoding(s: FiniteStructure) -> bytes:
+    """The documented literal layout: [#relations] [arity...] [size], then
+    per relation [#tuples] and the entries of its tuples in sorted order."""
+    arities = [a for _, a in s.signature.relations]
+    out = leb128(len(arities)) + b"".join(leb128(a) for a in arities) + leb128(s.size)
+    for tuples in s.relations:
+        out += leb128(len(tuples))
+        out += b"".join(leb128(x) for t in sorted(tuples) for x in t)
+    return out
+
+
+def leb128_decode(sig: Signature, data: bytes) -> FiniteStructure:
+    """Inverse of leb128_encoding for a known signature."""
+    pos = 0
+
+    def read() -> int:
+        nonlocal pos
+        x = shift = 0
+        while True:
+            b = data[pos]
+            pos += 1
+            x |= (b & 0x7F) << shift
+            shift += 7
+            if not b & 0x80:
+                return x
+
+    arities = [read() for _ in range(read())]
+    assert arities == [a for _, a in sig.relations]
+    size = read()
+    rels = []
+    for arity in arities:
+        rels.append(frozenset(tuple(read() for _ in range(arity)) for _ in range(read())))
+    assert pos == len(data)
+    return FiniteStructure(sig, size, tuple(rels))
+
+
+def separation_tuples(size: int) -> frozenset:
+    """S(x,y,z,t) on a chain of `size` points, the catalogue formula read
+    literally: both cyclic readings, four C checks each."""
+
+    def cyc(x, y, z):
+        return x <= y <= z or z <= x <= y or y <= z <= x
+
+    return frozenset(
+        (x, y, z, t)
+        for x, y, z, t in itertools.product(range(size), repeat=4)
+        if (cyc(x, y, z) and cyc(y, z, t) and cyc(z, t, x) and cyc(t, x, y))
+        or (cyc(t, z, y) and cyc(z, y, x) and cyc(y, x, t) and cyc(x, t, z))
     )
 
 

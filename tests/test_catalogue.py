@@ -1,6 +1,7 @@
 """Catalogue samplers: formulas, invariances and the universal tree."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -16,11 +17,12 @@ from oligoprofile.catalogue import (
 )
 from oligoprofile.errors import ParameterError
 from oligoprofile.growth import fibonacci, tree_count
-from oligoprofile.structures import induced_substructure, is_isomorphic
+from oligoprofile.structures import FiniteStructure, induced_substructure, is_isomorphic
 
 from oracles import (
     brute_compositions,
     is_locally_transitive,
+    separation_tuples,
     shape_branch_structure,
     tree_shapes,
 )
@@ -96,6 +98,31 @@ def test_separation_orientation_free():
 def test_separation_from_both_cyclic_readings():
     sep = sample_model("separation", 5).relation("sep")
     assert all(((t, z, y, x) in sep) for (x, y, z, t) in sep)
+
+
+def test_separation_sampler_matches_literal_formula():
+    for size in range(1, 14):
+        assert sample_model("separation", size).relation("sep") == separation_tuples(size)
+
+
+def _revalidated(s):
+    # the public constructor checks arities and ranges that samplers and
+    # induced_substructure skip
+    assert all(type(t) is tuple for tuples in s.relations for t in tuples)
+    return FiniteStructure(s.signature, s.size, s.relations)
+
+
+@pytest.mark.parametrize("entry_id", default_sweep_ids())
+def test_trusted_producers_pass_public_validation(entry_id):
+    rng = random.Random(entry_id)
+    for size in (3, 5, 7, 9):
+        model = sample_model(entry_id, size)
+        assert type(model.relations) is tuple
+        assert all(type(tuples) is frozenset for tuples in model.relations)
+        assert _revalidated(model) == model
+        for k in range(1, model.size + 1):
+            sub = induced_substructure(model, tuple(rng.sample(range(model.size), k)))
+            assert _revalidated(sub) == sub
 
 
 def test_local_order_is_half_circle_tournament():

@@ -1,11 +1,14 @@
 """Encoding, canonical forms and isomorphism on small structures."""
 
+import functools
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oligoprofile.catalogue import sample_model
 from oligoprofile.errors import (
     InvalidSubsetError,
     ParameterError,
@@ -21,11 +24,19 @@ from oligoprofile.structures import (
     structure_encoding,
 )
 
-from oracles import brute_canonical, brute_isomorphic
+from oracles import (
+    brute_canonical,
+    brute_isomorphic,
+    leb128_decode,
+    leb128_encoding,
+    restrict,
+    tournaments_up_to_iso,
+)
 
 SIG_EDGE = signature(("edge", 2))
 SIG_MIXED = signature(("mark", 1), ("edge", 2))
 SIG_TERNARY = signature(("rel", 3))
+SIG_QUATERNARY = signature(("rel", 4))
 
 
 def chain(n):
@@ -34,8 +45,8 @@ def chain(n):
 
 @st.composite
 def small_structures(draw):
-    sig = draw(st.sampled_from((SIG_EDGE, SIG_MIXED, SIG_TERNARY)))
-    max_size = 3 if sig is SIG_TERNARY else 5
+    sig = draw(st.sampled_from((SIG_EDGE, SIG_MIXED, SIG_TERNARY, SIG_QUATERNARY)))
+    max_size = 3 if sig in (SIG_TERNARY, SIG_QUATERNARY) else 5
     size = draw(st.integers(min_value=1, max_value=max_size))
     rels = {}
     for name, arity in sig.relations:
@@ -195,3 +206,104 @@ def test_non_isomorphic_same_counts():
     b = FiniteStructure.build(SIG_EDGE, 4, {"edge": {(0, 1), (0, 2), (0, 3)}})
     assert not is_isomorphic(a, b)
     assert canonical_form(a) != canonical_form(b)
+
+
+@pytest.mark.parametrize(
+    "model, k, probe",
+    [
+        (sample_model("local_order", 11), 5, True),
+        (sample_model("local_order", 11), 8, False),
+        (sample_model("separation", 7), 5, True),
+        (sample_model("separation", 7), 7, False),
+        (FiniteStructure.build(SIG_MIXED, 6, {"mark": {(1,), (4,)}, "edge": {(0, 5), (5, 5)}}), 4, False),
+    ],
+)
+def test_induced_matches_restriction_on_both_branches(model, k, probe):
+    # each relation probes all k**arity tuples over the subset when that is
+    # no more than its size, and scans its tuples otherwise
+    rels = zip(model.signature.relations, model.relations)
+    assert all((k**arity <= len(tuples)) == probe for (_, arity), tuples in rels)
+    rng = random.Random(k)
+    for _ in range(20):
+        subset = tuple(rng.sample(range(model.size), k))
+        assert induced_substructure(model, subset) == restrict(model, subset)
+
+
+def test_encodings_past_one_byte_match_leb128_reference():
+    """Sizes >= 128 take the multi-byte varint path of the encoder."""
+    n = 130
+    rng = random.Random(128)
+    edges = {(i, i + 1) for i in range(n - 1)} | {(rng.randrange(n), rng.randrange(n)) for _ in range(40)}
+    s = FiniteStructure.build(SIG_MIXED, n, {"mark": {(0,), (129,)}, "edge": edges})
+    assert structure_encoding(s) == leb128_encoding(s)
+    code = canonical_form(s)
+    canon = leb128_decode(SIG_MIXED, code)
+    assert leb128_encoding(canon) == code
+    assert is_isomorphic(canon, s)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    assert canonical_form(s.relabel(perm)) == code
+
+
+def _regular(t):
+    outdeg = [0] * t.size
+    for a, _ in t.relation("arc"):
+        outdeg[a] += 1
+    return len(set(outdeg)) == 1
+
+
+@functools.cache
+def symmetric_corpus(family):
+    """Vertex-transitive inputs, whose automorphisms are mostly not
+    transpositions, so only orbit pruning cuts their search."""
+    if family == "local_order":
+        return tuple(sample_model("local_order", n) for n in range(3, 12, 2))
+    if family == "regular_tournament":
+        return tuple(t for size in range(1, 8) for t in tournaments_up_to_iso(size) if _regular(t))
+    rng = random.Random(family)
+    model = sample_model(family, 9)
+    return tuple(induced_substructure(model, rng.sample(range(9), k)) for k in range(4, 8))
+
+
+SYMMETRIC_FAMILIES = ("local_order", "regular_tournament", "separation", "circular", "betweenness")
+
+
+def test_symmetric_corpus_sizes():
+    sizes = {f: [s.size for s in symmetric_corpus(f)] for f in SYMMETRIC_FAMILIES}
+    assert sizes["local_order"] == [3, 5, 7, 9, 11]
+    assert sizes["regular_tournament"] == [1, 3, 5, 7, 7, 7]
+    assert sizes["separation"] == sizes["circular"] == sizes["betweenness"] == [4, 5, 6, 7]
+
+
+@pytest.mark.parametrize("family", SYMMETRIC_FAMILIES)
+def test_canonical_form_invariant_on_symmetric_corpus(family):
+    rng = random.Random(family)
+    for s in symmetric_corpus(family):
+        code = canonical_form(s)
+        for _ in range(6):
+            perm = list(range(s.size))
+            rng.shuffle(perm)
+            assert canonical_form(s.relabel(perm)) == code
+
+
+def test_canonical_partition_matches_brute_on_symmetric_corpus():
+    """Codes and brute minima group the same structures.
+
+    Each reduct member comes with a copy that lacks its least tuple: same
+    size and signature, not isomorphic. Brute force stops at 6 points for
+    the reducts: 7-point separation would relabel 1421 tuples 5040 times.
+    """
+    pool = [s for s in symmetric_corpus("local_order") if s.size <= 7]
+    pool += symmetric_corpus("regular_tournament")
+    for family in ("separation", "circular", "betweenness"):
+        for s in symmetric_corpus(family):
+            if s.size <= 6:
+                rest = sorted(s.relations[0])[1:]
+                pool += [s, FiniteStructure(s.signature, s.size, (frozenset(rest),))]
+    fast = [canonical_form(s) for s in pool]
+    brute = [brute_canonical(s) for s in pool]
+    for i, j in itertools.combinations(range(len(pool)), 2):
+        assert (fast[i] == fast[j]) == (brute[i] == brute[j])
+    # local_order 3, 5 and 7 are regular tournaments, and so isomorphic to
+    # one of them; every other structure is alone in its class
+    assert len(set(fast)) == len(pool) - 3
