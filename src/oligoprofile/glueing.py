@@ -9,6 +9,12 @@ ambient order. Glueing fixes a direction per fragment so all overlaps
 align, chains overlaps into integer offsets, and reads a wrap-around
 (a closed chain of overlaps shifting by one full period) as evidence
 that the component is circular rather than linear.
+
+Only fragments that share an element can overlap, so glueing indexes
+each element's fragments and classifies just those pairs: the cost
+follows the number of overlaps, not the square of the fragment count.
+A circle is normalised with Booth's least-rotation algorithm, once per
+reading direction, in linear time.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import gcd
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
 from .catalogue import sample_model
 from .errors import (
@@ -114,16 +120,49 @@ def normalize_linear(seq: Sequence[Element]) -> tuple[Element, ...]:
     return fwd if _seq_key(fwd) <= _seq_key(rev) else rev
 
 
+def _least_rotation(keys: Sequence) -> int:
+    """Start of the least rotation of keys, the least such start on ties.
+
+    Booth's algorithm (Booth 1980): a failure function over the doubled
+    sequence moves the candidate start only to a strictly smaller
+    rotation, so it runs in linear time.
+    """
+    n = len(keys)
+    doubled = list(keys) * 2
+    fail = [-1] * (2 * n)
+    k = 0
+    for j in range(1, 2 * n):
+        x = doubled[j]
+        i = fail[j - k - 1]
+        while i != -1 and x != doubled[k + i + 1]:
+            if x < doubled[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if x != doubled[k + i + 1]:
+            if x < doubled[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return k
+
+
 def normalize_circular(seq: Sequence[Element]) -> tuple[Element, ...]:
-    """The least rotation over both reading directions of a cycle."""
+    """The least rotation over both reading directions of a cycle.
+
+    Ties keep the forward direction and, within a direction, the least
+    start, so equal keys of different elements (1 and 1.0, True and
+    "True") resolve as a scan of every rotation in order would.
+    """
     fwd = tuple(seq)
-    best = None
-    for base in (fwd, tuple(reversed(fwd))):
-        for shift in range(len(base)):
-            cand = base[shift:] + base[:shift]
-            if best is None or _seq_key(cand) < _seq_key(best):
-                best = cand
-    return best
+    rev = fwd[::-1]
+    keys = _seq_key(fwd)
+    rev_keys = keys[::-1]
+    f = _least_rotation(keys)
+    r = _least_rotation(rev_keys)
+    if rev_keys[r:] + rev_keys[:r] < keys[f:] + keys[:f]:
+        return rev[r:] + rev[:r]
+    return fwd[f:] + fwd[:f]
 
 
 def _end_runs(seq: tuple[Element, ...], shared: set[Element]) -> list[tuple[int, int]]:
@@ -226,6 +265,24 @@ def _offset_constraints(
     return sorted(set(deltas))
 
 
+def _overlapping_pairs(fragments: Sequence[OrderFragment]) -> Iterator[tuple[int, int]]:
+    """Index pairs i < j of fragments that share an element, i ascending,
+    then j ascending: the all-pairs order with disjoint pairs left out.
+
+    An index from each element to the fragments holding it finds the
+    partners, so the cost follows the overlaps, not the square of the
+    fragment count.
+    """
+    holders: dict[Element, list[int]] = {}
+    for i, f in enumerate(fragments):
+        for x in f.elements:
+            holders.setdefault(x, []).append(i)
+    for i, f in enumerate(fragments):
+        partners = {j for x in f.elements for j in holders[x] if j > i}
+        for j in sorted(partners):
+            yield i, j
+
+
 def glue(fragments: Sequence[OrderFragment]) -> list[GlueComponent]:
     """Assemble fragments into linear or circular components.
 
@@ -241,14 +298,11 @@ def glue(fragments: Sequence[OrderFragment]) -> list[GlueComponent]:
         raise ParameterError("duplicate fragment ids")
     n = len(fragments)
     edges: dict[int, list[tuple[int, int]]] = {i: [] for i in range(n)}
-    for i in range(n):
-        for j in range(i + 1, n):
-            case = classify_overlap(fragments[i], fragments[j])
-            if case.tag == "disjoint":
-                continue
-            parity = 1 if case.tag in _REVERSING_TAGS else 0
-            edges[i].append((j, parity))
-            edges[j].append((i, parity))
+    for i, j in _overlapping_pairs(fragments):
+        case = classify_overlap(fragments[i], fragments[j])
+        parity = 1 if case.tag in _REVERSING_TAGS else 0
+        edges[i].append((j, parity))
+        edges[j].append((i, parity))
 
     components: list[GlueComponent] = []
     flip: dict[int, int] = {}
@@ -482,9 +536,8 @@ def sample_circular_fragments(
             for i, (s, e) in enumerate(spans)
         ]
         try:
-            for i in range(len(probes)):
-                for j in range(i + 1, len(probes)):
-                    classify_overlap(probes[i], probes[j])
+            for i, j in _overlapping_pairs(probes):
+                classify_overlap(probes[i], probes[j])
         except FragmentPairError:
             continue
         return tuple(hidden), _spans_to_fragments(circle, spans, rng, wrap=size)

@@ -7,25 +7,78 @@ transitive, so quotienting by mutual before-ness yields a coarser
 poset in which every element has strictly fewer incomparables.
 Iterating collapses any poset of bounded width to a chain of
 antichain classes compatible with the original order.
+
+The kernel works on bit masks: a poset keeps, next to its pair set, the
+mask of the elements above and below each element, so incomparables,
+the maximality test of the before relation, the quotient's classes and
+its well-definedness check, and the final ranks are word operations and
+popcounts rather than pair lookups. Set bits are read off the binary
+digits at C speed. Every invariant the construction promises (a
+transitive before relation, a well-defined quotient that is a poset, at
+most size rounds) is still checked and raises InternalInvariantError.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from itertools import combinations
+from dataclasses import dataclass, field
+from functools import reduce
+from itertools import chain, combinations, compress, repeat
+from operator import or_
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, InternalInvariantError, ParameterError
 
 Pair = tuple[int, int]
 
+_BIT_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of mask, ascending, read at C speed from
+    its binary digits."""
+    digits = bin(mask)[:1:-1].encode().translate(_BIT_DIGITS)
+    return compress(range(len(digits)), digits)
+
+
+def _transpose(succ: list[int]) -> list[int]:
+    """The masks pred with bit a of pred[b] set when bit b of succ[a] is,
+    for masks within range(len(succ)): a transpose of the binary digits."""
+    n = len(succ)
+    rows = [format(m, f"0{n}b") for m in succ]
+    return [int("".join(col)[::-1], 2) for col in zip(*rows)][::-1]
+
+
+def _first_intransitive(succ: Sequence[int]) -> Pair | None:
+    """The least (a, b) with a <= b whose successors escape those of a,
+    or None when the relation is transitive."""
+    for a, m in enumerate(succ):
+        if reduce(or_, map(succ.__getitem__, _bits(m)), 0) & ~m:
+            return a, next(b for b in _bits(m) if succ[b] & ~m)
+    return None
+
+
+def _masks(size: int, relation: Iterable[Pair]) -> list[int]:
+    """Successor masks of a relation on range(size)."""
+    succ = [0] * size
+    for a, b in relation:
+        succ[a] |= 1 << b
+    return succ
+
 
 @dataclass(frozen=True)
 class FinitePoset:
-    """A reflexive, antisymmetric, transitive relation on {0..size-1}."""
+    """A reflexive, antisymmetric, transitive relation on {0..size-1}.
+
+    Besides the pair set, a poset keeps bit masks: succ[a] has bit b set
+    when a <= b, pred[b] has bit a set. They are derived data, left out
+    of equality, hashing and repr.
+    """
 
     size: int
     leq: frozenset[Pair]
+    succ: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    pred: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.size < 1:
@@ -36,26 +89,40 @@ class FinitePoset:
                 isinstance(v, int) and 0 <= v < self.size for v in pair
             ):
                 raise DomainError(f"bad pair {pair!r} for size {self.size}")
-        for x in range(self.size):
-            if (x, x) not in self.leq:
-                raise DomainError(f"missing reflexive pair ({x}, {x})")
-        for a, b in self.leq:
-            if a != b and (b, a) in self.leq:
-                raise DomainError(f"antisymmetry fails on ({a}, {b})")
-        succ = self._succ_masks()
-        for a in range(self.size):
-            m = succ[a]
-            while m:
-                b = (m & -m).bit_length() - 1
-                m &= m - 1
-                if succ[b] & ~succ[a]:
-                    raise DomainError(f"transitivity fails through ({a}, {b})")
+        self._set_masks(_masks(self.size, self.leq))
+        self._check_order()
 
-    def _succ_masks(self) -> list[int]:
-        succ = [0] * self.size
-        for a, b in self.leq:
-            succ[a] |= 1 << b
-        return succ
+    @classmethod
+    def _from_masks(cls, succ: list[int]) -> "FinitePoset":
+        """Build from successor masks over range(len(succ)), for producers
+        whose masks are in range by construction; the order axioms are
+        still checked and raise DomainError."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "size", len(succ))
+        pairs = chain.from_iterable(zip(repeat(a), _bits(m)) for a, m in enumerate(succ))
+        object.__setattr__(obj, "leq", frozenset(pairs))
+        obj._set_masks(succ)
+        obj._check_order()
+        return obj
+
+    def _set_masks(self, succ: list[int]) -> None:
+        object.__setattr__(self, "succ", tuple(succ))
+        object.__setattr__(self, "pred", tuple(_transpose(succ)))
+
+    def _check_order(self) -> None:
+        """Reflexivity, antisymmetry and transitivity on the masks; the
+        pair set is walked only to name an antisymmetry violation."""
+        succ, pred = self.succ, self.pred
+        for x in range(self.size):
+            if not succ[x] >> x & 1:
+                raise DomainError(f"missing reflexive pair ({x}, {x})")
+        if any(succ[a] & pred[a] != 1 << a for a in range(self.size)):
+            for a, b in self.leq:
+                if a != b and succ[b] >> a & 1:
+                    raise DomainError(f"antisymmetry fails on ({a}, {b})")
+        broken = _first_intransitive(succ)
+        if broken:
+            raise DomainError(f"transitivity fails through {broken}")
 
     def less(self, a: int, b: int) -> bool:
         return a != b and (a, b) in self.leq
@@ -63,14 +130,16 @@ class FinitePoset:
     def incomparable(self, a: int, b: int) -> bool:
         return a != b and (a, b) not in self.leq and (b, a) not in self.leq
 
+    def incomparable_mask(self, a: int) -> int:
+        """Bit mask of the elements incomparable to a."""
+        return ((1 << self.size) - 1) & ~(self.succ[a] | self.pred[a])
+
     def incomparables(self, a: int) -> tuple[int, ...]:
-        return tuple(b for b in range(self.size) if self.incomparable(a, b))
+        return tuple(_bits(self.incomparable_mask(a)))
 
     def is_chain(self) -> bool:
-        return all(
-            not self.incomparable(a, b)
-            for a, b in combinations(range(self.size), 2)
-        )
+        full = (1 << self.size) - 1
+        return all(s | p == full for s, p in zip(self.succ, self.pred))
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "FinitePoset":
@@ -89,26 +158,31 @@ class FinitePoset:
 
 def max_incomparability(p: FinitePoset) -> int:
     """Largest number of elements incomparable to a single element."""
-    return max(len(p.incomparables(a)) for a in range(p.size))
+    return max(p.incomparable_mask(a).bit_count() for a in range(p.size))
 
 
 def antichain_width(p: FinitePoset) -> int:
     """Maximum antichain size, as size minus a maximum chain matching."""
     n = p.size
-    adj = [[b for b in range(n) if p.less(a, b)] for a in range(n)]
+    adj = [list(_bits(m & ~(1 << a))) for a, m in enumerate(p.succ)]
     match_right = [-1] * n
+    seen = 0
 
-    def augment(a: int, seen: set[int]) -> bool:
+    def augment(a: int) -> bool:
+        nonlocal seen
         for b in adj[a]:
-            if b in seen:
+            if seen >> b & 1:
                 continue
-            seen.add(b)
-            if match_right[b] == -1 or augment(match_right[b], seen):
+            seen |= 1 << b
+            if match_right[b] == -1 or augment(match_right[b]):
                 match_right[b] = a
                 return True
         return False
 
-    matched = sum(1 for a in range(n) if augment(a, set()))
+    matched = 0
+    for a in range(n):
+        seen = 0
+        matched += augment(a)
     return n - matched
 
 
@@ -116,28 +190,23 @@ def triangle_step(p: FinitePoset) -> frozenset[Pair]:
     """The before relation: a before b when a <= b or b is maximal among
     the elements incomparable to a.
 
-    Transitivity of the output holds for every poset; a violation means
-    the implementation is broken, not the input.
+    b is maximal in V(a) when succ[b] meets V(a) in b alone. The output
+    reuses the pair objects of p.leq, so round records that keep it cost
+    only the new arrows. Transitivity of the output holds for every
+    poset; a violation means the implementation is broken, not the input.
     """
-    tri = set(p.leq)
+    succ = list(p.succ)
+    arrows = []
     for a in range(p.size):
-        incs = p.incomparables(a)
-        for b in incs:
-            if not any(p.less(b, c) for c in incs):
-                tri.add((a, b))
-    succ = [0] * p.size
-    for a, b in tri:
-        succ[a] |= 1 << b
-    for a in range(p.size):
-        m = succ[a]
-        while m:
-            b = (m & -m).bit_length() - 1
-            m &= m - 1
-            if succ[b] & ~succ[a]:
-                raise InternalInvariantError(
-                    f"before relation not transitive through ({a}, {b})"
-                )
-    return frozenset(tri)
+        incs = p.incomparable_mask(a)
+        for b in _bits(incs):
+            if p.succ[b] & incs == 1 << b:
+                succ[a] |= 1 << b
+                arrows.append((a, b))
+    broken = _first_intransitive(succ)
+    if broken:
+        raise InternalInvariantError(f"before relation not transitive through {broken}")
+    return p.leq.union(arrows)
 
 
 @dataclass(frozen=True)
@@ -172,41 +241,55 @@ class LinearizationResult:
         }
 
 
-def _quotient(p: FinitePoset, tri: frozenset[Pair]) -> tuple[FinitePoset, list[list[int]]]:
-    """Group mutually before-related elements and order the groups.
+def _quotient(after: list[int]) -> tuple[FinitePoset, list[list[int]]]:
+    """Group mutually before-related elements and order the groups;
+    after[a] has bit b set when a is before b.
 
-    Raises InternalInvariantError when the induced relation depends on
-    the choice of representatives or fails to be a poset.
+    Each class is led by its least member and holds the later elements
+    mutually before-related with it. Class C is below class D when some member of C is before
+    some member of D; that is well defined when the members of C share
+    one cover outside C, a union of whole classes: one mask comparison
+    per element. Raises InternalInvariantError when the induced relation
+    depends on the choice of representatives or fails to be a poset.
     """
-    n = p.size
-    cls = [-1] * n
+    n = len(after)
+    before = _transpose(after)
+    unassigned = (1 << n) - 1
     groups: list[list[int]] = []
+    masks: list[int] = []
+    cls = [0] * n
     for a in range(n):
-        if cls[a] != -1:
+        if not unassigned >> a & 1:
             continue
-        members = [a]
-        cls[a] = len(groups)
-        for b in range(a + 1, n):
-            if cls[b] == -1 and (a, b) in tri and (b, a) in tri:
-                cls[b] = cls[a]
-                members.append(b)
+        mask = (after[a] & before[a] & unassigned) | 1 << a
+        unassigned &= ~mask
+        members = list(_bits(mask))
+        for b in members:
+            cls[b] = len(groups)
         groups.append(members)
-    m = len(groups)
-    qleq = {(i, i) for i in range(m)}
-    for a, b in tri:
-        if cls[a] != cls[b]:
-            qleq.add((cls[a], cls[b]))
-    for ca, cb in qleq:
-        if ca == cb:
-            continue
-        for a in groups[ca]:
-            for b in groups[cb]:
-                if (a, b) not in tri:
-                    raise InternalInvariantError(
-                        f"quotient order ill-defined on classes {ca}, {cb}"
-                    )
+        masks.append(mask)
+    qsucc = []
+    for ca, members in enumerate(groups):
+        inside = masks[ca]
+        out = after[members[0]] & ~inside
+        above = set(map(cls.__getitem__, _bits(out)))
+        if reduce(or_, map(masks.__getitem__, above), 0) != out or any(
+            after[a] & ~inside != out for a in members
+        ):
+            reach = reduce(or_, map(after.__getitem__, members)) & ~inside
+            cb = next(
+                cb for cb, mask in enumerate(masks)
+                if mask & reach and any(mask & ~after[a] for a in members)
+            )
+            raise InternalInvariantError(
+                f"quotient order ill-defined on classes {ca}, {cb}"
+            )
+        up = 1 << ca
+        for cb in above:
+            up |= 1 << cb
+        qsucc.append(up)
     try:
-        quotient = FinitePoset(size=m, leq=frozenset(qleq))
+        quotient = FinitePoset._from_masks(qsucc)
     except DomainError as exc:
         raise InternalInvariantError(f"quotient is not a poset: {exc}") from None
     return quotient, groups
@@ -225,7 +308,7 @@ def linearize(p: FinitePoset) -> LinearizationResult:
                 f"no chain after {rounds - 1} rounds on {p.size} elements"
             )
         tri = triangle_step(current)
-        quotient, groups = _quotient(current, tri)
+        quotient, groups = _quotient(_masks(current.size, tri))
         nodes = [
             tuple(sorted(x for g in group for x in nodes[g])) for group in groups
         ]
@@ -238,8 +321,7 @@ def linearize(p: FinitePoset) -> LinearizationResult:
             )
         )
         current = quotient
-    below = [sum(1 for b in range(current.size) if current.less(b, a)) for a in range(current.size)]
-    order = sorted(range(current.size), key=lambda a: below[a])
+    order = sorted(range(current.size), key=lambda a: current.pred[a].bit_count())
     classes = tuple(nodes[a] for a in order)
     return LinearizationResult(classes=classes, trace=tuple(trace))
 
@@ -269,19 +351,9 @@ def random_poset(
                     succ[layout[i]] |= 1 << layout[j]
         for i in reversed(range(size)):
             a = layout[i]
-            m = succ[a]
-            while m:
-                b = (m & -m).bit_length() - 1
-                m &= m - 1
+            for b in _bits(succ[a]):
                 succ[a] |= succ[b]
-        pairs = {(x, x) for x in range(size)}
-        for a in range(size):
-            m = succ[a]
-            while m:
-                b = (m & -m).bit_length() - 1
-                m &= m - 1
-                pairs.add((a, b))
-        poset = FinitePoset(size=size, leq=frozenset(pairs))
+        poset = FinitePoset._from_masks([m | 1 << a for a, m in enumerate(succ)])
         if antichain_width(poset) <= max_width:
             return poset
     raise ParameterError(

@@ -12,7 +12,9 @@ import functools
 import itertools
 import math
 
+from oligoprofile import glueing
 from oligoprofile.catalogue import SIG_TOURNAMENT
+from oligoprofile.errors import InconsistentFragmentsError, ParameterError
 from oligoprofile.structures import (
     FiniteStructure,
     Signature,
@@ -264,3 +266,105 @@ def brute_compositions(n: int, max_part: int) -> list[tuple[int, ...]]:
     for first in range(1, min(n, max_part) + 1):
         out.extend((first,) + rest for rest in brute_compositions(n - first, max_part))
     return out
+
+
+def pair_incomparables(p, a: int) -> tuple[int, ...]:
+    return tuple(b for b in range(p.size) if p.incomparable(a, b))
+
+
+def pair_is_chain(p) -> bool:
+    return all(not p.incomparable(a, b) for a, b in itertools.combinations(range(p.size), 2))
+
+
+def pair_max_incomparability(p) -> int:
+    return max(len(pair_incomparables(p, a)) for a in range(p.size))
+
+
+def pair_triangle_step(p) -> frozenset:
+    """a before b when a <= b or b is maximal in V(a), by pair lookups."""
+    tri = set(p.leq)
+    for a in range(p.size):
+        incs = pair_incomparables(p, a)
+        for b in incs:
+            if not any(p.less(b, c) for c in incs):
+                tri.add((a, b))
+    return frozenset(tri)
+
+
+def pair_quotient(size: int, tri) -> tuple[frozenset, list[list[int]]]:
+    """Classes of mutual before-ness, each led by its least member, and
+    the class order read off every pair; None for the order when it
+    depends on the representatives."""
+    cls = [-1] * size
+    groups: list[list[int]] = []
+    for a in range(size):
+        if cls[a] != -1:
+            continue
+        cls[a] = len(groups)
+        members = [a]
+        for b in range(a + 1, size):
+            if cls[b] == -1 and (a, b) in tri and (b, a) in tri:
+                cls[b] = cls[a]
+                members.append(b)
+        groups.append(members)
+    qleq = {(i, i) for i in range(len(groups))}
+    qleq.update((cls[a], cls[b]) for a, b in tri if cls[a] != cls[b])
+    for ca, cb in qleq:
+        if ca != cb and any((a, b) not in tri for a in groups[ca] for b in groups[cb]):
+            return None, groups
+    return frozenset(qleq), groups
+
+
+def brute_normalize_circular(seq):
+    """Least rotation over both reading directions of a cycle, comparing
+    the key of every rotation in turn; ties keep the first one met."""
+    fwd = tuple(seq)
+    best = None
+    for base in (fwd, tuple(reversed(fwd))):
+        for shift in range(len(base)):
+            cand = base[shift:] + base[:shift]
+            if best is None or glueing._seq_key(cand) < glueing._seq_key(best):
+                best = cand
+    return best
+
+
+def all_pairs_glue(fragments):
+    """glue with every pair of fragments classified, disjoint or not,
+    in the order i < j, i ascending, then j ascending."""
+    ids = [f.fragment_id for f in fragments]
+    if len(set(ids)) != len(ids):
+        raise ParameterError("duplicate fragment ids")
+    n = len(fragments)
+    edges = {i: [] for i in range(n)}
+    for i in range(n):
+        for j in range(i + 1, n):
+            case = glueing.classify_overlap(fragments[i], fragments[j])
+            if case.tag == "disjoint":
+                continue
+            parity = 1 if case.tag in glueing._REVERSING_TAGS else 0
+            edges[i].append((j, parity))
+            edges[j].append((i, parity))
+    components = []
+    flip = {}
+    for root in range(n):
+        if root in flip:
+            continue
+        flip[root] = 0
+        todo = [root]
+        comp = [root]
+        while todo:
+            cur = todo.pop()
+            for nxt, parity in edges[cur]:
+                want = flip[cur] ^ parity
+                if nxt not in flip:
+                    flip[nxt] = want
+                    comp.append(nxt)
+                    todo.append(nxt)
+                elif flip[nxt] != want:
+                    raise InconsistentFragmentsError(
+                        f"fragment {fragments[nxt].fragment_id!r} needs both "
+                        "directions at once"
+                    )
+        components.append(glueing._assemble(fragments, comp, flip, edges))
+    components.sort(key=lambda c: c.members)
+    return components

@@ -1,11 +1,13 @@
 """Fragment classification, assembly, and invariant-relation emission."""
 
 import random
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oligoprofile import glueing
 from oligoprofile.catalogue import sample_model
 from oligoprofile.errors import (
     FragmentPairError,
@@ -26,6 +28,8 @@ from oligoprofile.glueing import (
     sample_circular_fragments,
     sample_linear_fragments,
 )
+
+from oracles import all_pairs_glue, brute_normalize_circular
 
 
 def frag(fid, els):
@@ -236,3 +240,96 @@ def test_component_json_shape():
     comps = glue([frag("a", [1, 2, 3])])
     data = comps[0].to_json_dict()
     assert data == {"kind": "linear", "arrangement": [1, 2, 3], "members": ["a"]}
+
+
+# keys that tie across types: True and "True", None and "None", 1 and 1.0
+TIE_ELEMENTS = [0, 1, 1.0, 1.5, 2, True, False, "True", "None", None, "1", "a"]
+
+
+@given(
+    st.lists(st.sampled_from(TIE_ELEMENTS), min_size=1, max_size=6),
+    st.integers(min_value=1, max_value=4),
+    st.lists(st.sampled_from(TIE_ELEMENTS), max_size=6),
+)
+@example([True, "True", 1], 1, [])
+@example([2, 1], 2, [])
+@example([None, 1, 1.0], 2, ["None"])
+@settings(max_examples=400, deadline=None)
+def test_normalize_circular_matches_every_rotation_scan(block, repeats, tail):
+    """Booth's least rotation agrees with scanning all rotations of both
+    directions, down to which of two tied elements comes out where."""
+    seq = tuple(block) * repeats + tuple(tail)
+    got = normalize_circular(seq)
+    want = brute_normalize_circular(seq)
+    assert got == want
+    assert [type(x) for x in got] == [type(x) for x in want]
+
+
+def _scrambled(fragments, rng):
+    """The fragments with one of at least three elements shuffled."""
+    out = list(fragments)
+    i = rng.choice([k for k, f in enumerate(out) if len(f.elements) >= 3])
+    els = list(out[i].elements)
+    while tuple(els) == out[i].elements:
+        rng.shuffle(els)
+    out[i] = frag(out[i].fragment_id, els)
+    return out
+
+
+def _twisted(hidden, fragments, rng):
+    """The fragments plus a two-fragment loop through the last hidden
+    element z: [z, -1, -2] and [-2, -3, z] close a circle that meets z's
+    window in the reversed direction, an odd cycle of reversals."""
+    z = hidden[-1]
+    out = list(fragments)
+    for fid, els in (("twist-a", [z, -1, -2]), ("twist-b", [-2, -3, z])):
+        out.insert(rng.randrange(len(out) + 1), frag(fid, els))
+    return out
+
+
+def _outcome(fn, fragments):
+    try:
+        return "ok", fn(fragments)
+    except (FragmentPairError, InconsistentFragmentsError, ParameterError) as exc:
+        return type(exc), str(exc)
+
+
+def test_glue_matches_all_pairs_reference():
+    """The element index changes which pairs are classified, not the
+    components, nor the type and message of the first error."""
+    rng = random.Random(11)
+    seen = Counter()
+    for case in range(120):
+        size = rng.randrange(8, 90)
+        circular = case % 2
+        sampler = sample_circular_fragments if circular else sample_linear_fragments
+        hidden, fragments = sampler(size, rng.getrandbits(32))
+        variants = [list(fragments), _scrambled(fragments, rng)]
+        if not circular:
+            variants.append(_twisted(hidden, fragments, rng))
+        for variant in variants:
+            got = _outcome(glue, variant)
+            assert got == _outcome(all_pairs_glue, variant)
+            seen[got[0]] += 1
+    assert seen["ok"] and seen[FragmentPairError] and seen[InconsistentFragmentsError]
+
+
+@pytest.mark.parametrize("sampler", [sample_linear_fragments, sample_circular_fragments])
+def test_glue_classifies_each_overlapping_pair_once(monkeypatch, sampler):
+    _, fragments = sampler(300, 4)
+    calls = Counter()
+    classify = glueing.classify_overlap
+
+    def counted(f1, f2):
+        calls[f1.fragment_id, f2.fragment_id] += 1
+        return classify(f1, f2)
+
+    monkeypatch.setattr(glueing, "classify_overlap", counted)
+    glue(fragments)
+    overlapping = {
+        (a.fragment_id, b.fragment_id)
+        for i, a in enumerate(fragments)
+        for b in fragments[i + 1:]
+        if set(a.elements) & set(b.elements)
+    }
+    assert calls == Counter(overlapping)

@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oligoprofile.errors import DomainError, ParameterError
+from oligoprofile.errors import DomainError, InternalInvariantError, ParameterError
 from oligoprofile.posets import (
     FinitePoset,
+    _masks,
+    _quotient,
     antichain_width,
     exhaustive_posets,
     linearize,
@@ -15,7 +17,14 @@ from oligoprofile.posets import (
     triangle_step,
 )
 
-from oracles import brute_max_antichain
+from oracles import (
+    brute_max_antichain,
+    pair_incomparables,
+    pair_is_chain,
+    pair_max_incomparability,
+    pair_quotient,
+    pair_triangle_step,
+)
 
 
 def poset_from_strict(size, strict):
@@ -58,6 +67,12 @@ def test_validation_rejects_broken_relations():
             size=3,
             leq=frozenset({(0, 0), (1, 1), (2, 2), (0, 1), (1, 2)}),
         )
+    with pytest.raises(DomainError, match="bad pair"):
+        FinitePoset(size=2, leq=frozenset({(0, 0), (1, 1), (0.5, 1)}))
+    with pytest.raises(DomainError, match="bad pair"):
+        FinitePoset(size=2, leq=frozenset({(0, 0), (1, 1), (-1, 1)}))
+    with pytest.raises(DomainError, match="bad pair"):
+        FinitePoset(size=2, leq=frozenset({(0, 0), (1, 1), (0, 1, 1)}))
 
 
 def test_json_load_closes_reflexively():
@@ -83,6 +98,56 @@ def test_incomparability_helpers():
     assert max_incomparability(p) == 2
     assert chain(4).is_chain()
     assert not p.is_chain()
+
+
+def test_masks_stay_out_of_equality_and_repr():
+    p = random_poset(12, max_width=4, seed=3)
+    q = FinitePoset(size=p.size, leq=frozenset(sorted(p.leq)))
+    assert p == q and hash(p) == hash(q)
+    assert p.succ == q.succ and p.pred == q.pred
+    assert "succ" not in repr(p)
+    for a in range(p.size):
+        assert p.succ[a] == sum(1 << b for b in range(p.size) if (a, b) in p.leq)
+        assert p.pred[a] == sum(1 << b for b in range(p.size) if (b, a) in p.leq)
+
+
+def _oracle_corpus():
+    corpus = [p for size in range(1, 6) for p in exhaustive_posets(size)]
+    for seed in range(80):
+        size = 1 + seed * 7 % 40
+        corpus.append(random_poset(size, max_width=max(4, size // 2), seed=seed))
+    return corpus
+
+
+def test_mask_kernel_matches_pair_oracles():
+    """Incomparables, chains, the before relation and the quotient, from
+    masks and from pair lookups, on every poset up to 5 points and on
+    seeded posets up to 40."""
+    for p in _oracle_corpus():
+        for a in range(p.size):
+            assert p.incomparables(a) == pair_incomparables(p, a)
+        assert p.is_chain() == pair_is_chain(p)
+        assert max_incomparability(p) == pair_max_incomparability(p)
+        tri = triangle_step(p)
+        assert tri == pair_triangle_step(p)
+        qleq, groups = pair_quotient(p.size, tri)
+        quotient, got_groups = _quotient(_masks(p.size, tri))
+        assert got_groups == groups
+        assert quotient.leq == qleq
+
+
+def test_quotient_rejects_broken_before_relations():
+    # 0 and 1 are mutually before each other, but only 0 is before 2
+    with pytest.raises(InternalInvariantError, match="ill-defined on classes 0, 1"):
+        _quotient([0b111, 0b011, 0b100])
+    assert pair_quotient(3, {(0, 0), (1, 1), (2, 2), (0, 1), (1, 0), (0, 2)})[0] is None
+    # 0 is before 1 but not before 2, while 1 and 2 form one class
+    with pytest.raises(InternalInvariantError, match="ill-defined on classes 0, 1"):
+        _quotient([0b011, 0b110, 0b110])
+    assert pair_quotient(3, {(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (2, 1)})[0] is None
+    # three classes in a row, the first not before the last
+    with pytest.raises(InternalInvariantError, match="not a poset"):
+        _quotient([0b011, 0b110, 0b100])
 
 
 def test_width_examples():

@@ -1,0 +1,35 @@
+"""Smoke runs of the scripts under scripts/, each with small arguments."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SCRIPT_RUNS = [
+    ("glue_recovery.py", ["--cases", "6", "--max-size", "40", "--seed", "1"], "6 cases, 0 failures"),
+    ("growth_table.py", ["tree_c", "--n-max", "6"], "# limit estimate"),
+    ("poset_experiment.py", ["--count", "10", "--size", "12", "--width", "4", "--seed", "1"],
+     "all checks passed"),
+    ("profile_catalogue.py", ["--n-max", "4", "--entries", "circular", "tree_c"], "ok"),
+]
+
+
+@pytest.mark.parametrize("script, args, expected", SCRIPT_RUNS, ids=[r[0] for r in SCRIPT_RUNS])
+def test_script_runs(script, args, expected):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert expected in done.stdout
