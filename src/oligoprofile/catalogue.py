@@ -24,38 +24,41 @@ across blocks forward. tree_c puts the canonical ternary branching relation
 C(x;y,z) (meet(y,z) strictly below meet(x,y) = meet(x,z)) on the leaves of
 a universal binary tree, see _universal_tree_depths.
 
-Subset keys and steps. profile() needs every n-subset's class but not every
-n-subset. The entry's subset_key maps a sorted subset to a hashable key such
-that subsets with equal keys induce substructures with equal canonical
-codes. Keys only serve to collapse duplicate canonicalisation work; counting
-still happens on canonical codes of per-key representatives. For the order
-reducts the induced literal structure of a sorted subset is independent of
-the subset (the defining formulas only compare arguments), so the key is
-constant.
+Subset steps and keys. profile() needs every n-subset's class but not every
+n-subset. The engine grows sorted prefixes one point at a time, and the
+entry's step(state, last, e) gives the state of the prefix extended by a
+point e larger than its last point (last is None for the empty prefix,
+whose state is ()). Of all prefixes sharing a state only the first one
+reached is extended. The contract: for any two prefixes with the same
+state, every key that some extension of the later prefix reaches is also
+reached by an extension of the first. A state that determines the states of
+all extensions, and with them the key, satisfies it; so does the prefix
+itself, which is the state used when an entry has no step.
 
-The optional subset_step goes further and prunes the subset scan itself.
-The engine grows sorted prefixes one point at a time, and step(state, last,
-e) gives the state of the prefix extended by a point e larger than its last
-point (last is None for the empty prefix, whose state is ()). Of all
-prefixes sharing a state only the first one reached is extended. The
-contract: for any two prefixes with the same state, every key that some
-extension of the later prefix reaches is also reached by an extension of
-the first. A state that determines the states of all extensions, and with
-them the key, satisfies it; so does the prefix itself, which is the state
-used when an entry has no step and turns the scan into the full one.
+The key maps the state of a whole n-subset to a hashable value such that
+subsets with equal keys induce substructures with equal canonical codes, and
+the engine keeps the first subset per key. An entry without a key uses the
+identity: the state is the key. Keys only collapse duplicate
+canonicalisation work; counting still happens on canonical codes of
+per-key representatives. For the order reducts the induced literal
+structure of a sorted subset is independent of the subset (the defining
+formulas only compare arguments), so state and key are constant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Sequence
 
 from .errors import ParameterError
 from .growth import compositions_count, tree_count
 from .structures import FiniteStructure, Signature, signature
 
-# step(state, last, e): the state of a prefix extended by e, see above
+# step(state, last, e): the state of a prefix extended by e; key(state): the
+# dedup key of a whole subset's state. See above.
 SubsetStep = Callable[[object, int | None, int], object]
+SubsetKey = Callable[[object], object]
 
 SIG_SET = Signature(())
 SIG_ORDER = signature(("leq", 2))
@@ -75,10 +78,10 @@ class CatalogueEntry:
     requested size except for tree_c, where the parameter indexes a
     universal tree and the domain is its leaf set (documented there).
     predictor(n) gives the expected number of n-point classes, None when no
-    closed form is part of the family. subset_key_factory(model) returns a
-    key function over sorted subsets, or None for literal-encoding dedup.
-    subset_step_factory(model) returns the prefix step of the module
-    docstring, or None to scan every subset.
+    closed form is part of the family. subset_key_factory(model) and
+    subset_step_factory(model) return the key and the prefix step of the
+    module docstring; None means the identity key and the prefix itself as
+    the state, which canonicalises every subset.
     """
 
     entry_id: str
@@ -86,7 +89,7 @@ class CatalogueEntry:
     sampler: Callable[[int], FiniteStructure]
     predictor: Callable[[int], int] | None
     saturation_rule: Callable[[int], int]
-    subset_key_factory: Callable[[FiniteStructure], Callable[[tuple[int, ...]], object]] | None
+    subset_key_factory: Callable[[FiniteStructure], SubsetKey] | None
     subset_step_factory: Callable[[FiniteStructure], SubsetStep] | None = None
 
 
@@ -255,11 +258,12 @@ def _sample_tree(param: int) -> FiniteStructure:
     return FiniteStructure._trusted(SIG_TREE, len(md), (frozenset(_branch_tuples(md, leaves)),))
 
 
-def _const_key_factory(model: FiniteStructure) -> Callable[[tuple[int, ...]], object]:
-    def key(subset: tuple[int, ...]) -> object:
-        return ()
+def _const_key(state: object) -> object:
+    return ()
 
-    return key
+
+def _const_key_factory(model: FiniteStructure) -> SubsetKey:
+    return _const_key
 
 
 def _const_step(state: object, last: int | None, e: int) -> object:
@@ -271,21 +275,16 @@ def _const_step_factory(model: FiniteStructure) -> SubsetStep:
     return _const_step
 
 
-def _local_order_key_factory(model: FiniteStructure) -> Callable[[tuple[int, ...]], object]:
-    # Gap vector around the cycle, minimised over rotations: translation is
-    # an automorphism of the circulant, so equal keys give isomorphic
-    # induced tournaments.
+def _local_order_key_factory(model: FiniteStructure) -> SubsetKey:
+    # The gap vector, closed around the cycle and minimised over rotations:
+    # translation is an automorphism of the circulant, so equal keys give
+    # isomorphic induced tournaments.
     n = model.size
 
-    def key(subset: tuple[int, ...]) -> object:
-        k = len(subset)
-        if k <= 1:
-            return ()
-        gaps = tuple(subset[i + 1] - subset[i] for i in range(k - 1)) + (
-            n - subset[-1] + subset[0],
-        )
+    def key(gaps: tuple[int, ...]) -> object:
+        gaps += (n - sum(gaps),)
         best = gaps
-        for r in range(1, k):
+        for r in range(1, len(gaps)):
             rot = gaps[r:] + gaps[:r]
             if rot < best:
                 best = rot
@@ -306,28 +305,18 @@ def _local_order_step_factory(model: FiniteStructure) -> SubsetStep:
     return _gap_step
 
 
-def _make_fibered_key_factory(k: int):
-    def factory(model: FiniteStructure) -> Callable[[tuple[int, ...]], object]:
-        def key(subset: tuple[int, ...]) -> object:
-            runs = []
-            prev = None
-            for e in subset:
-                b = e // k
-                if b == prev:
-                    runs[-1] += 1
-                else:
-                    runs.append(1)
-                    prev = b
-            return tuple(runs)
+# fibered_order:k and tree_c states are (data, last point); the key reads data
+_state_data = itemgetter(0)
 
-        return key
 
-    return factory
+def _fibered_key_factory(model: FiniteStructure) -> SubsetKey:
+    # The block run lengths determine the induced total preorder.
+    return _state_data
 
 
 def _make_fibered_step_factory(k: int):
-    # State: the block run lengths, which are the key, plus the last point,
-    # which fixes the run lengths of every extension.
+    # State: the block run lengths plus the last point, which fixes the run
+    # lengths of every extension.
     def step(state: object, last: int | None, e: int) -> object:
         if last is None:
             return (1,), e
@@ -342,29 +331,24 @@ def _make_fibered_step_factory(k: int):
     return factory
 
 
-def _tree_key_factory(model: FiniteStructure) -> Callable[[tuple[int, ...]], object]:
+def _tree_key(state: object) -> object:
     # Consecutive meet depths determine every pairwise meet depth for leaves
     # in left-to-right order (range minima), and the induced relation only
     # compares depths, so the dense rank pattern is enough. A reversed
     # pattern is the mirror image, hence isomorphic; keep the smaller.
-    md = _model_tree_depths(model)
+    depths = state[0]
+    rank = {d: r for r, d in enumerate(sorted(set(depths)))}
+    pat = tuple(rank[d] for d in depths)
+    return min(pat, pat[::-1])
 
-    def key(subset: tuple[int, ...]) -> object:
-        k = len(subset)
-        if k <= 1:
-            return ()
-        depths = [md[subset[i]][subset[i + 1]] for i in range(k - 1)]
-        rank = {d: r for r, d in enumerate(sorted(set(depths)))}
-        pat = tuple(rank[d] for d in depths)
-        rev = pat[::-1]
-        return min(pat, rev)
 
-    return key
+def _tree_key_factory(model: FiniteStructure) -> SubsetKey:
+    return _tree_key
 
 
 def _tree_step_factory(model: FiniteStructure) -> SubsetStep:
-    # State: the raw consecutive meet depths, from which the key is
-    # computed, plus the last leaf, which fixes the depths of every extension.
+    # State: the raw consecutive meet depths plus the last leaf, which fixes
+    # the depths of every extension.
     md = _model_tree_depths(model)
 
     def step(state: object, last: int | None, e: int) -> object:
@@ -406,7 +390,7 @@ def _fibered_entry(k: int) -> CatalogueEntry:
         sampler=_make_fibered_sampler(k),
         predictor=lambda n, _k=k: compositions_count(n, _k),
         saturation_rule=lambda n, _k=k: _k * n,
-        subset_key_factory=_make_fibered_key_factory(k),
+        subset_key_factory=_fibered_key_factory,
         subset_step_factory=_make_fibered_step_factory(k),
     )
 

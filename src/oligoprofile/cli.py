@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .catalogue import age_predictor, get_entry, list_entry_ids
 from .errors import OligoError, ParameterError
@@ -22,22 +21,6 @@ from .growth import constants_table, growth_estimate
 from .posets import FinitePoset, linearize
 from .profiles import DEFAULT_BUDGET, profile
 from .witnesses import build_family, construction_ids, verify_pairwise_nonisomorphic
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    seed: int
-    budget: int
-    output_format: str
-    in_path: str | None
-    out_path: str | None
-    jobs: int
-
-    def __post_init__(self) -> None:
-        if self.budget < 1:
-            raise ParameterError(f"budget must be > 0, got {self.budget}")
-        if self.jobs < 1:
-            raise ParameterError(f"jobs must be > 0, got {self.jobs}")
 
 
 def _env_jobs() -> int:
@@ -61,43 +44,43 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
-def _cmd_catalogue_list(args, cfg: RunConfig) -> str:
+def _cmd_catalogue_list(args) -> str:
     entries = list_entry_ids()
-    if cfg.output_format == "json":
+    if args.fmt == "json":
         return _json_text({"entries": list(entries)})
     return "".join(e + "\n" for e in entries)
 
 
-def _cmd_profile(args, cfg: RunConfig) -> str:
-    seq = profile(args.entry, args.n_max, budget=cfg.budget)
-    if cfg.output_format == "json":
+def _cmd_profile(args) -> str:
+    seq = profile(args.entry, args.n_max, budget=args.budget)
+    if args.fmt == "json":
         return _json_text(seq.to_json_dict())
     return seq.to_csv()
 
 
-def _growth_values(args, cfg: RunConfig) -> list[int]:
+def _growth_values(args) -> list[int]:
     if args.file is not None:
         payload = _load_json(args.file)
         try:
             return [int(v) for v in payload["values"]]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParameterError(f"malformed sequence file: {exc}") from None
     entry = get_entry(args.entry)
     if entry.predictor is not None:
         return [age_predictor(entry, n) for n in range(1, args.n_max + 1)]
-    return list(profile(args.entry, args.n_max, budget=cfg.budget).values)
+    return list(profile(args.entry, args.n_max, budget=args.budget).values)
 
 
-def _cmd_growth(args, cfg: RunConfig) -> str:
-    values = _growth_values(args, cfg)
+def _cmd_growth(args) -> str:
+    values = _growth_values(args)
     report = growth_estimate(values)
-    if cfg.output_format == "json":
+    if args.fmt == "json":
         return _json_text(report.to_json_dict())
     rows = []
     for i, v in enumerate(values):
         ratio = "" if i == 0 else f"{_real(report.ratios[i - 1]):g}"
         rows.append((i + 1, v, f"{_real(report.nth_roots[i]):g}", ratio))
-    if cfg.output_format == "csv":
+    if args.fmt == "csv":
         lines = ["n,value,nth_root,ratio"]
         lines += [f"{n},{v},{r},{q}" for n, v, r, q in rows]
         return "\n".join(lines) + "\n"
@@ -111,29 +94,29 @@ def _cmd_growth(args, cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_witness(args, cfg: RunConfig) -> str:
+def _cmd_witness(args) -> str:
     family = build_family(args.construction, args.n, args.max_part)
-    report = verify_pairwise_nonisomorphic(family, jobs=cfg.jobs)
+    report = verify_pairwise_nonisomorphic(family, jobs=args.jobs)
     return _json_text(
         {"family": family.to_json_dict(), "report": report.to_json_dict()}
     )
 
 
-def _cmd_linearize(args, cfg: RunConfig) -> str:
-    poset = FinitePoset.from_json_dict(_load_json(cfg.in_path))
+def _cmd_linearize(args) -> str:
+    poset = FinitePoset.from_json_dict(_load_json(args.in_path))
     result = linearize(poset)
     return _json_text(result.to_json_dict())
 
 
-def _cmd_glue(args, cfg: RunConfig) -> str:
-    fragments = fragments_from_json_dict(_load_json(cfg.in_path))
+def _cmd_glue(args) -> str:
+    fragments = fragments_from_json_dict(_load_json(args.in_path))
     components = glue(list(fragments))
     return _json_text({"components": [c.to_json_dict() for c in components]})
 
 
-def _cmd_constants(args, cfg: RunConfig) -> str:
+def _cmd_constants(args) -> str:
     table = constants_table()
-    if cfg.output_format == "json":
+    if args.fmt == "json":
         return _json_text(
             [
                 {"key": c.key, "value": _real(c.value), "note": c.note}
@@ -158,7 +141,9 @@ _HANDLERS = {
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="run seed, recorded for reproducibility")
+    common.add_argument(
+        "--seed", type=int, default=0, help="accepted and ignored: every command is deterministic"
+    )
     common.add_argument(
         "--jobs", type=int, default=None,
         help="worker processes for witness verification; defaults to OLIGO_JOBS or 1",
@@ -217,16 +202,14 @@ def main(argv=None) -> int:
     if args.command == "growth" and (args.entry is None) == (args.file is None):
         print("error: growth needs exactly one of <entry> or --file", file=sys.stderr)
         return 2
+    if args.jobs is None:
+        args.jobs = _env_jobs()
     try:
-        cfg = RunConfig(
-            seed=args.seed,
-            budget=args.budget,
-            output_format=args.fmt,
-            in_path=getattr(args, "in_path", None),
-            out_path=args.out,
-            jobs=args.jobs if args.jobs is not None else _env_jobs(),
-        )
-        text = _HANDLERS[args.command](args, cfg)
+        if args.budget < 1:
+            raise ParameterError(f"budget must be > 0, got {args.budget}")
+        if args.jobs < 1:
+            raise ParameterError(f"jobs must be > 0, got {args.jobs}")
+        text = _HANDLERS[args.command](args)
     except OligoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -236,8 +219,8 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: invalid JSON input: {exc}", file=sys.stderr)
         return 1
-    if cfg.out_path is not None:
-        with open(cfg.out_path, "w", encoding="utf-8") as fh:
+    if args.out is not None:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

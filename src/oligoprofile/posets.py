@@ -146,7 +146,7 @@ class FinitePoset:
         try:
             size = int(payload["size"])
             pairs = {(int(a), int(b)) for a, b in payload["leq"]}
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DomainError(f"malformed poset payload: {exc}") from None
         pairs.update((x, x) for x in range(size))
         return cls(size=size, leq=frozenset(pairs))

@@ -10,14 +10,17 @@ SaturationError.
 Subsets are enumerated as a frontier of sorted prefixes, one level per
 length. Each level maps a prefix state (the entry's subset step, see
 catalogue) to the first prefix that reached it, and only that prefix is
-extended; without a step the state is the prefix itself and the scan is
-exhaustive. The last level applies the entry's subset key to every
-extension and keeps the first subset per key.
+extended; the last level maps the entry's key of each extension's state to
+the first subset that reached it. Without a step the state is the prefix
+itself, and without a key the state is the key, so an entry with neither
+canonicalises every subset.
 
 Counting never trusts the dedup key alone: keys only pick one
 representative subset per key, canonical codes of the representatives are
-what gets counted. Without a key the engine falls back to hashing literal
-induced encodings, which is the same scheme with the identity key.
+what gets counted. Canonical codes are memoised by literal encoding.
+
+Every base and base+2 count is checked against the budget before the
+first one is computed, so an over-budget request fails at once.
 """
 
 from __future__ import annotations
@@ -38,6 +41,10 @@ DEFAULT_BUDGET = 10_000_000
 
 def _prefix_step(state: tuple[int, ...], last: int | None, e: int) -> tuple[int, ...]:
     return state + (e,)
+
+
+def _identity(state: object) -> object:
+    return state
 
 
 @dataclass(frozen=True)
@@ -96,32 +103,26 @@ class _ClassCounter:
     def _representatives(self, model, n: int) -> dict:
         """Key -> the first n-subset with that key the frontier reaches."""
         entry = self.entry
-        keyf = entry.subset_key_factory(model) if entry.subset_key_factory else None
+        key = entry.subset_key_factory(model) if entry.subset_key_factory else _identity
         step = entry.subset_step_factory(model) if entry.subset_step_factory else _prefix_step
         size = model.size
         level: dict = {(): ()}
-        for _ in range(n - 1):
+        for todo in range(n, 0, -1):
+            # a prefix extended by e still needs todo - 1 points above e
             nxt: dict = {}
             for state, prefix in level.items():
                 last = prefix[-1] if prefix else None
-                for e in range(0 if last is None else last + 1, size):
+                for e in range(0 if last is None else last + 1, size - todo + 1):
                     s = step(state, last, e)
+                    if todo == 1:
+                        s = key(s)
                     if s not in nxt:
                         nxt[s] = prefix + (e,)
             level = nxt
-        reps: dict = {}
-        for prefix in level.values():
-            for e in range(prefix[-1] + 1 if prefix else 0, size):
-                subset = prefix + (e,)
-                if keyf is not None:
-                    k = keyf(subset)
-                else:
-                    k = structure_encoding(induced_substructure(model, subset))
-                if k not in reps:
-                    reps[k] = subset
-        return reps
+        return level
 
-    def codes(self, size: int, n: int) -> frozenset[bytes]:
+    def checked_model(self, size: int, n: int):
+        """The sample of this size, once n-subsets of it fit the budget."""
         if n < 1:
             raise ParameterError(f"subset size must be >= 1, got {n}")
         model = self.model(size)
@@ -134,6 +135,10 @@ class _ClassCounter:
             raise ResourceError(
                 f"{self.entry.entry_id}: {total} subsets of size {n} exceed budget {self.budget}"
             )
+        return model
+
+    def codes(self, size: int, n: int) -> frozenset[bytes]:
+        model = self.checked_model(size, n)
         out = set()
         for subset in self._representatives(model, n).values():
             sub = induced_substructure(model, subset)
@@ -146,18 +151,22 @@ class _ClassCounter:
         return frozenset(out)
 
 
-def profile(entry, n_max: int, budget: int = DEFAULT_BUDGET, jobs: int = 1) -> ProfileSequence:
+def profile(entry, n_max: int, budget: int = DEFAULT_BUDGET) -> ProfileSequence:
     """Profile f_1..f_{n_max} of a catalogue entry with saturation checking.
 
     Accepts an entry object or a stable identifier string. budget bounds
-    C(sample size, n) for every count. jobs is accepted for compatibility
-    and ignored: there is one serial enumeration path.
+    C(sample size, n) for every count; the base and base+2 counts of every
+    n are checked, in order, before any is computed.
     """
     if isinstance(entry, str):
         entry = catalogue.get_entry(entry)
     if n_max < 1:
         raise ParameterError(f"n_max must be >= 1, got {n_max}")
     counter = _ClassCounter(entry, budget)
+    for n in range(1, n_max + 1):
+        base = entry.saturation_rule(n)
+        counter.checked_model(base, n)
+        counter.checked_model(base + 2, n)
     values = []
     sat = []
     for n in range(1, n_max + 1):
@@ -183,13 +192,8 @@ def profile(entry, n_max: int, budget: int = DEFAULT_BUDGET, jobs: int = 1) -> P
     return ProfileSequence(entry.entry_id, tuple(values), tuple(sat))
 
 
-def class_codes(
-    entry, size: int, n: int, budget: int = DEFAULT_BUDGET, jobs: int = 1
-) -> frozenset[bytes]:
-    """Canonical codes of all n-point substructure classes of one sample.
-
-    jobs is accepted for compatibility and ignored.
-    """
+def class_codes(entry, size: int, n: int, budget: int = DEFAULT_BUDGET) -> frozenset[bytes]:
+    """Canonical codes of all n-point substructure classes of one sample."""
     if isinstance(entry, str):
         entry = catalogue.get_entry(entry)
     return _ClassCounter(entry, budget).codes(size, n)

@@ -167,7 +167,7 @@ class FiniteStructure:
             sig = Signature(tuple((str(n), int(a)) for n, a in data["signature"]))
             size = int(data["size"])
             tuples = {str(k): [tuple(int(x) for x in t) for t in v] for k, v in data["tuples"].items()}
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParameterError(f"malformed structure JSON: {exc}") from exc
         return cls.build(sig, size, tuples)
 

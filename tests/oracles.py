@@ -13,7 +13,7 @@ import itertools
 import math
 
 from oligoprofile import glueing
-from oligoprofile.catalogue import SIG_TOURNAMENT
+from oligoprofile.catalogue import SIG_TOURNAMENT, _model_tree_depths
 from oligoprofile.errors import InconsistentFragmentsError, ParameterError
 from oligoprofile.structures import (
     FiniteStructure,
@@ -111,6 +111,46 @@ def separation_tuples(size: int) -> frozenset:
         if (cyc(x, y, z) and cyc(y, z, t) and cyc(z, t, x) and cyc(t, x, y))
         or (cyc(t, z, y) and cyc(z, y, x) and cyc(y, x, t) and cyc(x, t, z))
     )
+
+
+def subset_key(entry_id: str, model: FiniteStructure):
+    """The catalogue's dedup key computed from a whole sorted subset.
+
+    These are the keys the engine used before keys were read from the
+    prefix-step state. One-point subsets fall out of the general formulas
+    (a closing gap of model.size, an empty depth pattern) instead of a
+    special case.
+    """
+    if entry_id in ("pure_set", "dlo", "betweenness", "circular", "separation"):
+        return lambda subset: ()
+    if entry_id == "local_order":
+
+        def necklace(subset):
+            k = len(subset)
+            gaps = tuple(subset[i + 1] - subset[i] for i in range(k - 1))
+            gaps += (model.size - subset[-1] + subset[0],)
+            return min(gaps[r:] + gaps[:r] for r in range(k))
+
+        return necklace
+    if entry_id.startswith("fibered_order:"):
+        k = int(entry_id.split(":")[1])
+
+        def runs(subset):
+            blocks = [e // k for e in subset]
+            return tuple(len(list(g)) for _, g in itertools.groupby(blocks))
+
+        return runs
+    if entry_id == "tree_c":
+        md = _model_tree_depths(model)
+
+        def pattern(subset):
+            depths = [md[subset[i]][subset[i + 1]] for i in range(len(subset) - 1)]
+            rank = {d: r for r, d in enumerate(sorted(set(depths)))}
+            pat = tuple(rank[d] for d in depths)
+            return min(pat, pat[::-1])
+
+        return pattern
+    raise ParameterError(f"no oracle key for {entry_id!r}")
 
 
 def subset_classes(model: FiniteStructure, n: int, canon=canonical_form) -> int:

@@ -196,3 +196,35 @@ def test_constants_formats(capsys):
 def test_budget_failure_exits_one(capsys):
     code, _, err = run_cli(capsys, "profile", "dlo", "--n-max", "3", "--budget", "5")
     assert code == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["catalogue-list"],
+        ["profile", "dlo", "--n-max", "2"],
+        ["growth", "dlo"],
+        ["witness", "binary_pattern", "--n", "2"],
+        ["linearize", "--in", "/no/such/poset.json"],
+        ["glue", "--in", "/no/such/fragments.json"],
+        ["constants"],
+    ],
+)
+def test_nonpositive_budget_and_jobs_exit_one(capsys, argv):
+    assert run_cli(capsys, *argv, "--budget", "0") == (1, "", "error: budget must be > 0, got 0\n")
+    assert run_cli(capsys, *argv, "--jobs", "0") == (1, "", "error: jobs must be > 0, got 0\n")
+
+
+@pytest.mark.parametrize(
+    "argv, payload",
+    [
+        (["growth", "--file"], '{"values": [1e400, 2, 3]}'),
+        (["linearize", "--in"], '{"size": 1e400, "leq": []}'),
+    ],
+)
+def test_infinite_json_number_exits_one(capsys, tmp_path, argv, payload):
+    src = tmp_path / "input.json"
+    src.write_text(payload)
+    code, out, err = run_cli(capsys, *argv, str(src))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err

@@ -1,5 +1,7 @@
 """Posets, width, and the collapse-to-chain construction."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -79,6 +81,11 @@ def test_json_load_closes_reflexively():
     p = FinitePoset.from_json_dict({"size": 3, "leq": [[0, 1]]})
     assert (0, 0) in p.leq and (2, 2) in p.leq
     assert p.less(0, 1)
+
+
+def test_json_load_rejects_infinite_size():
+    with pytest.raises(DomainError, match="malformed poset payload"):
+        FinitePoset.from_json_dict(json.loads('{"size": 1e400, "leq": []}'))
 
 
 def test_json_dump_lists_strict_pairs_only():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oligoprofile.catalogue import CatalogueEntry, default_sweep_ids, get_entry, sample_model
 from oligoprofile.errors import ParameterError, ResourceError, SaturationError
 from oligoprofile.growth import compositions_count, fibonacci
+from oligoprofile import profiles
 from oligoprofile.profiles import ProfileSequence, class_codes, profile, profile_to_json
 from oligoprofile.structures import (
     FiniteStructure,
@@ -24,6 +25,7 @@ from oracles import (
     locally_transitive_count,
     odd_divisor_necklace_count,
     subset_classes,
+    subset_key,
 )
 
 
@@ -203,8 +205,69 @@ def test_random_subsets_have_a_found_class(case, rnd):
     assert canonical_form(induced_substructure(model, subset)) in codes
 
 
-def test_parallel_jobs_do_not_change_values():
-    assert profile("fibered_order:2", 5, jobs=2) == profile("fibered_order:2", 5)
+def _state_keys(entry, model, n):
+    """Every n-subset of the model, stepped from () and keyed by its state."""
+    step = entry.subset_step_factory(model)
+    key = entry.subset_key_factory(model)
+    for subset in itertools.combinations(range(model.size), n):
+        state, last = (), None
+        for e in subset:
+            state, last = step(state, last, e), e
+        yield subset, key(state)
+
+
+@pytest.mark.parametrize("entry_id", default_sweep_ids())
+def test_state_keys_equal_subset_keys(entry_id):
+    """The key of a subset's final step state is the key the subset-based
+    oracle computes, at the sizes the saturation check compares."""
+    entry = get_entry(entry_id)
+    for n in range(1, 6):
+        base = entry.saturation_rule(n)
+        for size in (base, base + 2):
+            model = sample_model(entry, size)
+            oracle = subset_key(entry_id, model)
+            for subset, k in _state_keys(entry, model, n):
+                assert k == oracle(subset), (size, subset)
+
+
+@pytest.mark.parametrize(
+    "entry_id, size, n", [("local_order", 17, 7), ("tree_c", 8, 7), ("fibered_order:3", 20, 6)]
+)
+def test_keys_are_sound_past_the_brute_gate(entry_id, size, n):
+    """Subsets sharing a key induce isomorphic substructures, at an n the
+    brute scan does not reach: the first and last subset of every key
+    bucket have equal canonical codes."""
+    entry = get_entry(entry_id)
+    model = sample_model(entry, size)
+    first, latest = {}, {}
+    for subset, k in _state_keys(entry, model, n):
+        first.setdefault(k, subset)
+        latest[k] = subset
+    assert len(first) > 1
+    for k, subset in first.items():
+        code = canonical_form(induced_substructure(model, subset))
+        assert code == canonical_form(induced_substructure(model, latest[k])), k
+
+
+@pytest.mark.parametrize(
+    "entry_id, n_max, message",
+    [
+        ("tree_c", 9, "tree_c: 124403620 subsets of size 9 exceed budget 10000000"),
+        ("local_order", 12, "local_order: 13037895 subsets of size 11 exceed budget 10000000"),
+    ],
+)
+def test_over_budget_profile_fails_before_counting(monkeypatch, entry_id, n_max, message):
+    calls = []
+
+    def counted(sub):
+        calls.append(sub)
+        return canonical_form(sub)
+
+    monkeypatch.setattr(profiles, "canonical_form", counted)
+    with pytest.raises(ResourceError) as info:
+        profile(entry_id, n_max)
+    assert str(info.value) == message
+    assert calls == []
 
 
 def test_profile_sequence_validation():

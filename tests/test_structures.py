@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import json
 import random
 
 import pytest
@@ -136,6 +137,12 @@ def test_json_round_trip():
 def test_from_json_rejects_garbage():
     with pytest.raises(ParameterError):
         FiniteStructure.from_json_dict({"size": 2})
+
+
+def test_from_json_rejects_infinite_arity():
+    data = json.loads('{"signature": [["edge", 1e400]], "size": 2, "tuples": {}}')
+    with pytest.raises(ParameterError, match="malformed structure JSON"):
+        FiniteStructure.from_json_dict(data)
 
 
 def test_encoding_orders_signature_then_tuples():
