@@ -5,14 +5,17 @@ each in an arbitrary direction. Intersections of two such runs fall
 into five shapes: empty, one shared run read the same way (head to
 tail), one shared run read opposite ways, or two shared runs at the
 ends, again aligned or reversed; anything else cannot come from one
-ambient order. Glueing fixes a direction per fragment so all overlaps
-align, chains overlaps into integer offsets, and reads a wrap-around
-(a closed chain of overlaps shifting by one full period) as evidence
-that the component is circular rather than linear.
+ambient order. Glueing walks each component once: it fixes a direction
+per fragment so all overlaps align, chains overlaps into integer
+offsets, and reads a wrap-around (a closed chain of overlaps shifting
+by one full period) as evidence that the component is circular rather
+than linear.
 
 Only fragments that share an element can overlap, so glueing indexes
 each element's fragments and classifies just those pairs: the cost
 follows the number of overlaps, not the square of the fragment count.
+The shared runs of a pair are read once, in classify_overlap; the
+offsets come from one anchor element per run.
 A circle is normalised with Booth's least-rotation algorithm, once per
 reading direction, in linear time.
 """
@@ -238,31 +241,8 @@ def classify_overlap(f1: OrderFragment, f2: OrderFragment) -> OverlapCase:
 
 _REVERSING_TAGS = ("aligned-reversed", "double-wrap-reversed")
 
-
-def _offset_constraints(
-    fa: tuple[Element, ...], fb: tuple[Element, ...], detail: str
-) -> list[int]:
-    """Offsets of fb relative to fa for same-direction overlapping runs.
-
-    Each shared end run pins start(fb) - start(fa); a pair of runs at
-    both ends pins two conflicting values, whose difference is one full
-    trip around a circle.
-    """
-    shared = set(fa) & set(fb)
-    runs_a = _end_runs(fa, shared)
-    runs_b = _end_runs(fb, shared)
-    deltas = []
-    for ra in runs_a:
-        seg = fa[ra[0]:ra[0] + ra[1]]
-        hit = [rb for rb in runs_b if fb[rb[0]:rb[0] + rb[1]] == seg]
-        if len(hit) != 1:
-            raise InconsistentFragmentsError(
-                f"{detail}: oriented runs fail to pair up"
-            )
-        deltas.append(ra[0] - hit[0][0])
-    if not deltas:
-        raise InconsistentFragmentsError(f"{detail}: no oriented overlap")
-    return sorted(set(deltas))
+# the other fragment, the pair's parity, one anchor element per shared run
+Edge = tuple[int, int, tuple[Element, ...]]
 
 
 def _overlapping_pairs(fragments: Sequence[OrderFragment]) -> Iterator[tuple[int, int]]:
@@ -287,88 +267,71 @@ def glue(fragments: Sequence[OrderFragment]) -> list[GlueComponent]:
     """Assemble fragments into linear or circular components.
 
     Fragments are nodes; intersecting pairs are edges carrying whether
-    the two readings disagree. A direction per fragment is fixed by
-    parity propagation (an odd cycle means no consistent choice), then
-    run overlaps pin relative start offsets. Offset clashes around
-    cycles all share one period: the circumference. Every element must
-    land on exactly one position and every position on one element.
+    the two readings disagree and one anchor element per shared run, so
+    each pair's shared runs are read once, in classify_overlap. One
+    traversal per component fixes a direction per fragment (an odd cycle
+    of reversals means no consistent choice) and pins relative start
+    offsets at the anchors. Offset clashes around cycles all share one
+    period: the circumference. Every element must land on exactly one
+    position and every position on one element.
     """
     ids = [f.fragment_id for f in fragments]
     if len(set(ids)) != len(ids):
         raise ParameterError("duplicate fragment ids")
     n = len(fragments)
-    edges: dict[int, list[tuple[int, int]]] = {i: [] for i in range(n)}
+    edges: dict[int, list[Edge]] = {i: [] for i in range(n)}
     for i, j in _overlapping_pairs(fragments):
         case = classify_overlap(fragments[i], fragments[j])
         parity = 1 if case.tag in _REVERSING_TAGS else 0
-        edges[i].append((j, parity))
-        edges[j].append((i, parity))
-
-    components: list[GlueComponent] = []
+        anchors = tuple(seg[0] for seg in case.segments)
+        edges[i].append((j, parity, anchors))
+        edges[j].append((i, parity, anchors))
     flip: dict[int, int] = {}
-    for root in range(n):
-        if root in flip:
-            continue
-        flip[root] = 0
-        todo = [root]
-        comp = [root]
-        while todo:
-            cur = todo.pop()
-            for nxt, parity in edges[cur]:
-                want = flip[cur] ^ parity
-                if nxt not in flip:
-                    flip[nxt] = want
-                    comp.append(nxt)
-                    todo.append(nxt)
-                elif flip[nxt] != want:
-                    raise InconsistentFragmentsError(
-                        f"fragment {fragments[nxt].fragment_id!r} needs both "
-                        "directions at once"
-                    )
-        components.append(_assemble(fragments, comp, flip, edges))
+    components = [
+        _assemble(fragments, root, flip, edges) for root in range(n) if root not in flip
+    ]
     components.sort(key=lambda c: c.members)
     return components
 
 
 def _assemble(
     fragments: Sequence[OrderFragment],
-    comp: list[int],
+    root: int,
     flip: dict[int, int],
-    edges: dict[int, list[tuple[int, int]]],
+    edges: dict[int, list[Edge]],
 ) -> GlueComponent:
-    oriented = {
-        i: tuple(reversed(fragments[i].elements))
-        if flip[i]
-        else fragments[i].elements
-        for i in comp
-    }
-    offset: dict[int, int] = {comp[0]: 0}
+    """Walk root's component once, recording directions in flip, and
+    place it. A fragment takes its direction and the least start its
+    anchors pin from the edge that discovers it; later edges must agree
+    on directions, and each other start they pin adds to the period."""
+    flip[root] = 0
+    oriented = {root: fragments[root].elements}
+    offset = {root: 0}
     period = 0
-    todo = [comp[0]]
-    seen_edges = set()
+    todo = [root]
     while todo:
         cur = todo.pop()
-        for nxt, _ in edges[cur]:
-            if (cur, nxt) in seen_edges:
-                continue
-            seen_edges.add((cur, nxt))
-            seen_edges.add((nxt, cur))
-            detail = (
-                f"fragments {fragments[cur].fragment_id!r}, "
-                f"{fragments[nxt].fragment_id!r}"
-            )
-            for delta in _offset_constraints(oriented[cur], oriented[nxt], detail):
-                value = offset[cur] + delta
-                if nxt not in offset:
-                    offset[nxt] = value
-                    todo.append(nxt)
-                elif offset[nxt] != value:
-                    period = gcd(period, abs(offset[nxt] - value))
+        for nxt, parity, anchors in edges[cur]:
+            want = flip[cur] ^ parity
+            if nxt not in flip:
+                flip[nxt] = want
+                elements = fragments[nxt].elements
+                oriented[nxt] = elements[::-1] if want else elements
+                todo.append(nxt)
+            elif flip[nxt] != want:
+                raise InconsistentFragmentsError(
+                    f"fragment {fragments[nxt].fragment_id!r} needs both "
+                    "directions at once"
+                )
+            deltas = {oriented[cur].index(x) - oriented[nxt].index(x) for x in anchors}
+            offset.setdefault(nxt, offset[cur] + min(deltas))
+            for delta in deltas:
+                period = gcd(period, offset[nxt] - offset[cur] - delta)
 
     at_position: dict[int, Element] = {}
     position_of: dict[Element, int] = {}
-    for i in comp:
-        for k, x in enumerate(oriented[i]):
+    for i, seq in oriented.items():
+        for k, x in enumerate(seq):
             pos = offset[i] + k
             if period:
                 pos %= period
@@ -379,7 +342,7 @@ def _assemble(
             at_position[pos] = x
             position_of[x] = pos
 
-    members = tuple(sorted(fragments[i].fragment_id for i in comp))
+    members = tuple(sorted(fragments[i].fragment_id for i in oriented))
     if period:
         if len(at_position) != period:
             raise InconsistentFragmentsError(

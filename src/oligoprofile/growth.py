@@ -7,6 +7,7 @@ named constants the package reproduces empirically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -80,14 +81,25 @@ class GrowthReport:
         }
 
 
+def _nth_root(v: int, n: int) -> float:
+    """v ** (1/n), through logarithms for terms past float range."""
+    try:
+        return v ** (1.0 / n)
+    except OverflowError:
+        return math.exp(math.log(v) / n)
+
+
 def growth_estimate(values: list[int] | tuple[int, ...]) -> GrowthReport:
     vals = tuple(int(v) for v in values)
     if len(vals) < 3:
         raise DomainError(f"growth_estimate needs at least 3 values, got {len(vals)}")
     if any(v <= 0 for v in vals):
         raise DomainError("growth_estimate needs strictly positive values")
-    roots = tuple(v ** (1.0 / (i + 1)) for i, v in enumerate(vals))
-    ratios = tuple(b / a for a, b in zip(vals, vals[1:]))
+    try:
+        roots = tuple(_nth_root(v, i + 1) for i, v in enumerate(vals))
+        ratios = tuple(b / a for a, b in zip(vals, vals[1:]))
+    except OverflowError:
+        raise DomainError("a root or ratio of the values exceeds float range") from None
     m = len(vals)
     limit = m * ratios[-1] - (m - 1) * ratios[-2]
     return GrowthReport(
@@ -107,8 +119,6 @@ def lower_bound_check(values, c: float, degree: int) -> bool:
 
     Comparison runs in log space so huge exact terms stay usable.
     """
-    import math
-
     vals = [int(v) for v in values]
     if any(v <= 0 for v in vals):
         raise DomainError("lower_bound_check needs strictly positive values")

@@ -31,6 +31,10 @@ from .errors import DomainError, InternalInvariantError, ParameterError
 
 Pair = tuple[int, int]
 
+# Largest poset a JSON payload may declare: an antichain of this size
+# already takes seconds and hundreds of MB to linearize.
+_MAX_JSON_POSET_SIZE = 1024
+
 _BIT_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
@@ -148,6 +152,10 @@ class FinitePoset:
             pairs = {(int(a), int(b)) for a, b in payload["leq"]}
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DomainError(f"malformed poset payload: {exc}") from None
+        if size > _MAX_JSON_POSET_SIZE:
+            raise DomainError(
+                f"poset size {size} exceeds the cap of {_MAX_JSON_POSET_SIZE}"
+            )
         pairs.update((x, x) for x in range(size))
         return cls(size=size, leq=frozenset(pairs))
 

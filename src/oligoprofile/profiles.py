@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass
 
@@ -197,7 +196,3 @@ def class_codes(entry, size: int, n: int, budget: int = DEFAULT_BUDGET) -> froze
     if isinstance(entry, str):
         entry = catalogue.get_entry(entry)
     return _ClassCounter(entry, budget).codes(size, n)
-
-
-def profile_to_json(seq: ProfileSequence) -> str:
-    return json.dumps(seq.to_json_dict(), indent=2, sort_keys=True) + "\n"

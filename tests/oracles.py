@@ -14,7 +14,7 @@ import math
 
 from oligoprofile import glueing
 from oligoprofile.catalogue import SIG_TOURNAMENT, _model_tree_depths
-from oligoprofile.errors import InconsistentFragmentsError, ParameterError
+from oligoprofile.errors import ParameterError
 from oligoprofile.structures import (
     FiniteStructure,
     Signature,
@@ -370,7 +370,12 @@ def brute_normalize_circular(seq):
 
 def all_pairs_glue(fragments):
     """glue with every pair of fragments classified, disjoint or not,
-    in the order i < j, i ascending, then j ascending."""
+    in the order i < j, i ascending, then j ascending.
+
+    The edges built from those classifications go to glueing._assemble,
+    so this checks which pairs glue classifies, in what order, and the
+    components and first error that follow from them; the traversal
+    and placement are glue's own."""
     ids = [f.fragment_id for f in fragments]
     if len(set(ids)) != len(ids):
         raise ParameterError("duplicate fragment ids")
@@ -382,29 +387,14 @@ def all_pairs_glue(fragments):
             if case.tag == "disjoint":
                 continue
             parity = 1 if case.tag in glueing._REVERSING_TAGS else 0
-            edges[i].append((j, parity))
-            edges[j].append((i, parity))
-    components = []
+            anchors = tuple(seg[0] for seg in case.segments)
+            edges[i].append((j, parity, anchors))
+            edges[j].append((i, parity, anchors))
     flip = {}
-    for root in range(n):
-        if root in flip:
-            continue
-        flip[root] = 0
-        todo = [root]
-        comp = [root]
-        while todo:
-            cur = todo.pop()
-            for nxt, parity in edges[cur]:
-                want = flip[cur] ^ parity
-                if nxt not in flip:
-                    flip[nxt] = want
-                    comp.append(nxt)
-                    todo.append(nxt)
-                elif flip[nxt] != want:
-                    raise InconsistentFragmentsError(
-                        f"fragment {fragments[nxt].fragment_id!r} needs both "
-                        "directions at once"
-                    )
-        components.append(glueing._assemble(fragments, comp, flip, edges))
+    components = [
+        glueing._assemble(fragments, root, flip, edges)
+        for root in range(n)
+        if root not in flip
+    ]
     components.sort(key=lambda c: c.members)
     return components

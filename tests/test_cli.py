@@ -1,6 +1,8 @@
 """Command line behaviour: exit codes, formats, determinism."""
 
 import json
+import math
+import time
 
 import pytest
 
@@ -121,6 +123,38 @@ def test_growth_bad_json_exits_one(capsys, tmp_path):
     assert code == 1 and err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["tree_c", "--n-max", "800"], ["fibered_order:2", "--n-max", "1500"]],
+)
+def test_growth_runs_past_float_range(capsys, argv):
+    code, out, err = run_cli(capsys, "growth", *argv, "--format", "json")
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    value, root = int(report["values"][-1]), report["nth_roots"][-1]
+    n = len(report["values"])
+    assert value.bit_length() > 1024
+    assert n * math.log(root) == pytest.approx(math.log(value), rel=1e-12)
+
+
+def test_growth_file_with_a_huge_term(capsys, tmp_path):
+    payload = tmp_path / "values.json"
+    payload.write_text(json.dumps({"values": [10 ** 133, 10 ** 266, 10 ** 399]}))
+    code, out, err = run_cli(capsys, "growth", "--file", str(payload), "--format", "json")
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["nth_roots"] == pytest.approx([1e133] * 3)
+    assert report["ratios"] == pytest.approx([1e133] * 2)
+
+
+def test_growth_file_with_an_overflowing_ratio_exits_one(capsys, tmp_path):
+    payload = tmp_path / "values.json"
+    payload.write_text(json.dumps({"values": [1, 2, 10 ** 400]}))
+    code, out, err = run_cli(capsys, "growth", "--file", str(payload))
+    assert (code, out) == (1, "")
+    assert err == "error: a root or ratio of the values exceeds float range\n"
+
+
 def test_witness_json_payload(capsys):
     code, out, _ = run_cli(capsys, "witness", "binary_pattern", "--n", "4")
     assert code == 0
@@ -143,6 +177,16 @@ def test_linearize_from_file(capsys, tmp_path):
     assert code == 0
     data = json.loads(out)
     assert data["classes"] == [[1], [0], [2, 3]]
+
+
+def test_linearize_refuses_a_huge_poset_at_once(capsys, tmp_path):
+    poset = tmp_path / "poset.json"
+    poset.write_text(json.dumps({"size": 100000000, "leq": []}))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "linearize", "--in", str(poset))
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (1, "")
+    assert err == "error: poset size 100000000 exceeds the cap of 1024\n"
 
 
 def test_glue_from_file(capsys, tmp_path):

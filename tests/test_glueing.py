@@ -1,5 +1,7 @@
 """Fragment classification, assembly, and invariant-relation emission."""
 
+import hashlib
+import json
 import random
 from collections import Counter
 
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from oligoprofile import glueing
 from oligoprofile.catalogue import sample_model
+from oligoprofile.cli import main
 from oligoprofile.errors import (
     FragmentPairError,
     InconsistentFragmentsError,
@@ -135,9 +138,13 @@ def test_glue_rejects_duplicate_ids():
 
 
 def test_glue_detects_orientation_conflict():
+    """a meets b head to tail and b wraps around c, so all three read one
+    way; but a and c both end in 3, so they read opposite ways."""
     fragments = [frag("a", [1, 2, 3]), frag("b", [3, 4, 5]), frag("c", [5, 6, 3])]
-    with pytest.raises(InconsistentFragmentsError):
-        glue(fragments)
+    assert _outcome(glue, fragments) == (
+        InconsistentFragmentsError,
+        "fragment 'b' needs both directions at once",
+    )
 
 
 def test_identical_windows_merge():
@@ -333,3 +340,45 @@ def test_glue_classifies_each_overlapping_pair_once(monkeypatch, sampler):
         if set(a.elements) & set(b.elements)
     }
     assert calls == Counter(overlapping)
+
+
+@pytest.mark.parametrize(
+    "a, b, parity, anchors, message",
+    [
+        # b read backwards from a shared 3 puts 5 where a has 1
+        ([1, 2, 3], [3, 4, 5], 1, (3,), "element 5 and position 0 do not match up"),
+        # two anchors one position apart under a reversal close a 2-cycle
+        ([1, 2], [1, 2], 1, (1, 2), "wrap-around over only 2 positions"),
+    ],
+)
+def test_placement_errors_from_hand_built_edges(a, b, parity, anchors, message):
+    """Placement checks behind the traversal. classify_overlap never
+    builds these edges, whose parities contradict the pairs' runs, so
+    they go to _assemble directly. The circle-count and uncovered-line
+    checks fire on no edges at all: each fragment is placed on an anchor
+    it shares with the fragment that found it, so the placed positions
+    form one interval longer than any period."""
+    fragments = [frag("a", a), frag("b", b)]
+    edges = {0: [(1, parity, anchors)], 1: [(0, parity, anchors)]}
+    assert _outcome(lambda f: glueing._assemble(f, 0, {}, edges), fragments) == (
+        InconsistentFragmentsError,
+        message,
+    )
+
+
+@pytest.mark.parametrize(
+    "sampler, size, seed, digest",
+    [
+        (sample_linear_fragments, 3000, 3, "df8ee4dc3853eb3389659af4155c488cceba26864fd2bfb890f4af603230bf23"),
+        (sample_linear_fragments, 2000, 5, "e5317d6403035df05fdf966a65b835c6552117f943b57f86496f66ced34a4c0a"),
+        (sample_circular_fragments, 1000, 7, "9f7ca55be15cbdd029c1dc27fa4a952c143bce8ccd9818e723c69191e199ddeb"),
+    ],
+)
+def test_cli_glue_stdout_is_pinned(capsys, tmp_path, sampler, size, seed, digest):
+    _, fragments = sampler(size, seed)
+    src = tmp_path / "fragments.json"
+    src.write_text(json.dumps(fragments_to_json_dict(fragments)))
+    assert main(["glue", "--in", str(src)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest

@@ -65,6 +65,19 @@ def test_growth_estimate_input_validation():
         growth_estimate([1, 0, 2])
 
 
+def test_growth_estimate_past_float_range():
+    """Representable terms keep their floats; larger ones take logarithms;
+    a root or ratio no float can hold is a domain error."""
+    values = [3, 5 ** 300, 7 ** 400]
+    report = growth_estimate(values)
+    assert report.nth_roots[:2] == (3.0, (5 ** 300) ** 0.5)
+    assert report.nth_roots[2] == pytest.approx(7 ** (400 / 3), rel=1e-12)
+    with pytest.raises(DomainError, match="float range"):
+        growth_estimate([1, 2, 10 ** 400])
+    with pytest.raises(DomainError, match="float range"):
+        growth_estimate([10 ** 400, 10 ** 400, 10 ** 400])
+
+
 def test_fibonacci_ratio_approaches_golden_ratio():
     report = growth_estimate([fibonacci(n) for n in range(1, 26)])
     assert report.limit_estimate == pytest.approx(GOLDEN_RATIO, abs=1e-4)

@@ -88,6 +88,13 @@ def test_json_load_rejects_infinite_size():
         FinitePoset.from_json_dict(json.loads('{"size": 1e400, "leq": []}'))
 
 
+def test_json_load_caps_the_size():
+    assert FinitePoset.from_json_dict({"size": 1024, "leq": [[0, 1023]]}).size == 1024
+    with pytest.raises(DomainError) as info:
+        FinitePoset.from_json_dict({"size": 1025, "leq": []})
+    assert str(info.value) == "poset size 1025 exceeds the cap of 1024"
+
+
 def test_json_dump_lists_strict_pairs_only():
     assert chain(3).to_json_dict() == {"size": 3, "leq": [[0, 1], [0, 2], [1, 2]]}
 

@@ -11,7 +11,7 @@ from oligoprofile.catalogue import CatalogueEntry, default_sweep_ids, get_entry,
 from oligoprofile.errors import ParameterError, ResourceError, SaturationError
 from oligoprofile.growth import compositions_count, fibonacci
 from oligoprofile import profiles
-from oligoprofile.profiles import ProfileSequence, class_codes, profile, profile_to_json
+from oligoprofile.profiles import ProfileSequence, class_codes, profile
 from oligoprofile.structures import (
     FiniteStructure,
     canonical_form,
@@ -285,7 +285,6 @@ def test_profile_sequence_csv_layout():
 def test_profile_sequence_json_round_trip():
     seq = profile("tree_c", 4)
     assert ProfileSequence.from_json_dict(seq.to_json_dict()) == seq
-    assert profile_to_json(seq).endswith("\n")
 
 
 @settings(deadline=None)
