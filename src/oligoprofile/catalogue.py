@@ -7,10 +7,13 @@ a dedup key for subsets (see below). Entry identifiers are stable strings
 used by the CLI: pure_set, dlo, betweenness, circular, separation,
 local_order, fibered_order:k, tree_c.
 
-Relation conventions. Samplers evaluate their defining formula literally on
-every tuple, repeated coordinates included, so degenerate tuples land in the
-tuple set whenever the formula says so. The derived ternary/quaternary
-relations over a chain x0 < x1 < ... are:
+Entries are formulas. A family declares its signature and, for a requested
+size, the number of points and one predicate per relation; every sampler is
+FiniteStructure._evaluated on that declaration, which evaluates each
+predicate literally on every tuple over range(points), repeated coordinates
+included. Degenerate tuples therefore land in the tuple set whenever the
+formula says so, and no entry has sampling code of its own. The derived
+ternary/quaternary relations over a chain x0 < x1 < ... are:
 
   betweenness  B(x,y,z)   iff x<=y<=z or z<=y<=x
   circular     C(x,y,z)   iff x<=y<=z or z<=x<=y or y<=z<=x
@@ -20,9 +23,10 @@ relations over a chain x0 < x1 < ... are:
 local_order is the circulant tournament on an odd cycle: R(x,y) iff
 (y-x) mod N lies in {1..(N-1)/2}. fibered_order:k is a chain of blocks of
 size k with a reflexive comparability holding within blocks both ways and
-across blocks forward. tree_c puts the canonical ternary branching relation
-C(x;y,z) (meet(y,z) strictly below meet(x,y) = meet(x,z)) on the leaves of
-a universal binary tree, see _universal_tree_depths.
+across blocks forward: P(a,b) iff a//k <= b//k. tree_c puts the canonical
+ternary branching relation on the leaves of a universal binary tree (see
+_universal_tree_depths): C(x;y,z) iff d(y,z) > d(x,y) = d(x,z), where d is
+the depth of the meet and a leaf's meet with itself has infinite depth.
 
 Subset steps and keys. profile() needs every n-subset's class but not every
 n-subset. The engine grows sorted prefixes one point at a time, and the
@@ -47,9 +51,10 @@ formulas only compare arguments), so state and key are constant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Callable, Sequence
+from operator import itemgetter, le
+from typing import Callable
 
 from .errors import ParameterError
 from .growth import compositions_count, tree_count
@@ -59,6 +64,11 @@ from .structures import FiniteStructure, Signature, signature
 # dedup key of a whole subset's state. See above.
 SubsetStep = Callable[[object, int | None, int], object]
 SubsetKey = Callable[[object], object]
+# A family maps a requested size to its point count and one predicate per
+# relation, raising ParameterError for a size it does not take.
+Predicate = Callable[..., bool]
+Formulas = tuple[int, tuple[Predicate, ...]]
+Family = Callable[[int], Formulas]
 
 SIG_SET = Signature(())
 SIG_ORDER = signature(("leq", 2))
@@ -93,92 +103,43 @@ class CatalogueEntry:
     subset_step_factory: Callable[[FiniteStructure], SubsetStep] | None = None
 
 
-def _chain_leq(n: int) -> set[tuple[int, int]]:
-    return {(i, j) for i in range(n) for j in range(i, n)}
+def _at_least(entry_id: str, least: int, size: int) -> int:
+    if size < least:
+        raise ParameterError(f"{entry_id} needs size >= {least}, got {size}")
+    return size
 
 
-def _sample_pure_set(size: int) -> FiniteStructure:
-    if size < 0:
-        raise ParameterError(f"pure_set needs size >= 0, got {size}")
-    return FiniteStructure._trusted(SIG_SET, size, ())
-
-
-def _sample_dlo(size: int) -> FiniteStructure:
-    if size < 1:
-        raise ParameterError(f"dlo needs size >= 1, got {size}")
-    return FiniteStructure._trusted(SIG_ORDER, size, (frozenset(_chain_leq(size)),))
-
-
-def _sample_betweenness(size: int) -> FiniteStructure:
-    if size < 1:
-        raise ParameterError(f"betweenness needs size >= 1, got {size}")
-    tuples = {
-        (x, y, z)
-        for x in range(size)
-        for y in range(size)
-        for z in range(size)
-        if x <= y <= z or z <= y <= x
-    }
-    return FiniteStructure._trusted(SIG_BETWEENNESS, size, (frozenset(tuples),))
+def _btw(x: int, y: int, z: int) -> bool:
+    return x <= y <= z or z <= y <= x
 
 
 def _cyc(x: int, y: int, z: int) -> bool:
     return x <= y <= z or z <= x <= y or y <= z <= x
 
 
-def _sample_circular(size: int) -> FiniteStructure:
-    if size < 1:
-        raise ParameterError(f"circular needs size >= 1, got {size}")
-    tuples = {
-        (x, y, z)
-        for x in range(size)
-        for y in range(size)
-        for z in range(size)
-        if _cyc(x, y, z)
-    }
-    return FiniteStructure._trusted(SIG_CIRCULAR, size, (frozenset(tuples),))
+def _fixed(entry_id: str, least: int, *predicates: Predicate) -> Family:
+    """A family whose predicates do not depend on the size."""
+    return lambda size: (_at_least(entry_id, least, size), predicates)
 
 
-def _sample_separation(size: int) -> FiniteStructure:
-    if size < 1:
-        raise ParameterError(f"separation needs size >= 1, got {size}")
-    rng = range(size)
+def _separation(size: int) -> Formulas:
     # c[x][y][z] = C(x, y, z); the S formula of the module docstring by lookups
+    rng = range(_at_least("separation", 1, size))
     c = [[[_cyc(x, y, z) for z in rng] for y in rng] for x in rng]
-    tuples = frozenset(
-        (x, y, z, t)
-        for x in rng
-        for y in rng
-        for z in rng
-        for t in rng
-        if (c[x][y][z] and c[y][z][t] and c[z][t][x] and c[t][x][y])
-        or (c[t][z][y] and c[z][y][x] and c[y][x][t] and c[x][t][z])
-    )
-    return FiniteStructure._trusted(SIG_SEPARATION, size, (tuples,))
+
+    def sep(x: int, y: int, z: int, t: int) -> bool:
+        return (c[x][y][z] and c[y][z][t] and c[z][t][x] and c[t][x][y]) or (
+            c[t][z][y] and c[z][y][x] and c[y][x][t] and c[x][t][z]
+        )
+
+    return size, (sep,)
 
 
-def _sample_local_order(size: int) -> FiniteStructure:
+def _local_order(size: int) -> Formulas:
     if size < 3 or size % 2 == 0:
         raise ParameterError(f"local_order needs an odd size >= 3, got {size}")
     half = (size - 1) // 2
-    tuples = {
-        (x, y)
-        for x in range(size)
-        for y in range(size)
-        if 1 <= (y - x) % size <= half
-    }
-    return FiniteStructure._trusted(SIG_TOURNAMENT, size, (frozenset(tuples),))
-
-
-def _make_fibered_sampler(k: int) -> Callable[[int], FiniteStructure]:
-    def sample(size: int) -> FiniteStructure:
-        if size < 1:
-            raise ParameterError(f"fibered_order:{k} needs size >= 1, got {size}")
-        blk = [e // k for e in range(size)]
-        tuples = {(a, b) for a in range(size) for b in range(size) if blk[a] <= blk[b]}
-        return FiniteStructure._trusted(SIG_FIBERED, size, (frozenset(tuples),))
-
-    return sample
+    return size, (lambda x, y: 1 <= (y - x) % size <= half,)
 
 
 def _universal_leaf_count(s: int) -> int:
@@ -215,64 +176,33 @@ def _universal_tree_depths(s: int) -> list[list[int]]:
     return md
 
 
-def _branch_tuples(md: list[list[int]], leaves: Sequence[int]) -> set[tuple[int, int, int]]:
-    """C(x;y,z) on the given leaves: meet(y,z) strictly below meet(x,y) = meet(x,z).
-
-    Meets of two leaves sit on a common root path, so strictly-below reduces
-    to a depth comparison, and the two shallower of the three pairwise meets
-    of distinct leaves always coincide. With repeated coordinates the meet
-    of a leaf with itself is the leaf, which lies strictly below any proper
-    meet; the formula then reduces to the equality pattern.
-    """
-    out = set()
-    idx = range(len(leaves))
-    for i in idx:
-        for j in idx:
-            for l in idx:
-                x, y, z = leaves[i], leaves[j], leaves[l]
-                if j == l:
-                    if i != j:
-                        out.add((i, j, l))
-                    continue
-                if i == j or i == l:
-                    continue
-                dyz = md[y][z]
-                dxy = md[x][y]
-                if dyz > dxy and dxy == md[x][z]:
-                    out.add((i, j, l))
-    return out
-
-
-def _sample_tree(param: int) -> FiniteStructure:
+def _tree(param: int) -> Formulas:
     """Leaves of the universal tree U_param with the branching relation.
 
     The domain size is the leaf count of U_param (1, 2, 3, 5, 7, 10, 13,
     18, 23, 30, ... for param = 1, 2, ...), not param itself: a complete
     binary tree deep enough for every n-leaf shape would need 2**(n-1)
     leaves, while U_n realises the same shapes with polynomially few.
+
+    Meets of two leaves sit on a common root path, so "strictly below" is a
+    depth comparison: C(x;y,z) iff d(y,z) > d(x,y) = d(x,z). A leaf's meet
+    with itself is the leaf, below every proper meet, so it gets infinite
+    depth and repeated coordinates need no special case.
     """
-    if param < 1:
-        raise ParameterError(f"tree_c needs size >= 1, got {param}")
-    md = _universal_tree_depths(param)
-    leaves = list(range(len(md)))
-    return FiniteStructure._trusted(SIG_TREE, len(md), (frozenset(_branch_tuples(md, leaves)),))
+    d: list[list[float]] = _universal_tree_depths(_at_least("tree_c", 1, param))
+    for i, row in enumerate(d):
+        row[i] = math.inf
+    return len(d), (lambda x, y, z: d[y][z] > d[x][y] == d[x][z],)
 
 
-def _const_key(state: object) -> object:
-    return ()
+def _any_model(f: Callable) -> Callable[[FiniteStructure], Callable]:
+    # the factory of a key or step that does not read the model
+    return lambda model: f
 
 
-def _const_key_factory(model: FiniteStructure) -> SubsetKey:
-    return _const_key
-
-
-def _const_step(state: object, last: int | None, e: int) -> object:
-    # One key for all subsets, so the first prefix of each length reaches it.
-    return ()
-
-
-def _const_step_factory(model: FiniteStructure) -> SubsetStep:
-    return _const_step
+# One key for all subsets, so the first prefix of each length reaches it.
+_const_key_factory = _any_model(lambda state: ())
+_const_step_factory = _any_model(lambda state, last, e: ())
 
 
 def _local_order_key_factory(model: FiniteStructure) -> SubsetKey:
@@ -301,34 +231,9 @@ def _gap_step(state: object, last: int | None, e: int) -> object:
     return () if last is None else state + (e - last,)
 
 
-def _local_order_step_factory(model: FiniteStructure) -> SubsetStep:
-    return _gap_step
-
-
-# fibered_order:k and tree_c states are (data, last point); the key reads data
-_state_data = itemgetter(0)
-
-
-def _fibered_key_factory(model: FiniteStructure) -> SubsetKey:
-    # The block run lengths determine the induced total preorder.
-    return _state_data
-
-
-def _make_fibered_step_factory(k: int):
-    # State: the block run lengths plus the last point, which fixes the run
-    # lengths of every extension.
-    def step(state: object, last: int | None, e: int) -> object:
-        if last is None:
-            return (1,), e
-        runs = state[0]
-        if e // k == last // k:
-            return runs[:-1] + (runs[-1] + 1,), e
-        return runs + (1,), e
-
-    def factory(model: FiniteStructure) -> SubsetStep:
-        return step
-
-    return factory
+# fibered_order:k and tree_c states are (data, last point); the key reads
+# data. The block run lengths determine the induced total preorder.
+_fibered_key_factory = _any_model(itemgetter(0))
 
 
 def _tree_key(state: object) -> object:
@@ -340,10 +245,6 @@ def _tree_key(state: object) -> object:
     rank = {d: r for r, d in enumerate(sorted(set(depths)))}
     pat = tuple(rank[d] for d in depths)
     return min(pat, pat[::-1])
-
-
-def _tree_key_factory(model: FiniteStructure) -> SubsetKey:
-    return _tree_key
 
 
 def _tree_step_factory(model: FiniteStructure) -> SubsetStep:
@@ -381,39 +282,56 @@ ENTRY_IDS = (
 )
 
 
+def _sampler(sig: Signature, family: Family) -> Callable[[int], FiniteStructure]:
+    return lambda size: FiniteStructure._evaluated(sig, *family(size))
+
+
 def _fibered_entry(k: int) -> CatalogueEntry:
     if k < 1:
         raise ParameterError(f"fibered_order block size must be >= 1, got {k}")
+    family = _fixed(f"fibered_order:{k}", 1, lambda a, b: a // k <= b // k)
+
+    def step(state: object, last: int | None, e: int) -> object:
+        # State: the block run lengths plus the last point, which fixes the
+        # run lengths of every extension.
+        if last is None:
+            return (1,), e
+        runs = state[0]
+        if e // k == last // k:
+            return runs[:-1] + (runs[-1] + 1,), e
+        return runs + (1,), e
+
     return CatalogueEntry(
         entry_id=f"fibered_order:{k}",
         sig=SIG_FIBERED,
-        sampler=_make_fibered_sampler(k),
+        sampler=_sampler(SIG_FIBERED, family),
         predictor=lambda n, _k=k: compositions_count(n, _k),
         saturation_rule=lambda n, _k=k: _k * n,
         subset_key_factory=_fibered_key_factory,
-        subset_step_factory=_make_fibered_step_factory(k),
+        subset_step_factory=_any_model(step),
     )
 
 
-def _reduct_entry(entry_id: str, sig: Signature, sampler) -> CatalogueEntry:
+def _reduct_entry(entry_id: str, sig: Signature, family: Family) -> CatalogueEntry:
     return CatalogueEntry(
-        entry_id, sig, sampler, lambda n: 1, _rule_desk, _const_key_factory, _const_step_factory
+        entry_id, sig, _sampler(sig, family), lambda n: 1, _rule_desk, _const_key_factory,
+        _const_step_factory,
     )
 
 
 _BASE_ENTRIES = {
-    "pure_set": _reduct_entry("pure_set", SIG_SET, _sample_pure_set),
-    "dlo": _reduct_entry("dlo", SIG_ORDER, _sample_dlo),
-    "betweenness": _reduct_entry("betweenness", SIG_BETWEENNESS, _sample_betweenness),
-    "circular": _reduct_entry("circular", SIG_CIRCULAR, _sample_circular),
-    "separation": _reduct_entry("separation", SIG_SEPARATION, _sample_separation),
+    "pure_set": _reduct_entry("pure_set", SIG_SET, _fixed("pure_set", 0)),
+    "dlo": _reduct_entry("dlo", SIG_ORDER, _fixed("dlo", 1, le)),
+    "betweenness": _reduct_entry("betweenness", SIG_BETWEENNESS, _fixed("betweenness", 1, _btw)),
+    "circular": _reduct_entry("circular", SIG_CIRCULAR, _fixed("circular", 1, _cyc)),
+    "separation": _reduct_entry("separation", SIG_SEPARATION, _separation),
     "local_order": CatalogueEntry(
-        "local_order", SIG_TOURNAMENT, _sample_local_order, None, _rule_desk,
-        _local_order_key_factory, _local_order_step_factory,
+        "local_order", SIG_TOURNAMENT, _sampler(SIG_TOURNAMENT, _local_order), None, _rule_desk,
+        _local_order_key_factory, _any_model(_gap_step),
     ),
     "tree_c": CatalogueEntry(
-        "tree_c", SIG_TREE, _sample_tree, tree_count, lambda n: n, _tree_key_factory,
-        _tree_step_factory,
+        "tree_c", SIG_TREE, _sampler(SIG_TREE, _tree), tree_count, lambda n: n,
+        _any_model(_tree_key), _tree_step_factory,
     ),
 }
 

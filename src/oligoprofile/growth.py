@@ -9,27 +9,31 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import DomainError, ParameterError
 
 
-@lru_cache(maxsize=None)
+# t_0 (unused) and t_1; tree_count extends the list as far as it is asked
+_TREE_COUNTS = [0, 1]
+
+
 def tree_count(n: int) -> int:
     """Number of unordered rooted binary trees with n leaves.
 
     t_1 = 1 and t_n sums t_i * t_{n-i} over i < n/2, plus the unordered
-    pairs t_{n/2}(t_{n/2}+1)/2 when n is even. Exact integers throughout.
+    pairs t_{n/2}(t_{n/2}+1)/2 when n is even. Exact integers throughout,
+    computed bottom up and kept for later calls.
     """
     if n < 1:
         raise DomainError(f"tree_count needs n >= 1, got {n}")
-    if n == 1:
-        return 1
-    total = sum(tree_count(i) * tree_count(n - i) for i in range(1, (n + 1) // 2))
-    if n % 2 == 0:
-        h = tree_count(n // 2)
-        total += h * (h + 1) // 2
-    return total
+    t = _TREE_COUNTS
+    for m in range(len(t), n + 1):
+        total = sum(t[i] * t[m - i] for i in range(1, (m + 1) // 2))
+        if m % 2 == 0:
+            h = t[m // 2]
+            total += h * (h + 1) // 2
+        t.append(total)
+    return t[n]
 
 
 def fibonacci(n: int) -> int:
@@ -48,9 +52,13 @@ def compositions_count(n: int, max_part: int) -> int:
         raise ParameterError(f"compositions_count needs n >= 0, got {n}")
     if max_part < 1:
         raise ParameterError(f"max_part must be >= 1, got {max_part}")
-    acc = [1] + [0] * n
+    # acc[m] sums acc[m - j] over 1 <= j <= min(m, max_part); window holds
+    # that sum for the next m
+    acc = [1]
+    window = 1
     for m in range(1, n + 1):
-        acc[m] = sum(acc[m - j] for j in range(1, min(m, max_part) + 1))
+        acc.append(window)
+        window += acc[m] - (acc[m - max_part] if m >= max_part else 0)
     return acc[n]
 
 
@@ -102,6 +110,8 @@ def growth_estimate(values: list[int] | tuple[int, ...]) -> GrowthReport:
         raise DomainError("a root or ratio of the values exceeds float range") from None
     m = len(vals)
     limit = m * ratios[-1] - (m - 1) * ratios[-2]
+    if not math.isfinite(limit):
+        raise DomainError("a root or ratio of the values exceeds float range")
     return GrowthReport(
         values=vals,
         nth_roots=roots,

@@ -38,8 +38,8 @@ carry codes already seen and the minimum is unchanged:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress, product
-from typing import Iterable, Mapping, Sequence
+from itertools import chain, compress, product, starmap
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import InvalidSubsetError, ParameterError, SignatureMismatchError
 
@@ -88,7 +88,8 @@ class FiniteStructure:
     constructor, and so in build, from_json_dict and relabel, which go
     through it. Structures the library derives itself skip it through
     _trusted: induced_substructure (restricting a valid structure to
-    distinct in-range points gives a valid one) and the catalogue samplers
+    distinct in-range points gives a valid one) and _evaluated, which
+    builds the catalogue samples and witness scaffolds from their formulas
     (tuples drawn from range(size) by construction). These are the hot
     producers of the profile engine, where validation would cost about a
     sixth of the time; tests re-validate their output through the public
@@ -122,6 +123,22 @@ class FiniteStructure:
         obj = object.__new__(cls)
         obj.__dict__.update(signature=sig, size=size, relations=relations)
         return obj
+
+    @classmethod
+    def _evaluated(
+        cls, sig: Signature, size: int, formulas: Sequence[Callable[..., bool]]
+    ) -> "FiniteStructure":
+        """The structure on range(size) whose i-th relation holds exactly
+        where formulas[i] holds, evaluated on every tuple, repeated
+        coordinates included."""
+        rng = range(size)
+        rels = tuple(
+            frozenset(
+                compress(product(rng, repeat=arity), starmap(holds, product(rng, repeat=arity)))
+            )
+            for (_, arity), holds in zip(sig.relations, formulas)
+        )
+        return cls._trusted(sig, size, rels)
 
     @classmethod
     def build(

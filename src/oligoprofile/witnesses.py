@@ -14,10 +14,12 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations, product
-from typing import Callable, Iterator
+from operator import le
+from typing import Callable, Iterable, Iterator
 
-from .catalogue import SIG_FIBERED, SIG_ORDER
-from .errors import ParameterError
+from .catalogue import SIG_ORDER, sample_model
+from .errors import ParameterError, ResourceError
+from .growth import compositions_count
 from .structures import (
     FiniteStructure,
     canonical_form,
@@ -144,17 +146,30 @@ def decode_antichain(member: FiniteStructure) -> IndexObject:
     return tuple(groups[i] for i in range(max(depth) + 1))
 
 
-def _block_order(blocks: int, block_size: int) -> FiniteStructure:
-    size = blocks * block_size
-    blk = [e // block_size for e in range(size)]
-    tuples = {(a, b) for a in range(size) for b in range(size) if blk[a] <= blk[b]}
-    return FiniteStructure.build(SIG_FIBERED, size, {"prec": tuples})
+def _family(
+    construction_id: str,
+    n: int,
+    scaffold: FiniteStructure,
+    indices: Iterable[IndexObject],
+    subset: Callable[[IndexObject], tuple[int, ...]],
+    decoder: Callable[[FiniteStructure], IndexObject],
+) -> WitnessFamily:
+    """The family whose member for each index is the scaffold induced on subset(index)."""
+    indices = tuple(indices)
+    members = tuple(induced_substructure(scaffold, subset(ix)) for ix in indices)
+    return WitnessFamily(construction_id, n, scaffold, members, indices, decoder)
+
+
+def _block_prefixes(width: int) -> Callable[[IndexObject], tuple[int, ...]]:
+    # the first comp[i] points of each block i of `width` consecutive points
+    return lambda comp: tuple(i * width + j for i, part in enumerate(comp) for j in range(part))
 
 
 def composition_witness(n: int, max_part: int) -> WitnessFamily:
     """One member per composition of n into parts of size at most max_part.
 
-    The scaffold is a block order with n blocks of max_part points; the
+    The scaffold is the fibered_order:max_part sample with n blocks of
+    max_part points (max_part clamped to n, since no part is larger); the
     member for (a_0, ..., a_{k-1}) takes a_i points from block i. Its
     fiber sizes along the order are the composition, so distinct
     compositions yield non-isomorphic members.
@@ -163,22 +178,11 @@ def composition_witness(n: int, max_part: int) -> WitnessFamily:
         raise ParameterError(f"composition_witness needs n >= 1, got {n}")
     if max_part < 1:
         raise ParameterError(f"max_part must be >= 1, got {max_part}")
-    scaffold = _block_order(n, max_part)
-    members = []
-    indices = []
-    for comp in compositions(n, max_part):
-        subset = tuple(
-            i * max_part + j for i, part in enumerate(comp) for j in range(part)
-        )
-        members.append(induced_substructure(scaffold, subset))
-        indices.append(comp)
-    return WitnessFamily(
-        construction_id="composition",
-        n=n,
-        scaffold=scaffold,
-        members=tuple(members),
-        indices=tuple(indices),
-        index_decoder=decode_composition,
+    max_part = min(max_part, n)
+    scaffold = sample_model(f"fibered_order:{max_part}", n * max_part)
+    return _family(
+        "composition", n, scaffold, compositions(n, max_part), _block_prefixes(max_part),
+        decode_composition,
     )
 
 
@@ -192,25 +196,10 @@ def binary_pattern_witness(n: int) -> WitnessFamily:
     """
     if n < 1:
         raise ParameterError(f"binary_pattern_witness needs n >= 1, got {n}")
-    size = 2 * n
-    leq = {(x, y) for x in range(size) for y in range(size) if x <= y}
-    mark = {(2 * i,) for i in range(n)}
-    scaffold = FiniteStructure.build(
-        SIG_MARKED_ORDER, size, {"leq": leq, "mark": mark}
-    )
-    members = []
-    indices = []
-    for bits in product((0, 1), repeat=n):
-        subset = tuple(2 * i + b for i, b in enumerate(bits))
-        members.append(induced_substructure(scaffold, subset))
-        indices.append(bits)
-    return WitnessFamily(
-        construction_id="binary_pattern",
-        n=n,
-        scaffold=scaffold,
-        members=tuple(members),
-        indices=tuple(indices),
-        index_decoder=decode_binary_pattern,
+    scaffold = FiniteStructure._evaluated(SIG_MARKED_ORDER, 2 * n, (le, lambda x: x % 2 == 0))
+    return _family(
+        "binary_pattern", n, scaffold, product((0, 1), repeat=n),
+        lambda bits: tuple(2 * i + b for i, b in enumerate(bits)), decode_binary_pattern,
     )
 
 
@@ -225,26 +214,11 @@ def antichain_witness(n: int) -> WitnessFamily:
     """
     if n < 1:
         raise ParameterError(f"antichain_witness needs n >= 1, got {n}")
-    size = n * n
-    leq = {(x, x) for x in range(size)}
-    for i in range(n):
-        for j in range(i + 1, n):
-            for t in range(n):
-                leq.add((i * n, j * n + t))
-    scaffold = FiniteStructure.build(SIG_ORDER, size, {"leq": leq})
-    members = []
-    indices = []
-    for comp in compositions(n, n):
-        subset = tuple(i * n + s for i, part in enumerate(comp) for s in range(part))
-        members.append(induced_substructure(scaffold, subset))
-        indices.append(comp)
-    return WitnessFamily(
-        construction_id="antichain",
-        n=n,
-        scaffold=scaffold,
-        members=tuple(members),
-        indices=tuple(indices),
-        index_decoder=decode_antichain,
+    scaffold = FiniteStructure._evaluated(
+        SIG_ORDER, n * n, (lambda x, y: x == y or (x % n == 0 and x // n < y // n),)
+    )
+    return _family(
+        "antichain", n, scaffold, compositions(n, n), _block_prefixes(n), decode_antichain
     )
 
 
@@ -259,14 +233,44 @@ def construction_ids() -> tuple[str, ...]:
     return tuple(_CONSTRUCTIONS)
 
 
+# Largest family and scaffold build_family makes; members are verified pairwise.
+_MAX_MEMBERS = 2**15
+_MAX_SCAFFOLD_POINTS = 256
+
+
 def build_family(construction_id: str, n: int, max_part: int | None = None) -> WitnessFamily:
-    """Dispatch by construction name; max_part applies to composition only."""
+    """Dispatch by construction name; max_part applies to composition only.
+
+    A family of more than 2**15 members, or on a scaffold of more than 256
+    points, raises ResourceError before anything is built. Both sizes come
+    from closed forms, the scaffold first, which bounds n for the counts.
+    """
     if construction_id == "composition":
-        return composition_witness(n, n if max_part is None else max_part)
-    if max_part is not None:
+        max_part = n if max_part is None else max_part
+    elif max_part is not None:
         raise ParameterError(f"{construction_id!r} takes no max_part")
-    if construction_id not in _CONSTRUCTIONS:
+    elif construction_id not in _CONSTRUCTIONS:
         raise ParameterError(f"unknown construction {construction_id!r}")
+    if n >= 1 and (max_part is None or max_part >= 1):
+        part = min(max_part or n, n)
+        points = {"composition": n * part, "binary_pattern": 2 * n, "antichain": n * n}
+        if points[construction_id] > _MAX_SCAFFOLD_POINTS:
+            raise ResourceError(
+                f"{construction_id} at n={n} needs {points[construction_id]} scaffold points,"
+                f" over the cap of {_MAX_SCAFFOLD_POINTS}"
+            )
+        # n <= 256 here, so every closed form is cheap
+        members = {
+            "composition": compositions_count(n, part),
+            "binary_pattern": 2**n,
+            "antichain": 2 ** (n - 1),
+        }[construction_id]
+        if members > _MAX_MEMBERS:
+            raise ResourceError(
+                f"{construction_id} at n={n} has {members} members, over the cap of {_MAX_MEMBERS}"
+            )
+    if construction_id == "composition":
+        return composition_witness(n, max_part)
     return _CONSTRUCTIONS[construction_id](n)
 
 

@@ -113,6 +113,40 @@ def separation_tuples(size: int) -> frozenset:
     )
 
 
+def revalidated(s: FiniteStructure) -> FiniteStructure:
+    """s rebuilt through the public constructor, which checks the arities
+    and ranges that the unchecked producers skip."""
+    assert all(type(t) is tuple for tuples in s.relations for t in tuples)
+    return FiniteStructure(s.signature, s.size, s.relations)
+
+
+def branch_tuples(md, leaves) -> set:
+    """C(x;y,z) on the given leaves: meet(y,z) strictly below meet(x,y) = meet(x,z).
+
+    Explicit loops with the degenerate cases spelled out: with repeated
+    coordinates the meet of a leaf with itself is the leaf, which lies
+    strictly below any proper meet, so the formula reduces to the equality
+    pattern; distinct leaves compare meet depths md[.][.].
+    """
+    out = set()
+    idx = range(len(leaves))
+    for i in idx:
+        for j in idx:
+            for l in idx:
+                x, y, z = leaves[i], leaves[j], leaves[l]
+                if j == l:
+                    if i != j:
+                        out.add((i, j, l))
+                    continue
+                if i == j or i == l:
+                    continue
+                dyz = md[y][z]
+                dxy = md[x][y]
+                if dyz > dxy and dxy == md[x][z]:
+                    out.add((i, j, l))
+    return out
+
+
 def subset_key(entry_id: str, model: FiniteStructure):
     """The catalogue's dedup key computed from a whole sorted subset.
 
@@ -306,6 +340,15 @@ def brute_compositions(n: int, max_part: int) -> list[tuple[int, ...]]:
     for first in range(1, min(n, max_part) + 1):
         out.extend((first,) + rest for rest in brute_compositions(n - first, max_part))
     return out
+
+
+def compositions_count_table(n: int, max_part: int) -> int:
+    """Compositions of n into parts of at most max_part, by the full
+    recurrence c_m = c_{m-1} + ... + c_{m-max_part} summed term by term."""
+    acc = [1] + [0] * n
+    for m in range(1, n + 1):
+        acc[m] = sum(acc[m - j] for j in range(1, min(m, max_part) + 1))
+    return acc[n]
 
 
 def pair_incomparables(p, a: int) -> tuple[int, ...]:

@@ -1,5 +1,6 @@
 """Catalogue samplers: formulas, invariances and the universal tree."""
 
+import hashlib
 import itertools
 import random
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from oligoprofile.catalogue import (
     SIG_TREE,
+    _model_tree_depths,
     age_predictor,
     default_sweep_ids,
     get_entry,
@@ -17,15 +19,59 @@ from oligoprofile.catalogue import (
 )
 from oligoprofile.errors import ParameterError
 from oligoprofile.growth import fibonacci, tree_count
-from oligoprofile.structures import FiniteStructure, induced_substructure, is_isomorphic
+from oligoprofile.structures import induced_substructure, is_isomorphic, structure_encoding
 
 from oracles import (
+    branch_tuples,
     brute_compositions,
     is_locally_transitive,
+    revalidated,
     separation_tuples,
     shape_branch_structure,
     tree_shapes,
 )
+
+# entry -> sha256 of the space-joined sha256 hex digests of
+# structure_encoding(sample_model(entry, size)) for size 1..23 (tree_c
+# parameters 1..11), a size the entry refuses contributing its error type's
+# name instead. Frozen from the loop-based samplers the formula declarations
+# replaced; fibered_order:1 is the chain, so it shares dlo's digest.
+SAMPLER_PINS = {
+    "pure_set": "5f7f6e8ab67867d714204e6c7cd784aa18c18fc0a19fa9d511baab136f356109",
+    "dlo": "a1abf0eefda6c7fb80a49322098c2d4e5be1b5ec1d5b8a3d2b859f942387b889",
+    "betweenness": "148e958d354df783e922c0f6af801e536e9fc34f29c401f8fe9b6d945c451542",
+    "circular": "8b8f9169ab57fa9c1580cc80fda3d086298e0e3f9efe7e52e9de136b89585fd9",
+    "separation": "d654da92ff8db3cd076fbb8aa9dbd1dec7402a22455361e882b4135a92b72e4f",
+    "local_order": "6dfa65a0fe9f312c0366d4677e7f31bea7d98572e0a8870eac7d68291dcca552",
+    "fibered_order:2": "709c9c26218a44bf6e250dd051f51471566633055207bc2e1a029f7c41e4e9ca",
+    "fibered_order:3": "9275bcfe2105e4b331a9de20a1598d11ed761e78d3ab2350d39e3aad413e8ec9",
+    "tree_c": "d681d4fcfab79ad792799b63b42e62cf10211120ab71474204b4fdb7cf52f073",
+    "fibered_order:1": "a1abf0eefda6c7fb80a49322098c2d4e5be1b5ec1d5b8a3d2b859f942387b889",
+    "fibered_order:5": "21121eeef1b40140c5e1fd4318c6ccee9b4326670423cfbc792cafbc4e272776",
+}
+
+
+def test_sampler_pins_cover_the_sweep():
+    assert set(default_sweep_ids()) <= set(SAMPLER_PINS)
+
+
+@pytest.mark.parametrize("entry_id", sorted(SAMPLER_PINS))
+def test_samplers_match_their_pins(entry_id):
+    parts = []
+    for size in range(1, 12 if entry_id == "tree_c" else 24):
+        try:
+            code = structure_encoding(sample_model(entry_id, size))
+        except ParameterError as exc:
+            parts.append(type(exc).__name__)
+        else:
+            parts.append(hashlib.sha256(code).hexdigest())
+    assert hashlib.sha256(" ".join(parts).encode()).hexdigest() == SAMPLER_PINS[entry_id]
+
+
+@pytest.mark.parametrize("param", range(1, 12))
+def test_tree_sampler_matches_explicit_loops(param):
+    model = sample_model("tree_c", param)
+    assert model.relation("branch") == branch_tuples(_model_tree_depths(model), range(model.size))
 
 
 def test_entry_id_listing():
@@ -105,24 +151,17 @@ def test_separation_sampler_matches_literal_formula():
         assert sample_model("separation", size).relation("sep") == separation_tuples(size)
 
 
-def _revalidated(s):
-    # the public constructor checks arities and ranges that samplers and
-    # induced_substructure skip
-    assert all(type(t) is tuple for tuples in s.relations for t in tuples)
-    return FiniteStructure(s.signature, s.size, s.relations)
-
-
-@pytest.mark.parametrize("entry_id", default_sweep_ids())
+@pytest.mark.parametrize("entry_id", default_sweep_ids() + ("fibered_order:1", "fibered_order:5"))
 def test_trusted_producers_pass_public_validation(entry_id):
     rng = random.Random(entry_id)
     for size in (3, 5, 7, 9):
         model = sample_model(entry_id, size)
         assert type(model.relations) is tuple
         assert all(type(tuples) is frozenset for tuples in model.relations)
-        assert _revalidated(model) == model
+        assert revalidated(model) == model
         for k in range(1, model.size + 1):
             sub = induced_substructure(model, tuple(rng.sample(range(model.size), k)))
-            assert _revalidated(sub) == sub
+            assert revalidated(sub) == sub
 
 
 def test_local_order_is_half_circle_tournament():

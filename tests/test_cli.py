@@ -155,6 +155,15 @@ def test_growth_file_with_an_overflowing_ratio_exits_one(capsys, tmp_path):
     assert err == "error: a root or ratio of the values exceeds float range\n"
 
 
+def test_growth_file_with_an_infinite_limit_exits_one(capsys, tmp_path):
+    # every ratio is finite, but extrapolating them overflows to inf
+    payload = tmp_path / "values.json"
+    payload.write_text(json.dumps({"values": [1, 1, 10 ** 308]}))
+    code, out, err = run_cli(capsys, "growth", "--file", str(payload), "--format", "json")
+    assert (code, out) == (1, "")
+    assert err == "error: a root or ratio of the values exceeds float range\n"
+
+
 def test_witness_json_payload(capsys):
     code, out, _ = run_cli(capsys, "witness", "binary_pattern", "--n", "4")
     assert code == 0
@@ -168,6 +177,32 @@ def test_witness_max_part_limits_composition(capsys):
     code, out, _ = run_cli(capsys, "witness", "composition", "--n", "5", "--max-part", "2")
     assert code == 0
     assert len(json.loads(out)["family"]["members"]) == fibonacci(6)
+
+
+def test_witness_max_part_past_n_keeps_the_output(capsys):
+    _, plain, _ = run_cli(capsys, "witness", "composition", "--n", "5")
+    for max_part in ("5", "40", "100000"):
+        code, out, _ = run_cli(capsys, "witness", "composition", "--n", "5", "--max-part", max_part)
+        assert (code, out) == (0, plain)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["composition", "--n", "17"],
+        ["binary_pattern", "--n", "16"],
+        ["antichain", "--n", "17"],
+        ["composition", "--n", "257", "--max-part", "1"],
+        ["antichain", "--n", "40"],
+    ],
+)
+def test_oversized_witness_exits_one_at_once(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "witness", *argv)
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "over the cap of" in err
 
 
 def test_linearize_from_file(capsys, tmp_path):

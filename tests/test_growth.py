@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oligoprofile import growth
+from oligoprofile.catalogue import age_predictor
 from oligoprofile.errors import DomainError
 from oligoprofile.growth import (
     GOLDEN_RATIO,
@@ -32,6 +34,14 @@ def test_tree_count_matches_shape_enumeration(n):
 
 def test_tree_count_large_value_pinned():
     assert tree_count(20) == 293547
+
+
+def test_tree_count_far_past_the_recursion_limit(monkeypatch):
+    # an empty cache, as in a fresh interpreter: the values are built bottom
+    # up, so no call depth grows with n
+    monkeypatch.setattr(growth, "_TREE_COUNTS", [0, 1])
+    assert age_predictor("tree_c", 1500) % (10**9 + 7) == 196860510
+    assert len(str(tree_count(1500))) == 588
 
 
 def test_tree_count_domain():
@@ -76,6 +86,9 @@ def test_growth_estimate_past_float_range():
         growth_estimate([1, 2, 10 ** 400])
     with pytest.raises(DomainError, match="float range"):
         growth_estimate([10 ** 400, 10 ** 400, 10 ** 400])
+    # finite ratios 1 and 1e308 extrapolate to 3e308 - 2, past float range
+    with pytest.raises(DomainError, match="float range"):
+        growth_estimate([1, 1, 10 ** 308])
 
 
 def test_fibonacci_ratio_approaches_golden_ratio():

@@ -22,6 +22,7 @@ from oligoprofile.structures import (
 
 from oracles import (
     brute_compositions,
+    compositions_count_table,
     locally_transitive_count,
     odd_divisor_necklace_count,
     subset_classes,
@@ -38,6 +39,12 @@ def test_compositions_count_examples():
 @given(st.integers(min_value=1, max_value=10), st.integers(min_value=1, max_value=5))
 def test_compositions_count_matches_listing(n, max_part):
     assert compositions_count(n, max_part) == len(brute_compositions(n, max_part))
+
+
+def test_compositions_count_window_matches_the_full_recurrence():
+    for n in range(60):
+        for max_part in range(1, 8):
+            assert compositions_count(n, max_part) == compositions_count_table(n, max_part)
 
 
 def test_dlo_profile_is_constant_one():

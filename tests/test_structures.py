@@ -97,6 +97,21 @@ def test_build_rejects_unknown_relation():
         FiniteStructure.build(SIG_EDGE, 2, {"arc": {(0, 1)}})
 
 
+def test_evaluated_holds_exactly_where_the_formulas_do():
+    sig = signature(("lt", 2), ("two", 1), ("diag", 3))
+    formulas = (lambda x, y: x < y, lambda x: x == 2, lambda x, y, z: x == y == z)
+    s = FiniteStructure._evaluated(sig, 4, formulas)
+    literal = {
+        name: [t for t in itertools.product(range(4), repeat=sig.arity(name)) if holds(*t)]
+        for name, holds in zip(sig.names, formulas)
+    }
+    assert s == FiniteStructure.build(sig, 4, literal)
+    assert FiniteStructure(s.signature, s.size, s.relations) == s
+    assert s.relation("diag") == {(x, x, x) for x in range(4)}
+    assert FiniteStructure._evaluated(Signature(()), 3, ()) == FiniteStructure.build(Signature(()), 3)
+    assert FiniteStructure._evaluated(sig, 0, formulas) == FiniteStructure.build(sig, 0)
+
+
 def test_relabel_moves_tuples():
     s = chain(3)
     r = s.relabel((2, 0, 1))

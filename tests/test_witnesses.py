@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oligoprofile.errors import ParameterError
+from oligoprofile.errors import ParameterError, ResourceError
 from oligoprofile.growth import fibonacci
 from oligoprofile.structures import canonical_form, induced_substructure
 from oligoprofile.witnesses import (
@@ -25,7 +25,7 @@ from oligoprofile.witnesses import (
     verify_pairwise_nonisomorphic,
 )
 
-from oracles import brute_compositions, subset_classes
+from oracles import brute_compositions, revalidated, subset_classes
 
 
 def test_compositions_listing_matches_brute():
@@ -189,3 +189,52 @@ def test_one_part_composition_member_is_single_fiber():
     member = fam.members[0]
     assert member.size == 1
     assert member.relation("prec") == frozenset({(0, 0)})
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_scaffolds_match_their_definitions(n):
+    """The formula-built scaffolds equal the tuple sets their docstrings describe."""
+    size = 2 * n
+    marked = binary_pattern_witness(n).scaffold
+    assert revalidated(marked) == marked
+    assert marked.relation("leq") == {(x, y) for x in range(size) for y in range(size) if x <= y}
+    assert marked.relation("mark") == {(2 * i,) for i in range(n)}
+    stacked = antichain_witness(n).scaffold
+    assert revalidated(stacked) == stacked
+    anchors_below = {
+        (i * n, j * n + t) for i in range(n) for j in range(i + 1, n) for t in range(n)
+    }
+    assert stacked.relation("leq") == {(x, x) for x in range(n * n)} | anchors_below
+    for max_part in range(1, n + 1):
+        blocks = composition_witness(n, max_part).scaffold
+        assert revalidated(blocks) == blocks
+        size = n * max_part
+        assert blocks.relation("prec") == {
+            (a, b) for a in range(size) for b in range(size) if a // max_part <= b // max_part
+        }
+
+
+def test_max_part_past_n_gives_the_same_family():
+    clamped = build_family("composition", 3, max_part=100000)
+    plain = build_family("composition", 3)
+    assert (clamped.members, clamped.indices) == (plain.members, plain.indices)
+    assert clamped.scaffold.size == 9
+
+
+@pytest.mark.parametrize(
+    "construction, n, max_part",
+    [
+        ("composition", 17, None),
+        ("binary_pattern", 16, None),
+        ("antichain", 17, None),
+        ("composition", 257, 1),
+        ("composition", 40, None),
+        ("binary_pattern", 10**9, None),
+        ("antichain", 40, None),
+    ],
+)
+def test_build_family_refuses_past_the_caps(construction, n, max_part):
+    """One size past the member cap per construction, and scaffolds past the
+    point cap: all refused from closed forms before anything is built."""
+    with pytest.raises(ResourceError, match="over the cap"):
+        build_family(construction, n, max_part)
