@@ -41,7 +41,10 @@ def _json_text(payload) -> str:
 
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError as exc:
+            raise ParameterError(f"invalid JSON input: {exc}") from None
 
 
 def _cmd_catalogue_list(args) -> str:
@@ -216,7 +219,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: invalid JSON input: {exc}", file=sys.stderr)
         return 1
     if args.out is not None:

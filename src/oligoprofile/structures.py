@@ -13,14 +13,16 @@ small and exact:
   * is_isomorphic: direct backtracking search, deliberately independent of
     canonical_form so the two paths can cross-check each other in tests.
 
-Canonicalisation strategy: start from iterated colour refinement (colours
-are derived only from isomorphism-invariant data, so they are stable across
-relabellings), then branch on the first non-singleton colour class,
-individualising one vertex at a time and refining again. Leaves of the
-search are discrete colourings, i.e. relabellings; the canonical code is the
-byte-wise minimum of their encodings. Two rules skip a branch whose subtree
-is the image of an explored sibling's under an automorphism, so its leaves
-carry codes already seen and the minimum is unchanged:
+Canonicalisation strategy: refine an ordered partition of the points to
+its coarsest equitable refinement, incrementally (McKay 1981; Paige &
+Tarjan 1987), then branch on the first cell of two or more points,
+individualising one point at a time and refining again. A point's colour
+is the start of its cell, which depends only on invariant data, so a
+discrete colouring is a relabelling stable across relabellings of the
+input; the canonical code is the byte-wise minimum of their encodings.
+Two rules skip a branch whose subtree is the image of an explored
+sibling's under an automorphism, so its leaves carry codes already seen
+and the minimum is unchanged:
 
   * transposition pruning: the chosen vertex is swapped onto an explored
     sibling by a transposition automorphism; this keeps highly symmetric
@@ -38,6 +40,7 @@ carry codes already seen and the minimum is unchanged:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from itertools import chain, compress, product, starmap
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -270,38 +273,65 @@ def structure_encoding(s: FiniteStructure) -> bytes:
     return _encode_labelled(s.size, arities, rel_tuples, None)
 
 
-def _refine(size: int, rels: list[tuple[int, tuple[tuple[int, ...], ...]]], colors: list[int]) -> list[int]:
-    """Iterated colour refinement; colour ids are renumbered by sorted key
-    so they depend only on isomorphism-invariant data."""
+_Incidences = list[list[tuple[int, int, tuple[int, ...]]]]
+
+
+def _incidence(size: int, rel_tuples: Iterable[Iterable[tuple[int, ...]]]) -> tuple[_Incidences, list[set[int]]]:
+    """(relation, position, tuple) incidences per vertex, and the vertices sharing a tuple with each."""
+    inc: _Incidences = [[] for _ in range(size)]
+    for ridx, tuples in enumerate(rel_tuples):
+        for t in tuples:
+            for posn, x in enumerate(t):
+                inc[x].append((ridx, posn, t))
+    return inc, [set(chain.from_iterable(t for _, _, t in lst)) for lst in inc]
+
+
+def _refine(inc: _Incidences, co: list[set[int]], colors: list[int], changed: Iterable[int]) -> list[int]:
+    """Refine colors, each the start of its cell and equitable but next to
+    `changed`, in place to the coarsest equitable partition below it. A cell
+    next to a moved vertex is queued; the least queued start splits by its
+    members' sorted (relation, position, tuple colours) into parts at the
+    start plus their offsets."""
+    cells: dict[int, list[int]] = {}
+    for v, c in enumerate(colors):
+        cells.setdefault(c, []).append(v)
+    color_of = colors.__getitem__
+    queue: list[int] = []
+    queued: set[int] = set()
+    moved = changed
     while True:
-        occ: list[list] = [[] for _ in range(size)]
-        for ridx, (_, tuples) in enumerate(rels):
-            for t in tuples:
-                key = tuple(colors[x] for x in t)
-                for posn, x in enumerate(t):
-                    occ[x].append((ridx, posn, key))
-        for lst in occ:
-            lst.sort()
-        keys = [(colors[v], tuple(occ[v])) for v in range(size)]
-        order = {k: i for i, k in enumerate(sorted(set(keys)))}
-        new = [order[k] for k in keys]
-        if new == colors:
+        for x in moved:
+            for u in co[x]:
+                c = colors[u]
+                if c not in queued and len(cells[c]) > 1:
+                    queued.add(c)
+                    heappush(queue, c)
+        if not queue:
             return colors
-        colors = new
+        start = heappop(queue)
+        queued.discard(start)
+        parts: dict[tuple, list[int]] = {}
+        for v in cells[start]:
+            key = tuple(sorted([(r, p, *map(color_of, t)) for r, p, t in inc[v]]))
+            parts.setdefault(key, []).append(v)
+        moved = []
+        c = start
+        for key in sorted(parts):
+            part = cells[c] = parts[key]
+            if c != start:
+                for v in part:
+                    colors[v] = c
+                moved += part
+            c += len(part)
 
 
 def _is_transposition_automorphism(
-    u: int,
-    v: int,
-    rels: list[tuple[int, tuple[tuple[int, ...], ...]]],
-    rel_sets: list[frozenset[tuple[int, ...]]],
+    u: int, v: int, inc: _Incidences, rel_sets: Sequence[frozenset[tuple[int, ...]]]
 ) -> bool:
-    for (_, tuples), tset in zip(rels, rel_sets):
-        for t in tuples:
-            if u in t or v in t:
-                mapped = tuple(v if x == u else u if x == v else x for x in t)
-                if mapped not in tset:
-                    return False
+    swap = {u: v, v: u}.get
+    for ridx, _, t in chain(inc[u], inc[v]):
+        if tuple(map(swap, t, t)) not in rel_sets[ridx]:
+            return False
     return True
 
 
@@ -323,11 +353,10 @@ def canonical_form(s: FiniteStructure) -> CanonicalCode:
     """
     size = s.size
     arities = tuple(a for _, a in s.signature.relations)
-    rels = [(a, tuple(tuples)) for (_, a), tuples in zip(s.signature.relations, s.relations)]
+    rel_tuples = tuple(tuple(tuples) for tuples in s.relations)
     if size <= 1:
-        return _encode_labelled(size, arities, tuple(t for _, t in rels), None)
-    rel_sets = [frozenset(t) for _, t in rels]
-    rel_tuples = tuple(t for _, t in rels)
+        return _encode_labelled(size, arities, rel_tuples, None)
+    inc, co = _incidence(size, rel_tuples)
     # (labelling, code) of the first leaf and of the least one so far
     first: tuple[list[int], bytes] | None = None
     best: tuple[list[int], bytes] | None = None
@@ -344,23 +373,16 @@ def canonical_form(s: FiniteStructure) -> CanonicalCode:
             if code == other:
                 # relabelling by perm and by colors gives the same structure,
                 # so x -> perm^-1(colors[x]) is an automorphism
-                inv = [0] * size
-                for x, c in enumerate(perm):
-                    inv[c] = x
+                inv = sorted(range(size), key=perm.__getitem__)
                 gens.append([inv[c] for c in colors])
                 return
         if code < best[1]:
             best = (colors, code)
 
     def search(colors: list[int], fixed: tuple[int, ...]) -> None:
-        counts: dict[int, int] = {}
-        for c in colors:
-            counts[c] = counts.get(c, 0) + 1
-        target = -1
-        for c in sorted(counts):
-            if counts[c] > 1:
-                target = c
-                break
+        # the first cell of two or more vertices, if any
+        starts = sorted(colors)
+        target = next((c for c, d in zip(starts, starts[1:]) if c == d), -1)
         if target < 0:
             leaf(colors)
             return
@@ -385,14 +407,14 @@ def canonical_form(s: FiniteStructure) -> CanonicalCode:
                 root = _orbit_root(parent, v)
                 if any(_orbit_root(parent, w) == root for w in branched):
                     continue
-            if any(_is_transposition_automorphism(v, w, rels, rel_sets) for w in branched):
+            if any(_is_transposition_automorphism(v, w, inc, s.relations) for w in branched):
                 continue
             branched.append(v)
-            split = [c * 2 + 1 for c in colors]
-            split[v] = colors[v] * 2
-            search(_refine(size, rels, split), fixed + (v,))
+            split = [c + (c == target) for c in colors]
+            split[v] = target
+            search(_refine(inc, co, split, members), fixed + (v,))
 
-    search(_refine(size, rels, [0] * size), ())
+    search(_refine(inc, co, [0] * size, range(size)), ())
     assert best is not None
     return best[1]
 
@@ -419,38 +441,21 @@ def is_isomorphic(a: FiniteStructure, b: FiniteStructure) -> bool:
     size = a.size
     if size == 0:
         return True
-    rels_a = [(ar, tuple(t)) for (_, ar), t in zip(a.signature.relations, a.relations)]
-    rels_b = [(ar, tuple(t)) for (_, ar), t in zip(b.signature.relations, b.relations)]
-    col_a = _refine(size, rels_a, [0] * size)
-    col_b = _refine(size, rels_b, [0] * size)
+    inc_a, co_a = _incidence(size, a.relations)
+    inc_b, co_b = _incidence(size, b.relations)
+    col_a = _refine(inc_a, co_a, [0] * size, range(size))
+    col_b = _refine(inc_b, co_b, [0] * size, range(size))
     if sorted(col_a) != sorted(col_b):
         return False
-
-    by_vertex_a: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(size)]
-    for ridx, (_, tuples) in enumerate(rels_a):
-        for t in tuples:
-            for x in set(t):
-                by_vertex_a[x].append((ridx, t))
-    sets_b = [frozenset(t) for _, t in rels_b]
-    by_vertex_b: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(size)]
-    for ridx, (_, tuples) in enumerate(rels_b):
-        for t in tuples:
-            for x in set(t):
-                by_vertex_b[x].append((ridx, t))
-    sets_a = [frozenset(t) for _, t in rels_a]
 
     order = sorted(range(size), key=lambda v: (col_a[v], v))
     fwd: dict[int, int] = {}
     rev: dict[int, int] = {}
 
     def consistent(v: int, w: int) -> bool:
-        for ridx, t in by_vertex_a[v]:
-            if all(x in fwd for x in t):
-                if tuple(fwd[x] for x in t) not in sets_b[ridx]:
-                    return False
-        for ridx, t in by_vertex_b[w]:
-            if all(x in rev for x in t):
-                if tuple(rev[x] for x in t) not in sets_a[ridx]:
+        for incs, known, rels in ((inc_a[v], fwd, b.relations), (inc_b[w], rev, a.relations)):
+            for ridx, _, t in incs:
+                if all(x in known for x in t) and tuple(known[x] for x in t) not in rels[ridx]:
                     return False
         return True
 

@@ -33,21 +33,23 @@ IndexObject = tuple[int, ...]
 
 
 def compositions(n: int, max_part: int) -> Iterator[IndexObject]:
-    """Yield compositions of n into parts of size at most max_part."""
+    """Yield compositions of n into parts of size at most max_part, in lexicographic order."""
     if n < 1:
         raise ParameterError(f"compositions need n >= 1, got {n}")
     if max_part < 1:
         raise ParameterError(f"max_part must be >= 1, got {max_part}")
 
-    def rec(remaining: int) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield ()
-            return
-        for head in range(1, min(max_part, remaining) + 1):
-            for tail in rec(remaining - head):
-                yield (head,) + tail
+    def lexicographic() -> Iterator[tuple[int, ...]]:
+        parts = [1] * n
+        while True:
+            yield tuple(parts)
+            # the rightmost part below max_part but the last takes one from those after it
+            i = next((i for i in range(len(parts) - 2, -1, -1) if parts[i] < max_part), -1)
+            if i < 0:
+                return
+            parts[i:] = [parts[i] + 1] + [1] * (sum(parts[i + 1 :]) - 1)
 
-    return rec(n)
+    return lexicographic()
 
 
 @dataclass(frozen=True)

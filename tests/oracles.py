@@ -32,6 +32,27 @@ def brute_canonical(s: FiniteStructure) -> bytes:
     )
 
 
+def iterated_refinement(s: FiniteStructure, colors: list[int]) -> list[int]:
+    """Colour refinement as canonical_form once ran it: every pass rebuilds
+    and sorts each vertex's (relation, position, tuple colours) list, and
+    renumbers the colours by sorted key, until a pass splits nothing."""
+    while True:
+        occ: list[list] = [[] for _ in range(s.size)]
+        for ridx, tuples in enumerate(s.relations):
+            for t in tuples:
+                key = tuple(colors[x] for x in t)
+                for posn, x in enumerate(t):
+                    occ[x].append((ridx, posn, key))
+        for lst in occ:
+            lst.sort()
+        keys = [(colors[v], tuple(occ[v])) for v in range(s.size)]
+        order = {k: i for i, k in enumerate(sorted(set(keys)))}
+        new = [order[k] for k in keys]
+        if new == colors:
+            return colors
+        colors = new
+
+
 def brute_isomorphic(a: FiniteStructure, b: FiniteStructure) -> bool:
     if a.signature != b.signature or a.size != b.size:
         return False
@@ -340,6 +361,21 @@ def brute_compositions(n: int, max_part: int) -> list[tuple[int, ...]]:
     for first in range(1, min(n, max_part) + 1):
         out.extend((first,) + rest for rest in brute_compositions(n - first, max_part))
     return out
+
+
+def recursive_compositions(n: int, max_part: int):
+    """The recursive generator witnesses.compositions once was: one level
+    per unit of n, so it overflows the stack for large n."""
+
+    def rec(remaining: int):
+        if remaining == 0:
+            yield ()
+            return
+        for head in range(1, min(max_part, remaining) + 1):
+            for tail in rec(remaining - head):
+                yield (head,) + tail
+
+    return rec(n)
 
 
 def compositions_count_table(n: int, max_part: int) -> int:

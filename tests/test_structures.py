@@ -9,14 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oligoprofile.catalogue import sample_model
+from oligoprofile.catalogue import default_sweep_ids, sample_model
 from oligoprofile.errors import (
     InvalidSubsetError,
+    OligoError,
     ParameterError,
     SignatureMismatchError,
 )
 from oligoprofile.structures import (
     FiniteStructure,
+    _incidence,
+    _refine,
     Signature,
     canonical_form,
     induced_substructure,
@@ -24,10 +27,12 @@ from oligoprofile.structures import (
     signature,
     structure_encoding,
 )
+from oligoprofile.witnesses import build_family, construction_ids
 
 from oracles import (
     brute_canonical,
     brute_isomorphic,
+    iterated_refinement,
     leb128_decode,
     leb128_encoding,
     restrict,
@@ -329,3 +334,63 @@ def test_canonical_partition_matches_brute_on_symmetric_corpus():
     # local_order 3, 5 and 7 are regular tournaments, and so isomorphic to
     # one of them; every other structure is alone in its class
     assert len(set(fast)) == len(pool) - 3
+
+
+def _refinement_corpus():
+    pool = [s for family in SYMMETRIC_FAMILIES for s in symmetric_corpus(family)]
+    for construction in construction_ids():
+        for n in range(1, 8):
+            pool += build_family(construction, n).members
+    for entry in default_sweep_ids():
+        for size in range(1, 10):
+            try:
+                pool.append(sample_model(entry, size))
+            except OligoError:
+                pass
+    return pool
+
+
+def _cells(colors):
+    cells = {}
+    for v, c in enumerate(colors):
+        cells.setdefault(c, set()).add(v)
+    return cells
+
+
+def _tuple_colour_keys(s, colors):
+    keys = [[] for _ in range(s.size)]
+    for ridx, tuples in enumerate(s.relations):
+        for t in tuples:
+            for posn, x in enumerate(t):
+                keys[x].append((ridx, posn, tuple(colors[y] for y in t)))
+    return [sorted(k) for k in keys]
+
+
+def test_refinement_kernel_matches_iterated_refinement():
+    """From the unit colouring, and from its first cell of two or more
+    points with the least or the greatest point individualised, the
+    incremental kernel stops at the
+    partition iterated refinement reaches; every cell is equitable, and
+    every colour is the number of points in earlier cells."""
+    corpus = _refinement_corpus()
+    assert len(corpus) > 500
+    for s in corpus:
+        inc, co = _incidence(s.size, s.relations)
+        root = _refine(inc, co, [0] * s.size, range(s.size))
+        cells = _cells(root)
+        first = min((c for c, cell in cells.items() if len(cell) > 1), default=None)
+        cases = [([0] * s.size, range(s.size))]
+        if first is not None:
+            for v in (min(cells[first]), max(cells[first])):
+                split = [c + (c == first) for c in root]
+                split[v] = first
+                cases.append((split, sorted(cells[first])))
+        for colors, changed in cases:
+            oracle = iterated_refinement(s, list(colors))
+            fast = _refine(inc, co, list(colors), changed)
+            got = _cells(fast)
+            assert sorted(map(sorted, got.values())) == sorted(map(sorted, _cells(oracle).values()))
+            keys = _tuple_colour_keys(s, fast)
+            for c, cell in got.items():
+                assert c == sum(1 for x in fast if x < c)
+                assert all(keys[v] == keys[min(cell)] for v in cell)

@@ -25,13 +25,24 @@ from oligoprofile.witnesses import (
     verify_pairwise_nonisomorphic,
 )
 
-from oracles import brute_compositions, revalidated, subset_classes
+from oracles import brute_compositions, recursive_compositions, revalidated, subset_classes
 
 
 def test_compositions_listing_matches_brute():
     for n in range(1, 8):
         for max_part in range(1, n + 1):
             assert list(compositions(n, max_part)) == brute_compositions(n, max_part)
+
+
+def test_compositions_keep_the_recursive_order():
+    for n in range(1, 13):
+        for max_part in range(1, n + 2):
+            assert list(compositions(n, max_part)) == list(recursive_compositions(n, max_part))
+
+
+def test_compositions_of_a_large_n_do_not_recurse():
+    assert sum(1 for _ in compositions(1000, 1)) == 1
+    assert next(compositions(1000, 1000)) == (1,) * 1000
 
 
 def test_construction_id_listing():
