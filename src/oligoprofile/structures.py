@@ -17,9 +17,9 @@ Canonicalisation strategy: refine an ordered partition of the points to
 its coarsest equitable refinement, incrementally (McKay 1981; Paige &
 Tarjan 1987), then branch on the first cell of two or more points,
 individualising one point at a time and refining again. A point's colour
-is the start of its cell, which depends only on invariant data, so a
-discrete colouring is a relabelling stable across relabellings of the
-input; the canonical code is the byte-wise minimum of their encodings.
+is the start of its cell, which depends only on invariant data, so it is
+stable across relabellings; a leaf, a discrete colouring, is itself a
+relabelling, and the canonical code is the least of the leaves' encodings.
 Two rules skip a branch whose subtree is the image of an explored
 sibling's under an automorphism, so its leaves carry codes already seen
 and the minimum is unchanged:
@@ -287,11 +287,10 @@ def _incidence(size: int, rel_tuples: Iterable[Iterable[tuple[int, ...]]]) -> tu
 
 
 def _refine(inc: _Incidences, co: list[set[int]], colors: list[int], changed: Iterable[int]) -> list[int]:
-    """Refine colors, each the start of its cell and equitable but next to
-    `changed`, in place to the coarsest equitable partition below it. A cell
-    next to a moved vertex is queued; the least queued start splits by its
-    members' sorted (relation, position, tuple colours) into parts at the
-    start plus their offsets."""
+    """Refine colors (cell starts, equitable but next to `changed`) in place
+    to the coarsest equitable partition below. Cells next to a moved vertex
+    are queued; the least queued splits by its members' sorted (relation,
+    position, tuple colours) into parts at its start plus their offsets."""
     cells: dict[int, list[int]] = {}
     for v, c in enumerate(colors):
         cells.setdefault(c, []).append(v)
@@ -415,6 +414,7 @@ def canonical_form(s: FiniteStructure) -> CanonicalCode:
             search(_refine(inc, co, split, members), fixed + (v,))
 
     search(_refine(inc, co, [0] * size, range(size)), ())
+    search = None  # break search's self-reference, so inc and co are freed now, not by the gc
     assert best is not None
     return best[1]
 

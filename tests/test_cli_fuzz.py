@@ -25,7 +25,7 @@ ANY_JSON = st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
     max_leaves=12,
 )
-SMALL = st.integers(min_value=-2, max_value=66)
+SMALL = st.integers(min_value=-2, max_value=64)
 
 SEQUENCES = st.fixed_dictionaries({"values": st.lists(st.integers(min_value=-5, max_value=10**30) | SCALARS, max_size=12)})
 POSETS = st.fixed_dictionaries(

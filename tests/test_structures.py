@@ -367,11 +367,11 @@ def _tuple_colour_keys(s, colors):
 
 
 def test_refinement_kernel_matches_iterated_refinement():
-    """From the unit colouring, and from its first cell of two or more
-    points with the least or the greatest point individualised, the
-    incremental kernel stops at the
-    partition iterated refinement reaches; every cell is equitable, and
-    every colour is the number of points in earlier cells."""
+    """From the unit colouring, and from its refinement with the least or
+    the greatest point of the first cell of two or more individualised, the
+    incremental kernel stops at the partition iterated refinement reaches;
+    every cell is equitable, and every colour is the number of points in
+    earlier cells."""
     corpus = _refinement_corpus()
     assert len(corpus) > 500
     for s in corpus:
