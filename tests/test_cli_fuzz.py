@@ -27,7 +27,9 @@ ANY_JSON = st.recursive(
 )
 SMALL = st.integers(min_value=-2, max_value=64)
 
-SEQUENCES = st.fixed_dictionaries({"values": st.lists(st.integers(min_value=-5, max_value=10**30) | SCALARS, max_size=12)})
+SEQUENCES = st.fixed_dictionaries(
+    {"values": st.lists(st.integers(min_value=-5, max_value=10**30) | SCALARS, max_size=12)}
+)
 POSETS = st.fixed_dictionaries(
     {
         "size": SMALL | SCALARS,
@@ -38,24 +40,32 @@ FRAGMENTS = st.fixed_dictionaries(
     {
         "fragments": st.lists(
             st.fixed_dictionaries(
-                {"id": st.text(max_size=3) | SCALARS, "elements": st.lists(st.integers(0, 12) | SCALARS, max_size=8) | ANY_JSON}
+                {
+                    "id": st.text(max_size=3) | SCALARS,
+                    "elements": st.lists(st.integers(0, 12) | SCALARS, max_size=8) | ANY_JSON,
+                }
             ),
             max_size=50,
         )
     }
 )
-
-
-def _text(payload):
-    return payload if isinstance(payload, (str, bytes)) else json.dumps(payload)
+# written as they are: raw text and bytes, and arrays nested up to 10**5 deep
+RAW = (
+    st.text(max_size=20)
+    | st.binary(max_size=20)
+    | st.integers(min_value=1, max_value=10**5).map(lambda depth: "[" * depth + "]" * depth)
+)
 
 
 def _run(argv, payload):
+    if not isinstance(payload, (str, bytes)):
+        payload = json.dumps(payload)
+    if isinstance(payload, str):
+        payload = payload.encode("utf-8", "surrogatepass")
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "input.json")
-        data = _text(payload)
         with open(path, "wb") as fh:
-            fh.write(data if isinstance(data, bytes) else data.encode("utf-8", "surrogatepass"))
+            fh.write(payload)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([*argv, path])
@@ -67,28 +77,19 @@ def _run(argv, payload):
         assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
 
 
-# raw text and bytes, any JSON value, and arrays nested up to 10**5 deep
-RAW = (
-    st.text(max_size=20)
-    | st.binary(max_size=20)
-    | ANY_JSON
-    | st.integers(min_value=1, max_value=10**5).map(lambda depth: "[" * depth + "]" * depth)
-)
-
-
-@given(SEQUENCES | RAW)
-@settings(max_examples=80, deadline=None)
+@given(SEQUENCES | ANY_JSON | RAW)
+@settings(max_examples=60, deadline=None)
 def test_growth_file_exits_cleanly(payload):
     _run(["growth", "--file"], payload)
 
 
-@given(POSETS | RAW)
-@settings(max_examples=80, deadline=None)
+@given(POSETS | ANY_JSON | RAW)
+@settings(max_examples=60, deadline=None)
 def test_linearize_in_exits_cleanly(payload):
     _run(["linearize", "--in"], payload)
 
 
-@given(FRAGMENTS | RAW)
-@settings(max_examples=80, deadline=None)
+@given(FRAGMENTS | ANY_JSON | RAW)
+@settings(max_examples=60, deadline=None)
 def test_glue_in_exits_cleanly(payload):
     _run(["glue", "--in"], payload)
