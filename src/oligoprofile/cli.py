@@ -40,10 +40,12 @@ def _json_text(payload) -> str:
 
 
 def _load_json(path: str) -> dict:
+    # ValueError covers bad syntax, bytes that are not UTF-8 and integers
+    # past the interpreter's digit limit
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except RecursionError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ParameterError(f"invalid JSON input: {exc}") from None
 
 
@@ -65,9 +67,12 @@ def _growth_values(args) -> list[int]:
     if args.file is not None:
         payload = _load_json(args.file)
         try:
-            return [int(v) for v in payload["values"]]
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            values = payload["values"]
+        except (KeyError, TypeError) as exc:
             raise ParameterError(f"malformed sequence file: {exc}") from None
+        if not isinstance(values, list) or any(type(v) is not int for v in values):
+            raise ParameterError("malformed sequence file: values must be a list of integers")
+        return values
     entry = get_entry(args.entry)
     if entry.predictor is not None:
         return [age_predictor(entry, n) for n in range(1, args.n_max + 1)]
@@ -218,9 +223,6 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        print(f"error: invalid JSON input: {exc}", file=sys.stderr)
         return 1
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:

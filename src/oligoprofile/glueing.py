@@ -388,18 +388,20 @@ def fragments_to_json_dict(fragments: Sequence[OrderFragment]) -> dict:
 
 
 def fragments_from_json_dict(payload: dict) -> tuple[OrderFragment, ...]:
+    out = []
     try:
-        rows = payload["fragments"]
-        out = tuple(
-            OrderFragment(
-                fragment_id=str(row["id"]),
-                elements=tuple(row["elements"]),
-            )
-            for row in rows
-        )
+        for row in payload["fragments"]:
+            fragment_id, elements = str(row["id"]), row["elements"]
+            if not isinstance(elements, list):
+                raise TypeError(f"fragment {fragment_id!r} elements are not a list")
+            out.append(OrderFragment(fragment_id=fragment_id, elements=tuple(elements)))
     except (KeyError, TypeError) as exc:
         raise ParameterError(f"malformed fragments payload: {exc}") from None
-    return out
+    return tuple(out)
+
+
+# Longest window either sampler draws.
+_MAX_LEN = 12
 
 
 def _next_overlap(rng: random.Random, prev_len: int) -> int:
@@ -408,102 +410,77 @@ def _next_overlap(rng: random.Random, prev_len: int) -> int:
     return rng.randint(2, min(4, prev_len - 1))
 
 
-def _window_spans(size: int, rng: random.Random, max_len: int) -> list[tuple[int, int]]:
-    """Covering windows over 0..size-1: starts and ends both increase,
-    consecutive windows share at least two positions."""
-    spans = [(0, rng.randint(3, min(size, max_len)))]
-    while spans[-1][1] < size:
-        s_prev, e_prev = spans[-1]
-        overlap = _next_overlap(rng, e_prev - s_prev)
-        start = e_prev - overlap
-        remaining = size - start
-        if remaining <= max_len:
-            length = remaining
-        else:
-            length = rng.randint(max(3, overlap + 1), max_len)
-        spans.append((start, start + length))
-    return spans
-
-
-def _try_arc_spans(size: int, rng: random.Random, max_len: int) -> list[tuple[int, int]] | None:
-    """One attempt at covering arcs: a single lap plus a final arc that
-    wraps into the first one. None when the draw paints itself into a
-    corner; the caller resamples."""
-    arc_cap = min(max_len, size - 2)
-    first_len = rng.randint(3, arc_cap)
-    wrap = rng.randint(2, first_len - 1) if first_len > 3 else 2
-    target = size + wrap
-    spans = [(0, first_len)]
+def _march(
+    rng: random.Random, first: int, target: int, cap: int, size: int
+) -> list[tuple[int, int]] | None:
+    """Windows from (0, first) until one ends at target, each overlapping
+    the last by two to four positions: the rest up to target when that
+    fits under cap, else a drawn length ending within 0..size. None when
+    no length fits; the caller resamples."""
+    spans = [(0, first)]
     while spans[-1][1] < target:
         s_prev, e_prev = spans[-1]
         overlap = _next_overlap(rng, e_prev - s_prev)
         start = e_prev - overlap
-        remaining = target - start
-        if remaining <= arc_cap:
-            length = remaining
+        if target - start <= cap:
+            length = target - start
         else:
-            hi = min(arc_cap, size - start)
-            lo = max(3, overlap + 1)
+            lo, hi = max(3, overlap + 1), min(cap, size - start)
             if hi < lo:
                 return None
             length = rng.randint(lo, hi)
         spans.append((start, start + length))
-        if len(spans) > size:
-            return None
-    if len(spans) < 2 or wrap >= spans[1][0]:
-        return None
-    if any(e > size for _, e in spans[:-1]):
+    return spans
+
+
+def _try_arc_spans(size: int, rng: random.Random) -> list[tuple[int, int]] | None:
+    """One attempt at covering arcs: a single lap plus a final arc that
+    wraps into the first one. None when the draw paints itself into a
+    corner; the caller resamples."""
+    cap = min(_MAX_LEN, size - 2)
+    first = rng.randint(3, cap)
+    wrap = rng.randint(2, first - 1) if first > 3 else 2
+    spans = _march(rng, first, size + wrap, cap, size)
+    if spans is None or wrap >= spans[1][0]:
         return None
     return spans
 
 
 def sample_linear_fragments(
-    size: int, seed: int, max_len: int = 12
+    size: int, seed: int
 ) -> tuple[tuple[Element, ...], tuple[OrderFragment, ...]]:
     """A hidden shuffled line plus covering windows in random directions."""
     if size < 3:
         raise ParameterError(f"linear sampling needs size >= 3, got {size}")
-    if max_len < 5:
-        raise ParameterError(f"max_len must be >= 5, got {max_len}")
     rng = random.Random(seed)
     hidden = list(range(size))
     rng.shuffle(hidden)
-    spans = _window_spans(size, rng, max_len)
+    # a drawn length has hi == _MAX_LEN >= lo here, so the march never fails
+    spans = _march(rng, rng.randint(3, min(size, _MAX_LEN)), size, _MAX_LEN, size)
     return tuple(hidden), _spans_to_fragments(hidden, spans, rng, wrap=0)
 
 
 def sample_circular_fragments(
-    size: int, seed: int, max_len: int = 12
+    size: int, seed: int
 ) -> tuple[tuple[Element, ...], tuple[OrderFragment, ...]]:
     """A hidden shuffled cycle plus covering arcs in random directions.
 
     Arcs march once around the circle and the last one wraps into the
-    first, so the overlap chain closes and the period equals size.
-    Draws whose arcs nest (and so cannot come from window sampling)
-    are rejected and retried.
+    first, so the overlap chain closes and the period equals size. A draw
+    is retried, up to 200 times, when a window near the end of the lap
+    has no length that fits, or when the last arc wraps as far as the
+    second one's start. Every draw kept glues: two arcs meet only head to
+    tail, except the last and the first, which may also meet at both ends.
     """
     if size < 8:
         raise ParameterError(f"circular sampling needs size >= 8, got {size}")
-    if max_len < 5:
-        raise ParameterError(f"max_len must be >= 5, got {max_len}")
     rng = random.Random(seed)
     hidden = list(range(size))
     rng.shuffle(hidden)
-    circle = hidden + hidden
     for _ in range(200):
-        spans = _try_arc_spans(size, rng, max_len)
-        if spans is None:
-            continue
-        probes = [
-            OrderFragment(fragment_id=f"p{i}", elements=tuple(circle[s:e]))
-            for i, (s, e) in enumerate(spans)
-        ]
-        try:
-            for i, j in _overlapping_pairs(probes):
-                classify_overlap(probes[i], probes[j])
-        except FragmentPairError:
-            continue
-        return tuple(hidden), _spans_to_fragments(circle, spans, rng, wrap=size)
+        spans = _try_arc_spans(size, rng)
+        if spans is not None:
+            return tuple(hidden), _spans_to_fragments(hidden + hidden, spans, rng, wrap=size)
     raise ParameterError(f"no valid arc covering of size {size} found")
 
 

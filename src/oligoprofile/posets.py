@@ -87,12 +87,13 @@ class FinitePoset:
     def __post_init__(self) -> None:
         if self.size < 1:
             raise DomainError(f"poset size must be >= 1, got {self.size}")
-        object.__setattr__(self, "leq", frozenset(self.leq))
+        # checked before the set merges equal pairs, such as (True, 1) into (1, 1)
         for pair in self.leq:
             if len(pair) != 2 or not all(
-                isinstance(v, int) and 0 <= v < self.size for v in pair
+                type(v) is int and 0 <= v < self.size for v in pair
             ):
                 raise DomainError(f"bad pair {pair!r} for size {self.size}")
+        object.__setattr__(self, "leq", frozenset(self.leq))
         self._set_masks(_masks(self.size, self.leq))
         self._check_order()
 
@@ -148,16 +149,17 @@ class FinitePoset:
     @classmethod
     def from_json_dict(cls, payload: dict) -> "FinitePoset":
         try:
-            size = int(payload["size"])
-            pairs = {(int(a), int(b)) for a, b in payload["leq"]}
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            size = payload["size"]
+            pairs = [tuple(pair) for pair in payload["leq"]]
+        except (KeyError, TypeError) as exc:
             raise DomainError(f"malformed poset payload: {exc}") from None
+        if type(size) is not int:
+            raise DomainError(f"malformed poset payload: size {size!r} is not an integer")
         if size > _MAX_JSON_POSET_SIZE:
             raise DomainError(
                 f"poset size {size} exceeds the cap of {_MAX_JSON_POSET_SIZE}"
             )
-        pairs.update((x, x) for x in range(size))
-        return cls(size=size, leq=frozenset(pairs))
+        return cls(size=size, leq=pairs + [(x, x) for x in range(size)])
 
     def to_json_dict(self) -> dict:
         strict = sorted(p for p in self.leq if p[0] != p[1])

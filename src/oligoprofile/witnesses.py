@@ -6,6 +6,8 @@ marked points on a chain, and compositions as layer sizes of a stacked
 antichain poset. Each family carries a decoder that recovers the index
 object from the isomorphism type alone, so the counting argument can be
 checked by machine: distinct indices decode from distinct members.
+Each constructor refuses a scaffold of more than 256 points, or a family
+of more than 2**15 members, with ResourceError before building anything.
 """
 
 from __future__ import annotations
@@ -148,6 +150,27 @@ def decode_antichain(member: FiniteStructure) -> IndexObject:
     return tuple(groups[i] for i in range(max(depth) + 1))
 
 
+# Largest family and scaffold a constructor makes; members are verified pairwise.
+_MAX_MEMBERS = 2**15
+_MAX_SCAFFOLD_POINTS = 256
+
+
+def _refuse_past_caps(construction_id: str, n: int, points: int, members: Callable[[], int]) -> None:
+    """Raise ResourceError for a scaffold of more than 256 points, then for
+    more than 2**15 members, before anything is built. The scaffold check
+    comes first and bounds n, so every closed-form member count is cheap."""
+    if points > _MAX_SCAFFOLD_POINTS:
+        raise ResourceError(
+            f"{construction_id} at n={n} needs {points} scaffold points,"
+            f" over the cap of {_MAX_SCAFFOLD_POINTS}"
+        )
+    count = members()
+    if count > _MAX_MEMBERS:
+        raise ResourceError(
+            f"{construction_id} at n={n} has {count} members, over the cap of {_MAX_MEMBERS}"
+        )
+
+
 def _family(
     construction_id: str,
     n: int,
@@ -181,6 +204,7 @@ def composition_witness(n: int, max_part: int) -> WitnessFamily:
     if max_part < 1:
         raise ParameterError(f"max_part must be >= 1, got {max_part}")
     max_part = min(max_part, n)
+    _refuse_past_caps("composition", n, n * max_part, lambda: compositions_count(n, max_part))
     scaffold = sample_model(f"fibered_order:{max_part}", n * max_part)
     return _family(
         "composition", n, scaffold, compositions(n, max_part), _block_prefixes(max_part),
@@ -198,6 +222,7 @@ def binary_pattern_witness(n: int) -> WitnessFamily:
     """
     if n < 1:
         raise ParameterError(f"binary_pattern_witness needs n >= 1, got {n}")
+    _refuse_past_caps("binary_pattern", n, 2 * n, lambda: 2**n)
     scaffold = FiniteStructure._evaluated(SIG_MARKED_ORDER, 2 * n, (le, lambda x: x % 2 == 0))
     return _family(
         "binary_pattern", n, scaffold, product((0, 1), repeat=n),
@@ -216,6 +241,7 @@ def antichain_witness(n: int) -> WitnessFamily:
     """
     if n < 1:
         raise ParameterError(f"antichain_witness needs n >= 1, got {n}")
+    _refuse_past_caps("antichain", n, n * n, lambda: 2 ** (n - 1))
     scaffold = FiniteStructure._evaluated(
         SIG_ORDER, n * n, (lambda x, y: x == y or (x % n == 0 and x // n < y // n),)
     )
@@ -235,44 +261,14 @@ def construction_ids() -> tuple[str, ...]:
     return tuple(_CONSTRUCTIONS)
 
 
-# Largest family and scaffold build_family makes; members are verified pairwise.
-_MAX_MEMBERS = 2**15
-_MAX_SCAFFOLD_POINTS = 256
-
-
 def build_family(construction_id: str, n: int, max_part: int | None = None) -> WitnessFamily:
-    """Dispatch by construction name; max_part applies to composition only.
-
-    A family of more than 2**15 members, or on a scaffold of more than 256
-    points, raises ResourceError before anything is built. Both sizes come
-    from closed forms, the scaffold first, which bounds n for the counts.
-    """
+    """Dispatch by construction name; max_part applies to composition only."""
     if construction_id == "composition":
-        max_part = n if max_part is None else max_part
-    elif max_part is not None:
+        return composition_witness(n, n if max_part is None else max_part)
+    if max_part is not None:
         raise ParameterError(f"{construction_id!r} takes no max_part")
-    elif construction_id not in _CONSTRUCTIONS:
+    if construction_id not in _CONSTRUCTIONS:
         raise ParameterError(f"unknown construction {construction_id!r}")
-    if n >= 1 and (max_part is None or max_part >= 1):
-        part = min(max_part or n, n)
-        points = {"composition": n * part, "binary_pattern": 2 * n, "antichain": n * n}
-        if points[construction_id] > _MAX_SCAFFOLD_POINTS:
-            raise ResourceError(
-                f"{construction_id} at n={n} needs {points[construction_id]} scaffold points,"
-                f" over the cap of {_MAX_SCAFFOLD_POINTS}"
-            )
-        # n <= 256 here, so every closed form is cheap
-        members = {
-            "composition": compositions_count(n, part),
-            "binary_pattern": 2**n,
-            "antichain": 2 ** (n - 1),
-        }[construction_id]
-        if members > _MAX_MEMBERS:
-            raise ResourceError(
-                f"{construction_id} at n={n} has {members} members, over the cap of {_MAX_MEMBERS}"
-            )
-    if construction_id == "composition":
-        return composition_witness(n, max_part)
     return _CONSTRUCTIONS[construction_id](n)
 
 

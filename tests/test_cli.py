@@ -299,6 +299,13 @@ def test_nonpositive_budget_and_jobs_exit_one(capsys, argv):
     [
         (["growth", "--file"], '{"values": [1e400, 2, 3]}'),
         (["linearize", "--in"], '{"size": 1e400, "leq": []}'),
+        # values that would coerce to integers or element lists are refused
+        (["growth", "--file"], '{"values": [true, 2.9, "7"]}'),
+        (["linearize", "--in"], '{"size": 3, "leq": ["12"]}'),
+        (["linearize", "--in"], '{"size": 2, "leq": [[1, 1], [1, true]]}'),
+        (["glue", "--in"], '{"fragments": [{"id": "a", "elements": "abcd"}]}'),
+        # an integer past the interpreter's digit limit fails in the decoder
+        (["growth", "--file"], '{"values": [' + "1" * 5000 + "]}"),
     ],
 )
 def test_infinite_json_number_exits_one(capsys, tmp_path, argv, payload):

@@ -382,3 +382,21 @@ def test_cli_glue_stdout_is_pinned(capsys, tmp_path, sampler, size, seed, digest
     captured = capsys.readouterr()
     assert captured.err == ""
     assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+
+
+def test_sampler_outputs_are_pinned():
+    """One sha256 over both samplers' (hidden, fragments) outputs, or the
+    ParameterError text where a sampler refuses the size, so no draw of
+    either sampler can drift."""
+    digest = hashlib.sha256()
+    cases = [(size, seed) for size in range(3, 41) for seed in range(10)]
+    cases += [(size, seed) for size in (1000, 3000) for seed in range(3)]
+    for sampler in (sample_linear_fragments, sample_circular_fragments):
+        for size, seed in cases:
+            try:
+                hidden, fragments = sampler(size, seed)
+                text = json.dumps([hidden, fragments_to_json_dict(fragments)])
+            except ParameterError as exc:
+                text = str(exc)
+            digest.update(text.encode())
+    assert digest.hexdigest() == "e85ed0597745de554ba29f68d759a4f36667edf0f90f7b6f2b48659e1860dbf6"

@@ -246,6 +246,14 @@ def test_max_part_past_n_gives_the_same_family():
 )
 def test_build_family_refuses_past_the_caps(construction, n, max_part):
     """One size past the member cap per construction, and scaffolds past the
-    point cap: all refused from closed forms before anything is built."""
+    point cap: all refused from closed forms before anything is built, by
+    build_family and by the constructor itself."""
     with pytest.raises(ResourceError, match="over the cap"):
         build_family(construction, n, max_part)
+    constructor = {
+        "composition": lambda: composition_witness(n, n if max_part is None else max_part),
+        "binary_pattern": lambda: binary_pattern_witness(n),
+        "antichain": lambda: antichain_witness(n),
+    }[construction]
+    with pytest.raises(ResourceError, match="over the cap"):
+        constructor()
