@@ -37,12 +37,11 @@ reached is extended. The contract: for any two prefixes with the same
 state, every key that some extension of the later prefix reaches is also
 reached by an extension of the first. A state that determines the states of
 all extensions, and with them the key, satisfies it; so does the prefix
-itself, which is the state used when an entry has no step.
+itself.
 
 The key maps the state of a whole n-subset to a hashable value such that
 subsets with equal keys induce substructures with equal canonical codes, and
-the engine keeps the first subset per key. An entry without a key uses the
-identity: the state is the key. Keys only collapse duplicate
+the engine keeps the first subset per key. Keys only collapse duplicate
 canonicalisation work; counting still happens on canonical codes of
 per-key representatives. For the order reducts the induced literal
 structure of a sorted subset is independent of the subset (the defining
@@ -90,8 +89,7 @@ class CatalogueEntry:
     predictor(n) gives the expected number of n-point classes, None when no
     closed form is part of the family. subset_key_factory(model) and
     subset_step_factory(model) return the key and the prefix step of the
-    module docstring; None means the identity key and the prefix itself as
-    the state, which canonicalises every subset.
+    module docstring.
     """
 
     entry_id: str
@@ -99,8 +97,8 @@ class CatalogueEntry:
     sampler: Callable[[int], FiniteStructure]
     predictor: Callable[[int], int] | None
     saturation_rule: Callable[[int], int]
-    subset_key_factory: Callable[[FiniteStructure], SubsetKey] | None
-    subset_step_factory: Callable[[FiniteStructure], SubsetStep] | None = None
+    subset_key_factory: Callable[[FiniteStructure], SubsetKey]
+    subset_step_factory: Callable[[FiniteStructure], SubsetStep]
 
 
 def _at_least(entry_id: str, least: int, size: int) -> int:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .catalogue import age_predictor, get_entry, list_entry_ids
@@ -21,14 +20,6 @@ from .growth import constants_table, growth_estimate
 from .posets import FinitePoset, linearize
 from .profiles import DEFAULT_BUDGET, profile
 from .witnesses import build_family, construction_ids, verify_pairwise_nonisomorphic
-
-
-def _env_jobs() -> int:
-    raw = os.environ.get("OLIGO_JOBS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _real(x: float) -> float:
@@ -104,7 +95,7 @@ def _cmd_growth(args) -> str:
 
 def _cmd_witness(args) -> str:
     family = build_family(args.construction, args.n, args.max_part)
-    report = verify_pairwise_nonisomorphic(family, jobs=args.jobs)
+    report = verify_pairwise_nonisomorphic(family)
     return _json_text(
         {"family": family.to_json_dict(), "report": report.to_json_dict()}
     )
@@ -153,8 +144,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=0, help="accepted and ignored: every command is deterministic"
     )
     common.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker processes for witness verification; defaults to OLIGO_JOBS or 1",
+        "--jobs", type=int, help="accepted and ignored: every command runs in one process"
     )
     common.add_argument(
         "--budget", type=int, default=DEFAULT_BUDGET,
@@ -210,13 +200,9 @@ def main(argv=None) -> int:
     if args.command == "growth" and (args.entry is None) == (args.file is None):
         print("error: growth needs exactly one of <entry> or --file", file=sys.stderr)
         return 2
-    if args.jobs is None:
-        args.jobs = _env_jobs()
     try:
         if args.budget < 1:
             raise ParameterError(f"budget must be > 0, got {args.budget}")
-        if args.jobs < 1:
-            raise ParameterError(f"jobs must be > 0, got {args.jobs}")
         text = _HANDLERS[args.command](args)
     except OligoError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -391,7 +391,9 @@ def fragments_from_json_dict(payload: dict) -> tuple[OrderFragment, ...]:
     out = []
     try:
         for row in payload["fragments"]:
-            fragment_id, elements = str(row["id"]), row["elements"]
+            fragment_id, elements = row["id"], row["elements"]
+            if type(fragment_id) is not str:
+                raise TypeError(f"fragment id {fragment_id!r} is not a string")
             if not isinstance(elements, list):
                 raise TypeError(f"fragment {fragment_id!r} elements are not a list")
             out.append(OrderFragment(fragment_id=fragment_id, elements=tuple(elements)))

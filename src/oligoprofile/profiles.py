@@ -11,9 +11,7 @@ Subsets are enumerated as a frontier of sorted prefixes, one level per
 length. Each level maps a prefix state (the entry's subset step, see
 catalogue) to the first prefix that reached it, and only that prefix is
 extended; the last level maps the entry's key of each extension's state to
-the first subset that reached it. Without a step the state is the prefix
-itself, and without a key the state is the key, so an entry with neither
-canonicalises every subset.
+the first subset that reached it.
 
 Counting never trusts the dedup key alone: keys only pick one
 representative subset per key, canonical codes of the representatives are
@@ -36,14 +34,6 @@ from .errors import ParameterError, ResourceError, SaturationError
 from .structures import canonical_form, induced_substructure, structure_encoding
 
 DEFAULT_BUDGET = 10_000_000
-
-
-def _prefix_step(state: tuple[int, ...], last: int | None, e: int) -> tuple[int, ...]:
-    return state + (e,)
-
-
-def _identity(state: object) -> object:
-    return state
 
 
 @dataclass(frozen=True)
@@ -77,11 +67,18 @@ class ProfileSequence:
 
     @classmethod
     def from_json_dict(cls, data) -> "ProfileSequence":
-        return cls(
-            str(data["entry"]),
-            tuple(int(v) for v in data["values"]),
-            tuple(int(s) for s in data["saturated_at"]),
-        )
+        try:
+            entry_id, values, sat = data["entry"], data["values"], data["saturated_at"]
+        except (KeyError, TypeError) as exc:
+            raise ParameterError(f"malformed profile JSON: {exc}") from None
+        if type(entry_id) is not str or any(
+            type(seq) is not list or any(type(x) is not int for x in seq) for seq in (values, sat)
+        ):
+            raise ParameterError(
+                "malformed profile JSON: entry must be a string, and values and"
+                " saturated_at lists of integers"
+            )
+        return cls(entry_id, tuple(values), tuple(sat))
 
 
 class _ClassCounter:
@@ -102,8 +99,8 @@ class _ClassCounter:
     def _representatives(self, model, n: int) -> dict:
         """Key -> the first n-subset with that key the frontier reaches."""
         entry = self.entry
-        key = entry.subset_key_factory(model) if entry.subset_key_factory else _identity
-        step = entry.subset_step_factory(model) if entry.subset_step_factory else _prefix_step
+        key = entry.subset_key_factory(model)
+        step = entry.subset_step_factory(model)
         size = model.size
         level: dict = {(): ()}
         for todo in range(n, 0, -1):

@@ -184,12 +184,22 @@ class FiniteStructure:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "FiniteStructure":
         try:
-            sig = Signature(tuple((str(n), int(a)) for n, a in data["signature"]))
-            size = int(data["size"])
-            tuples = {str(k): [tuple(int(x) for x in t) for t in v] for k, v in data["tuples"].items()}
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ParameterError(f"malformed structure JSON: {exc}") from exc
-        return cls.build(sig, size, tuples)
+            relations = tuple((name, arity) for name, arity in data["signature"])
+            size = data["size"]
+            tuples = {k: [tuple(t) for t in v] for k, v in data["tuples"].items()}
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise ParameterError(f"malformed structure JSON: {exc}") from None
+        # the constructor checks ranges, not types, and would take True as 1
+        for name, arity in relations:
+            if type(name) is not str or type(arity) is not int:
+                raise ParameterError(
+                    f"malformed structure JSON: relation {[name, arity]!r} needs"
+                    " a string name and an integer arity"
+                )
+        entries = chain.from_iterable(chain.from_iterable(tuples.values()))
+        if any(type(x) is not int for x in chain((size,), entries)):
+            raise ParameterError("malformed structure JSON: size and tuple entries must be integers")
+        return cls.build(Signature(relations), size, tuples)
 
 
 def induced_substructure(model: FiniteStructure, subset: Sequence[int]) -> FiniteStructure:

@@ -13,7 +13,6 @@ of more than 2**15 members, with ResourceError before building anything.
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations, product
 from operator import le
@@ -272,13 +271,9 @@ def build_family(construction_id: str, n: int, max_part: int | None = None) -> W
     return _CONSTRUCTIONS[construction_id](n)
 
 
-def verify_pairwise_nonisomorphic(family: WitnessFamily, jobs: int = 1) -> CollisionReport:
+def verify_pairwise_nonisomorphic(family: WitnessFamily) -> CollisionReport:
     """Compare canonical codes of all members and report coinciding pairs."""
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            codes = list(pool.map(canonical_form, family.members, chunksize=8))
-    else:
-        codes = [canonical_form(m) for m in family.members]
+    codes = [canonical_form(m) for m in family.members]
     by_code: dict[bytes, list[int]] = {}
     for idx, code in enumerate(codes):
         by_code.setdefault(code, []).append(idx)

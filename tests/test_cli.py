@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -52,15 +56,25 @@ def test_profile_runs_are_byte_identical(capsys):
 
 
 def test_profile_jobs_do_not_change_output(capsys):
-    _, serial, _ = run_cli(capsys, "profile", "dlo", "--n-max", "4")
-    _, parallel, _ = run_cli(capsys, "profile", "dlo", "--n-max", "4", "--jobs", "2")
-    assert serial == parallel
+    for argv in (["profile", "dlo", "--n-max", "4"], ["witness", "antichain", "--n", "4"]):
+        _, plain, _ = run_cli(capsys, *argv)
+        _, with_jobs, _ = run_cli(capsys, *argv, "--jobs", "2")
+        assert plain == with_jobs
 
 
-def test_jobs_env_variable_is_honoured(capsys, monkeypatch):
-    monkeypatch.setenv("OLIGO_JOBS", "2")
-    _, out, _ = run_cli(capsys, "profile", "dlo", "--n-max", "3")
-    assert out == "n,f_n,saturated_at\n1,1,5\n2,1,7\n3,1,9\n"
+def test_cli_import_loads_no_process_pool():
+    """The package runs in one process, so no interpreter pays for the pool imports."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    probe = (
+        "import oligoprofile.cli, sys; "
+        "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
 
 
 def test_out_file_replaces_stdout(capsys, tmp_path):
@@ -284,14 +298,21 @@ def test_budget_failure_exits_one(capsys):
         ["profile", "dlo", "--n-max", "2"],
         ["growth", "dlo"],
         ["witness", "binary_pattern", "--n", "2"],
-        ["linearize", "--in", "/no/such/poset.json"],
-        ["glue", "--in", "/no/such/fragments.json"],
+        ["linearize", "--in", "poset.json"],
+        ["glue", "--in", "fragments.json"],
         ["constants"],
     ],
 )
-def test_nonpositive_budget_and_jobs_exit_one(capsys, argv):
+def test_nonpositive_budget_exits_one_and_jobs_is_ignored(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "poset.json").write_text('{"size": 2, "leq": [[0, 1]]}')
+    (tmp_path / "fragments.json").write_text('{"fragments": [{"id": "a", "elements": [1, 2]}]}')
     assert run_cli(capsys, *argv, "--budget", "0") == (1, "", "error: budget must be > 0, got 0\n")
-    assert run_cli(capsys, *argv, "--jobs", "0") == (1, "", "error: jobs must be > 0, got 0\n")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    for jobs in ("0", "-3", "2"):
+        assert run_cli(capsys, *argv, "--jobs", jobs) == (0, out, "")
+    assert run_cli(capsys, *argv, "--jobs", "x")[0] == 2
 
 
 @pytest.mark.parametrize(
@@ -306,6 +327,11 @@ def test_nonpositive_budget_and_jobs_exit_one(capsys, argv):
         (["glue", "--in"], '{"fragments": [{"id": "a", "elements": "abcd"}]}'),
         # an integer past the interpreter's digit limit fails in the decoder
         (["growth", "--file"], '{"values": [' + "1" * 5000 + "]}"),
+        # fragment ids must be strings, not values that print as "True" and "None"
+        (
+            ["glue", "--in"],
+            '{"fragments": [{"id": true, "elements": [1, 2]}, {"id": null, "elements": [2, 3]}]}',
+        ),
     ],
 )
 def test_infinite_json_number_exits_one(capsys, tmp_path, argv, payload):

@@ -118,6 +118,15 @@ def test_class_codes_against_generic_subset_count():
         assert len(class_codes(entry, 8, n)) == subset_classes(model, n)
 
 
+def _prefix_steps(model):
+    # the prefix itself is the state: every subset is canonicalised
+    return lambda state, last, e: state + (e,)
+
+
+def _identity_keys(model):
+    return lambda state: state
+
+
 def test_unstable_counts_raise_saturation_error():
     # one marked point appears only at sample size 5, so counts go 1, 2, 1
     sig = signature(("mark", 1))
@@ -132,7 +141,8 @@ def test_unstable_counts_raise_saturation_error():
         sampler=sampler,
         predictor=None,
         saturation_rule=lambda n: 3,
-        subset_key_factory=None,
+        subset_key_factory=_identity_keys,
+        subset_step_factory=_prefix_steps,
     )
     with pytest.raises(SaturationError):
         profile(entry, 1)
@@ -146,7 +156,7 @@ def _swapping_entry(labels):
         rel = labels[size]
         return FiniteStructure.build(sig, size, {rel: {(e,) for e in range(size)}})
 
-    return CatalogueEntry("swap", sig, sampler, None, lambda n: 3, None)
+    return CatalogueEntry("swap", sig, sampler, None, lambda n: 3, _identity_keys, _prefix_steps)
 
 
 def test_equal_counts_with_different_codes_are_rechecked():
@@ -292,6 +302,18 @@ def test_profile_sequence_csv_layout():
 def test_profile_sequence_json_round_trip():
     seq = profile("tree_c", 4)
     assert ProfileSequence.from_json_dict(seq.to_json_dict()) == seq
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"entry": 5, "values": [True, "2"], "saturated_at": [2.7, "3"]},
+        {"values": []},
+    ],
+)
+def test_profile_sequence_json_rejects_malformed(data):
+    with pytest.raises(ParameterError, match="malformed profile JSON"):
+        ProfileSequence.from_json_dict(data)
 
 
 @settings(deadline=None)

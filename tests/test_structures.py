@@ -159,6 +159,12 @@ def test_from_json_rejects_garbage():
         FiniteStructure.from_json_dict({"size": 2})
 
 
+def test_from_json_rejects_values_it_used_to_coerce():
+    data = {"signature": [["e", 2.9]], "size": "3", "tuples": {"e": [[True, "2"]]}}
+    with pytest.raises(ParameterError, match="malformed structure JSON"):
+        FiniteStructure.from_json_dict(data)
+
+
 def test_from_json_rejects_infinite_arity():
     data = json.loads('{"signature": [["edge", 1e400]], "size": 2, "tuples": {}}')
     with pytest.raises(ParameterError, match="malformed structure JSON"):

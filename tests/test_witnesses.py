@@ -164,11 +164,6 @@ def test_collision_report_names_the_exact_pair():
     assert report.to_json_dict()["collisions"] == [[2, len(fam.members)]]
 
 
-def test_parallel_verification_agrees():
-    fam = antichain_witness(4)
-    assert verify_pairwise_nonisomorphic(fam, jobs=2) == verify_pairwise_nonisomorphic(fam)
-
-
 def test_binary_pattern_scaffold_age_is_exactly_the_family():
     """Every n-subset of the marked chain lands in one of the 2^n classes."""
     for n in range(1, 6):
