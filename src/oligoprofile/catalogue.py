@@ -46,11 +46,28 @@ canonicalisation work; counting still happens on canonical codes of
 per-key representatives. For the order reducts the induced literal
 structure of a sorted subset is independent of the subset (the defining
 formulas only compare arguments), so state and key are constant.
+
+local_order keys the cyclic out-degree sequence: point i of a subset beats
+the next d_i subset points round the circle, so the sequence fixes the
+induced tournament, and its least rotation (which starts at a minimum) is
+the key. It has one key per class at every size tested. Its state rests on
+one fact: of two points p < q, p beats q iff q - p <= (N-1)/2. A point more
+than half a circle behind the last point is frozen, since every later point
+beats it; the state keeps its final out-degree. Every other point is live:
+every later point that keeps it live loses to it, so its out-degree minus
+the point count never changes, and the state keeps that with the point's
+position from the first point. The last point is live, so its position is
+the span. A new point beats exactly the frozen points. Translates share a
+state, and the state fixes the state of every extension by the same steps
+e - last. Of the prefixes sharing a state the first reached starts, and so
+ends, lowest (the span is part of the state), so its extensions cover
+every key that the others reach.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from operator import itemgetter, le
 from typing import Callable
@@ -203,30 +220,35 @@ _const_key_factory = _any_model(lambda state: ())
 _const_step_factory = _any_model(lambda state, last, e: ())
 
 
-def _local_order_key_factory(model: FiniteStructure) -> SubsetKey:
-    # The gap vector, closed around the cycle and minimised over rotations:
-    # translation is an automorphism of the circulant, so equal keys give
-    # isomorphic induced tournaments.
-    n = model.size
+def _out_degree_step_factory(model: FiniteStructure) -> SubsetStep:
+    # State: the final out-degrees of the frozen points, the positions of
+    # the live points from the first point, and their out-degrees minus the
+    # point count (see the module docstring).
+    half = (model.size - 1) // 2
 
-    def key(gaps: tuple[int, ...]) -> object:
-        gaps += (n - sum(gaps),)
-        best = gaps
-        for r in range(1, len(gaps)):
-            rot = gaps[r:] + gaps[:r]
-            if rot < best:
-                best = rot
-        return best
+    def step(state: object, last: int | None, e: int) -> object:
+        if last is None:
+            return (), (0,), (-1,)
+        frozen, pos, deg = state
+        span = pos[-1] + e - last
+        count = len(frozen) + len(pos)
+        # the points more than half a circle behind e freeze
+        cut = bisect_left(pos, span - half)
+        if cut:
+            frozen += tuple([d + count for d in deg[:cut]])
+            pos, deg = pos[cut:], deg[cut:]
+        return frozen, pos + (span,), deg + (len(frozen) - count - 1,)
 
-    return key
+    return step
 
 
-def _gap_step(state: object, last: int | None, e: int) -> object:
-    # The gap vector of a prefix. Prefixes sharing it are translates, and
-    # the first one reached starts at 0: where a translate by t extends by
-    # e, it extends by e - t to the same gaps, closing gap included, and so
-    # to the same key.
-    return () if last is None else state + (e - last,)
+def _out_degree_key(state: object) -> object:
+    # the least rotation of the cyclic out-degree sequence; it starts at a minimum
+    frozen, pos, deg = state
+    count = len(frozen) + len(pos)
+    seq = frozen + tuple([d + count for d in deg])
+    low = min(seq)
+    return min(seq[i:] + seq[:i] for i, d in enumerate(seq) if d == low)
 
 
 # fibered_order:k and tree_c states are (data, last point); the key reads
@@ -325,7 +347,7 @@ _BASE_ENTRIES = {
     "separation": _reduct_entry("separation", SIG_SEPARATION, _separation),
     "local_order": CatalogueEntry(
         "local_order", SIG_TOURNAMENT, _sampler(SIG_TOURNAMENT, _local_order), None, _rule_desk,
-        _local_order_key_factory, _any_model(_gap_step),
+        _any_model(_out_degree_key), _out_degree_step_factory,
     ),
     "tree_c": CatalogueEntry(
         "tree_c", SIG_TREE, _sampler(SIG_TREE, _tree), tree_count, lambda n: n,

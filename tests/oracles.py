@@ -171,20 +171,22 @@ def branch_tuples(md, leaves) -> set:
 def subset_key(entry_id: str, model: FiniteStructure):
     """The catalogue's dedup key computed from a whole sorted subset.
 
-    These are the keys the engine used before keys were read from the
-    prefix-step state. One-point subsets fall out of the general formulas
-    (a closing gap of model.size, an empty depth pattern) instead of a
-    special case.
+    These are the keys the engine read from the prefix-step state, computed
+    with no state. One-point subsets fall out of the general formulas (an
+    out-degree of 0, an empty depth pattern) instead of a special case. The
+    local_order key is the least rotation of the out-degrees in circular
+    order, each counted over all pairs of the subset; gap_necklace_key is
+    the key it replaced.
     """
     if entry_id in ("pure_set", "dlo", "betweenness", "circular", "separation"):
         return lambda subset: ()
     if entry_id == "local_order":
+        arcs = model.relation("arc")
 
         def necklace(subset):
             k = len(subset)
-            gaps = tuple(subset[i + 1] - subset[i] for i in range(k - 1))
-            gaps += (model.size - subset[-1] + subset[0],)
-            return min(gaps[r:] + gaps[:r] for r in range(k))
+            degrees = tuple(sum((x, y) in arcs for y in subset) for x in subset)
+            return min(degrees[r:] + degrees[:r] for r in range(k))
 
         return necklace
     if entry_id.startswith("fibered_order:"):
@@ -206,6 +208,20 @@ def subset_key(entry_id: str, model: FiniteStructure):
 
         return pattern
     raise ParameterError(f"no oracle key for {entry_id!r}")
+
+
+def gap_necklace_key(model: FiniteStructure):
+    """The local_order key the out-degree necklace replaced: the gaps
+    between consecutive subset points, closed around the cycle and
+    minimised over rotations. Equal gap necklaces mark translates."""
+
+    def necklace(subset):
+        k = len(subset)
+        gaps = tuple(subset[i + 1] - subset[i] for i in range(k - 1))
+        gaps += (model.size - subset[-1] + subset[0],)
+        return min(gaps[r:] + gaps[:r] for r in range(k))
+
+    return necklace
 
 
 def subset_classes(model: FiniteStructure, n: int, canon=canonical_form) -> int:

@@ -1,5 +1,6 @@
 """Command line behaviour: exit codes, formats, determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -53,6 +54,56 @@ def test_profile_runs_are_byte_identical(capsys):
     _, first, _ = run_cli(capsys, "profile", "tree_c", "--n-max", "5", "--format", "json")
     _, second, _ = run_cli(capsys, "profile", "tree_c", "--n-max", "5", "--format", "json")
     assert first == second
+
+
+_REDUCT_CSV = "5fda9d48f3c3383cbd592eb8fc08b7fdb47d73f4b8c6dfb89b23576945873706"
+
+# (entry, n_max) -> sha256 of the default (CSV) and the JSON stdout of
+# `profile entry --n-max n_max`, for every task of the perfbench profile
+# workloads: a subset key or step may change the work, never a printed byte.
+PROFILE_PINS = {
+    ("local_order", 8): (
+        "679f2ca9a7d1d277321dfbd3b27a8a8449d311d6577deaa13b829503ff2a6aa8",
+        "5747c57731bc6e4b8127cb90bbb94bb40dc7f73870166620fcf4a5468e726cbb",
+    ),
+    ("separation", 8): (
+        _REDUCT_CSV, "128930133b513a6c2ddc3bcef7a088f3da61c05f88680d462d96fa325c28c605",
+    ),
+    ("pure_set", 8): (
+        _REDUCT_CSV, "83530914da6fecd267eea223e3023e1ada2eebd17d44a4dbcde7f61ad0d3a676",
+    ),
+    ("dlo", 8): (
+        _REDUCT_CSV, "aec40099f67f3ca16ca7b4b86901e55216c3ec0feb54e5d1917ae900d19b9e90",
+    ),
+    ("betweenness", 8): (
+        _REDUCT_CSV, "347568e590bc54750d04316e5fa10a6fc4918d814bf6f7cfb5225d09e806f6df",
+    ),
+    ("circular", 8): (
+        _REDUCT_CSV, "c054a9af4f0d2eda59512c8d0022a24bd2213a194fb28abefd26967b70e223e5",
+    ),
+    ("tree_c", 7): (
+        "5d64c1a74e22f8d87e1e2578e960c3c203a89c7f495eaff0530d64588e089d3d",
+        "50ec8436af22414029cdf29732e8dc4679b9b96b45da821b71fd4000d43e8a3e",
+    ),
+    ("fibered_order:2", 10): (
+        "76db040b1b006a58b1578e36719851f8b7d1962e7ad46d7ca2b1bf775702fe90",
+        "9ad9ea71942d681f696ac253191426adcdb0cd769ddfbf87d21bb74520fbe0a8",
+    ),
+    ("fibered_order:3", 8): (
+        "fbb8a153d3891cc444f6247daee48353906836594cde64fef8c0ec1b085b0e42",
+        "32c1fd0c22065d2c8652b5f45ddfb162ef04c816adf3a8546ab4f9029ab3625d",
+    ),
+}
+
+
+@pytest.mark.parametrize("entry, n_max", list(PROFILE_PINS))
+def test_profile_stdout_is_pinned(capsys, entry, n_max):
+    digests = []
+    for fmt in ("csv", "json"):
+        code, out, _ = run_cli(capsys, "profile", entry, "--n-max", str(n_max), "--format", fmt)
+        assert code == 0
+        digests.append(hashlib.sha256(out.encode()).hexdigest())
+    assert tuple(digests) == PROFILE_PINS[entry, n_max]
 
 
 def test_profile_jobs_do_not_change_output(capsys):
@@ -217,6 +268,24 @@ def test_oversized_witness_exits_one_at_once(capsys, argv):
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "over the cap of" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["composition", "--n", "13"], "composition at n=13 has 4096 members, over the cap of 2048"),
+        (
+            ["composition", "--n", "17", "--max-part", "2"],
+            "composition at n=17 has 2584 members, over the cap of 2048",
+        ),
+        (["binary_pattern", "--n", "12"], "binary_pattern at n=12 has 4096 members, over the cap of 2048"),
+        (["antichain", "--n", "13"], "antichain at n=13 has 4096 members, over the cap of 2048"),
+    ],
+)
+def test_witness_one_past_the_member_cap_is_refused(capsys, argv, message):
+    """Each family's largest accepted size verifies within seconds; one size
+    more is refused with this message."""
+    assert run_cli(capsys, "witness", *argv) == (1, "", f"error: {message}\n")
 
 
 def test_linearize_from_file(capsys, tmp_path):

@@ -237,12 +237,16 @@ def test_max_part_past_n_gives_the_same_family():
         ("composition", 40, None),
         ("binary_pattern", 10**9, None),
         ("antichain", 40, None),
+        ("composition", 13, None),
+        ("binary_pattern", 12, None),
+        ("antichain", 13, None),
+        ("composition", 17, 2),
     ],
 )
 def test_build_family_refuses_past_the_caps(construction, n, max_part):
-    """One size past the member cap per construction, and scaffolds past the
-    point cap: all refused from closed forms before anything is built, by
-    build_family and by the constructor itself."""
+    """Sizes past the member cap (the last four one size past it) and
+    scaffolds past the point cap: all refused from closed forms before
+    anything is built, by build_family and by the constructor itself."""
     with pytest.raises(ResourceError, match="over the cap"):
         build_family(construction, n, max_part)
     constructor = {
