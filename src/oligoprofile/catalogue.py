@@ -28,40 +28,52 @@ ternary branching relation on the leaves of a universal binary tree (see
 _universal_tree_depths): C(x;y,z) iff d(y,z) > d(x,y) = d(x,z), where d is
 the depth of the meet and a leaf's meet with itself has infinite depth.
 
-Subset steps and keys. profile() needs every n-subset's class but not every
-n-subset. The engine grows sorted prefixes one point at a time, and the
-entry's step(state, last, e) gives the state of the prefix extended by a
-point e larger than its last point (last is None for the empty prefix,
-whose state is ()). Of all prefixes sharing a state only the first one
-reached is extended. The contract: for any two prefixes with the same
-state, every key that some extension of the later prefix reaches is also
-reached by an extension of the first. A state that determines the states of
-all extensions, and with them the key, satisfies it; so does the prefix
-itself.
+Subset steps and keys. profile() needs every n-subset's class, not every
+n-subset. It grows sorted prefixes one point at a time: step(state, last,
+e) is the state of the prefix extended by a point e above its last point
+(last is None for the empty prefix, whose state is ()), and only the first
+prefix reached per state is extended. So the first prefix with a state must
+reach by extension every key a later one reaches. The key of a whole
+n-subset's state is hashable, and equal keys induce equal canonical codes;
+the first subset per key is canonicalised and counted by its code. The
+order reducts induce one literal structure on every sorted subset (their
+formulas only compare arguments), so their state is constant; they and
+fibered_order:k take the state as the key.
 
-The key maps the state of a whole n-subset to a hashable value such that
-subsets with equal keys induce substructures with equal canonical codes, and
-the engine keeps the first subset per key. Keys only collapse duplicate
-canonicalisation work; counting still happens on canonical codes of
-per-key representatives. For the order reducts the induced literal
-structure of a sorted subset is independent of the subset (the defining
-formulas only compare arguments), so state and key are constant.
+fibered_order:k keeps the block run lengths, which fix the induced total
+preorder, and tree_c the raw consecutive meet depths; the steps read the
+last point from the prefix. Proof that the first prefix per state reaches
+every key: the parent's state is a function of the child's (shorten the
+last run, or drop it at 1; drop the last depth), so a state's first prefix
+is the parent state's first prefix extended by the least e. P dominates Q
+(same state) when each continuation of Q has one of P with the same states
+and no larger points; this passes to extensions, so it suffices that the
+first prefix dominates. fibered_order:k: by induction the first prefix
+starts each run at the start of the next block, so its last point has the
+least block and offset for its runs; another prefix's continuation maps
+run by run onto the following blocks (only the sample's last block can be
+short, and a continuation using it maps onto it). tree_c: a depth-d node
+of U_s roots a copy of some U_t, t <= s - d, and U_a embeds in U_b for
+a <= b keeping depths and left/right order (induct on U_t = join(U_{t-1},
+U_{t//2})). The first prefix's extensions with next depth d are the
+leaves of the right subtree R off its last leaf's path at depth d, first
+R's leftmost leaf (leaf 0 at level 1). It turns left along R's left spine,
+whose nodes root the largest subtree at their depth, so where another leaf
+of R has a right subtree it has one at that depth containing it, and the
+embedding keeps the raw depths. So the first prefix per state is its
+lex-least, and each key's representative is its lex-least subset.
 
-local_order keys the cyclic out-degree sequence: point i of a subset beats
-the next d_i subset points round the circle, so the sequence fixes the
-induced tournament, and its least rotation (which starts at a minimum) is
-the key. It has one key per class at every size tested. Its state rests on
-one fact: of two points p < q, p beats q iff q - p <= (N-1)/2. A point more
-than half a circle behind the last point is frozen, since every later point
-beats it; the state keeps its final out-degree. Every other point is live:
-every later point that keeps it live loses to it, so its out-degree minus
-the point count never changes, and the state keeps that with the point's
-position from the first point. The last point is live, so its position is
-the span. A new point beats exactly the frozen points. Translates share a
-state, and the state fixes the state of every extension by the same steps
-e - last. Of the prefixes sharing a state the first reached starts, and so
-ends, lowest (the span is part of the state), so its extensions cover
-every key that the others reach.
+local_order keys the least rotation (it starts at a minimum) of the cyclic
+out-degree sequence: point i of a subset beats the next d_i subset points
+round the circle, so the sequence fixes the induced tournament; one key per
+class at every size tested. Of points p < q, p beats q iff q - p <= (N-1)/2.
+A point more than half a circle behind the last is frozen (every later
+point beats it), and the state keeps its final out-degree. Every other
+point is live: each later point that keeps it live loses to it, so the
+state keeps its fixed out-degree minus the point count and its position
+from the first point; the last position is the span. A new point beats
+exactly the frozen points. Translates share a state, which fixes the
+states of all extensions by equal steps, and the first reached ends lowest.
 """
 
 from __future__ import annotations
@@ -69,7 +81,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from operator import itemgetter, le
+from operator import le
 from typing import Callable
 
 from .errors import ParameterError
@@ -110,7 +122,6 @@ class CatalogueEntry:
     """
 
     entry_id: str
-    sig: Signature
     sampler: Callable[[int], FiniteStructure]
     predictor: Callable[[int], int] | None
     saturation_rule: Callable[[int], int]
@@ -215,8 +226,8 @@ def _any_model(f: Callable) -> Callable[[FiniteStructure], Callable]:
     return lambda model: f
 
 
-# One key for all subsets, so the first prefix of each length reaches it.
-_const_key_factory = _any_model(lambda state: ())
+# The reducts and fibered_order:k key a subset by its whole state.
+_identity_key_factory = _any_model(lambda state: state)
 _const_step_factory = _any_model(lambda state, last, e: ())
 
 
@@ -251,31 +262,22 @@ def _out_degree_key(state: object) -> object:
     return min(seq[i:] + seq[:i] for i, d in enumerate(seq) if d == low)
 
 
-# fibered_order:k and tree_c states are (data, last point); the key reads
-# data. The block run lengths determine the induced total preorder.
-_fibered_key_factory = _any_model(itemgetter(0))
-
-
 def _tree_key(state: object) -> object:
     # Consecutive meet depths determine every pairwise meet depth for leaves
     # in left-to-right order (range minima), and the induced relation only
     # compares depths, so the dense rank pattern is enough. A reversed
     # pattern is the mirror image, hence isomorphic; keep the smaller.
-    depths = state[0]
-    rank = {d: r for r, d in enumerate(sorted(set(depths)))}
-    pat = tuple(rank[d] for d in depths)
+    rank = {d: r for r, d in enumerate(sorted(set(state)))}
+    pat = tuple(rank[d] for d in state)
     return min(pat, pat[::-1])
 
 
 def _tree_step_factory(model: FiniteStructure) -> SubsetStep:
-    # State: the raw consecutive meet depths plus the last leaf, which fixes
-    # the depths of every extension.
+    # State: the raw consecutive meet depths (see the module docstring).
     md = _model_tree_depths(model)
 
     def step(state: object, last: int | None, e: int) -> object:
-        if last is None:
-            return (), e
-        return state[0] + (md[last][e],), e
+        return () if last is None else state + (md[last][e],)
 
     return step
 
@@ -312,29 +314,26 @@ def _fibered_entry(k: int) -> CatalogueEntry:
     family = _fixed(f"fibered_order:{k}", 1, lambda a, b: a // k <= b // k)
 
     def step(state: object, last: int | None, e: int) -> object:
-        # State: the block run lengths plus the last point, which fixes the
-        # run lengths of every extension.
+        # State: the block run lengths (see the module docstring).
         if last is None:
-            return (1,), e
-        runs = state[0]
+            return (1,)
         if e // k == last // k:
-            return runs[:-1] + (runs[-1] + 1,), e
-        return runs + (1,), e
+            return state[:-1] + (state[-1] + 1,)
+        return state + (1,)
 
     return CatalogueEntry(
         entry_id=f"fibered_order:{k}",
-        sig=SIG_FIBERED,
         sampler=_sampler(SIG_FIBERED, family),
         predictor=lambda n, _k=k: compositions_count(n, _k),
         saturation_rule=lambda n, _k=k: _k * n,
-        subset_key_factory=_fibered_key_factory,
+        subset_key_factory=_identity_key_factory,
         subset_step_factory=_any_model(step),
     )
 
 
 def _reduct_entry(entry_id: str, sig: Signature, family: Family) -> CatalogueEntry:
     return CatalogueEntry(
-        entry_id, sig, _sampler(sig, family), lambda n: 1, _rule_desk, _const_key_factory,
+        entry_id, _sampler(sig, family), lambda n: 1, _rule_desk, _identity_key_factory,
         _const_step_factory,
     )
 
@@ -346,11 +345,11 @@ _BASE_ENTRIES = {
     "circular": _reduct_entry("circular", SIG_CIRCULAR, _fixed("circular", 1, _cyc)),
     "separation": _reduct_entry("separation", SIG_SEPARATION, _separation),
     "local_order": CatalogueEntry(
-        "local_order", SIG_TOURNAMENT, _sampler(SIG_TOURNAMENT, _local_order), None, _rule_desk,
+        "local_order", _sampler(SIG_TOURNAMENT, _local_order), None, _rule_desk,
         _any_model(_out_degree_key), _out_degree_step_factory,
     ),
     "tree_c": CatalogueEntry(
-        "tree_c", SIG_TREE, _sampler(SIG_TREE, _tree), tree_count, lambda n: n,
+        "tree_c", _sampler(SIG_TREE, _tree), tree_count, lambda n: n,
         _any_model(_tree_key), _tree_step_factory,
     ),
 }

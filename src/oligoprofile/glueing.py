@@ -32,6 +32,7 @@ from .errors import (
     FragmentPairError,
     InconsistentFragmentsError,
     ParameterError,
+    ResourceError,
 )
 from .structures import FiniteStructure
 
@@ -241,6 +242,10 @@ def classify_overlap(f1: OrderFragment, f2: OrderFragment) -> OverlapCase:
 
 _REVERSING_TAGS = ("aligned-reversed", "double-wrap-reversed")
 
+# Cap on the (element, fragment pair) incidences glue walks. Sampled lines
+# and circles of 30,000 elements have about 19,500.
+_MAX_SHARINGS = 200_000
+
 # the other fragment, the pair's parity, one anchor element per shared run
 Edge = tuple[int, int, tuple[Element, ...]]
 
@@ -251,12 +256,19 @@ def _overlapping_pairs(fragments: Sequence[OrderFragment]) -> Iterator[tuple[int
 
     An index from each element to the fragments holding it finds the
     partners, so the cost follows the overlaps, not the square of the
-    fragment count.
+    fragment count: it is the sum over elements of C(holders, 2), which
+    is refused past _MAX_SHARINGS before any pair is yielded.
     """
     holders: dict[Element, list[int]] = {}
     for i, f in enumerate(fragments):
         for x in f.elements:
             holders.setdefault(x, []).append(i)
+    sharings = sum(len(h) * (len(h) - 1) // 2 for h in holders.values())
+    if sharings > _MAX_SHARINGS:
+        raise ResourceError(
+            f"glue: {sharings} (element, fragment pair) incidences to check,"
+            f" over the cap of {_MAX_SHARINGS}"
+        )
     for i, f in enumerate(fragments):
         partners = {j for x in f.elements for j in holders[x] if j > i}
         for j in sorted(partners):

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -16,6 +17,7 @@ from oligoprofile.errors import (
     FragmentPairError,
     InconsistentFragmentsError,
     ParameterError,
+    ResourceError,
 )
 from oligoprofile.glueing import (
     OVERLAP_TAGS,
@@ -340,6 +342,47 @@ def test_glue_classifies_each_overlapping_pair_once(monkeypatch, sampler):
         if set(a.elements) & set(b.elements)
     }
     assert calls == Counter(overlapping)
+
+
+@pytest.mark.parametrize(
+    "rows, sharings",
+    [([[0, 1, 2]] * 2000, 5_997_000), ([[0, i] for i in range(1, 2001)], 1_999_000)],
+)
+def test_cli_glue_refuses_a_pair_blow_up_at_once(capsys, monkeypatch, tmp_path, rows, sharings):
+    """2,000 copies of one window, and 2,000 fragments through one element:
+    finding their pairs costs the sum over elements of C(holders, 2), so
+    glue refuses before it classifies any pair."""
+    calls = []
+    monkeypatch.setattr(glueing, "classify_overlap", lambda f1, f2: calls.append(f1))
+    src = tmp_path / "fragments.json"
+    src.write_text(json.dumps({"fragments": [{"id": f"f{i}", "elements": e} for i, e in enumerate(rows)]}))
+    start = time.perf_counter()
+    assert main(["glue", "--in", str(src)]) == 1
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and calls == []
+    assert captured.err == (
+        f"error: glue: {sharings} (element, fragment pair) incidences to check,"
+        " over the cap of 200000\n"
+    )
+
+
+@pytest.mark.parametrize("sampler", [sample_linear_fragments, sample_circular_fragments])
+def test_sampled_30000_elements_glue_under_the_pair_cap(sampler):
+    hidden, fragments = sampler(30000, 1)
+    (comp,) = glue(fragments)
+    normalize = normalize_linear if sampler is sample_linear_fragments else normalize_circular
+    assert comp.arrangement == normalize(hidden)
+
+
+def test_glue_pair_cap_counts_shared_elements(monkeypatch):
+    # three copies of [0, 1, 2] share each element C(3, 2) = 3 times
+    copies = [frag(f"f{i}", [0, 1, 2]) for i in range(3)]
+    monkeypatch.setattr(glueing, "_MAX_SHARINGS", 9)
+    assert [c.arrangement for c in glue(copies)] == [(0, 1, 2)]
+    monkeypatch.setattr(glueing, "_MAX_SHARINGS", 8)
+    with pytest.raises(ResourceError, match="glue: 9 "):
+        glue(copies)
 
 
 @pytest.mark.parametrize(

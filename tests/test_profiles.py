@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oligoprofile.catalogue import CatalogueEntry, default_sweep_ids, get_entry, sample_model
+from oligoprofile.catalogue import (
+    CatalogueEntry,
+    _model_tree_depths,
+    default_sweep_ids,
+    get_entry,
+    sample_model,
+)
 from oligoprofile.errors import ParameterError, ResourceError, SaturationError
 from oligoprofile.growth import compositions_count, fibonacci
 from oligoprofile import profiles
@@ -138,7 +144,6 @@ def test_unstable_counts_raise_saturation_error():
 
     entry = CatalogueEntry(
         entry_id="drift",
-        sig=sig,
         sampler=sampler,
         predictor=None,
         saturation_rule=lambda n: 3,
@@ -157,7 +162,7 @@ def _swapping_entry(labels):
         rel = labels[size]
         return FiniteStructure.build(sig, size, {rel: {(e,) for e in range(size)}})
 
-    return CatalogueEntry("swap", sig, sampler, None, lambda n: 3, _identity_keys, _prefix_steps)
+    return CatalogueEntry("swap", sampler, None, lambda n: 3, _identity_keys, _prefix_steps)
 
 
 def test_equal_counts_with_different_codes_are_rechecked():
@@ -279,6 +284,44 @@ def test_first_prefix_per_state_reaches_every_key(entry_id):
                     assert keys <= first.setdefault(state, keys), (size, n, prefix)
 
 
+def _raw_shape(entry_id, model):
+    """A sorted prefix's block run lengths (two points share a block iff
+    each precedes the other) or its raw consecutive meet depths."""
+    if entry_id == "tree_c":
+        md = _model_tree_depths(model)
+        return lambda prefix: tuple(md[a][b] for a, b in zip(prefix, prefix[1:]))
+    prec = model.relation("prec")
+
+    def runs(prefix):
+        out = [1]
+        for a, b in zip(prefix, prefix[1:]):
+            if (b, a) in prec:
+                out[-1] += 1
+            else:
+                out.append(1)
+        return tuple(out)
+
+    return runs
+
+
+@pytest.mark.parametrize("entry_id", ["fibered_order:2", "fibered_order:3", "tree_c"])
+def test_equal_shapes_share_a_state(entry_id):
+    """The fibered_order:k and tree_c states keep no point: sorted prefixes
+    (length <= 6, base sample) with equal block run lengths, or equal raw
+    consecutive meet depths, get equal states."""
+    entry = get_entry(entry_id)
+    model = sample_model(entry, entry.saturation_rule(6))
+    shape = _raw_shape(entry_id, model)
+    step = entry.subset_step_factory(model)
+    seen = {}
+    for length in range(1, 7):
+        for prefix in itertools.combinations(range(model.size), length):
+            state, last = (), None
+            for e in prefix:
+                state, last = step(state, last, e), e
+            assert seen.setdefault(shape(prefix), state) == state, prefix
+
+
 def test_out_degree_keys_merge_equal_gap_necklaces():
     """Every subset at the brute-gate sizes: subsets with equal gap
     necklaces (the replaced key) get equal out-degree keys, so the new key
@@ -322,6 +365,9 @@ def test_keys_are_sound_past_the_brute_gate(entry_id, size, n):
         first.setdefault(k, subset)
         latest[k] = subset
     assert len(first) > 1
+    # each key's representative is its lex-least subset, in the same order
+    counter = profiles._ClassCounter(entry, profiles.DEFAULT_BUDGET)
+    assert list(counter._representatives(model, n).items()) == list(first.items())
     if entry_id == "local_order":
         # one key per class: a finer key fails here, not just in the benchmark
         assert len(first) == 10
