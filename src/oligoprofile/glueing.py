@@ -31,6 +31,7 @@ from .catalogue import sample_model
 from .errors import (
     FragmentPairError,
     InconsistentFragmentsError,
+    InternalInvariantError,
     ParameterError,
     ResourceError,
 )
@@ -246,6 +247,10 @@ _REVERSING_TAGS = ("aligned-reversed", "double-wrap-reversed")
 # and circles of 30,000 elements have about 19,500.
 _MAX_SHARINGS = 200_000
 
+# Cap on the tuples emit_invariant_relation evaluates. The largest accepted
+# line (125 elements) and circle (37) take 0.7 s and 0.9 s on a 2-core x86-64 VM.
+_MAX_EMITTED_TUPLES = 2_000_000
+
 # the other fragment, the pair's parity, one anchor element per shared run
 Edge = tuple[int, int, tuple[Element, ...]]
 
@@ -356,8 +361,10 @@ def _assemble(
 
     members = tuple(sorted(fragments[i].fragment_id for i in oriented))
     if period:
+        # each fragment is placed on an anchor it shares with the one that
+        # found it, so the positions form one interval, no shorter than the period
         if len(at_position) != period:
-            raise InconsistentFragmentsError(
+            raise InternalInvariantError(
                 f"{len(at_position)} elements on a circle of {period} positions"
             )
         if period < 3:
@@ -372,7 +379,8 @@ def _assemble(
         )
     low, high = min(at_position), max(at_position)
     if len(at_position) != high - low + 1:
-        raise InconsistentFragmentsError("line has uncovered positions")
+        # the positions form one interval, as the circle check above notes
+        raise InternalInvariantError("line has uncovered positions")
     line = tuple(at_position[p] for p in range(low, high + 1))
     return GlueComponent(
         kind="linear",
@@ -387,12 +395,18 @@ def emit_invariant_relation(component: GlueComponent) -> FiniteStructure:
     Linear components give the betweenness structure of their line,
     circular ones the separation structure of their cycle; both tuple
     sets are unchanged under reversing (and, for cycles, rotating) the
-    arrangement, so equal components emit equal structures.
+    arrangement, so equal components emit equal structures. Sampling
+    evaluates n**3 or n**4 tuples for n elements, which is refused past
+    _MAX_EMITTED_TUPLES before any is evaluated.
     """
     n = len(component.arrangement)
-    if component.kind == "linear":
-        return sample_model("betweenness", n)
-    return sample_model("separation", n)
+    entry, arity = ("betweenness", 3) if component.kind == "linear" else ("separation", 4)
+    if n**arity > _MAX_EMITTED_TUPLES:
+        raise ResourceError(
+            f"emit: {n**arity} tuples to evaluate for a {component.kind} component"
+            f" of {n} elements, over the cap of {_MAX_EMITTED_TUPLES}"
+        )
+    return sample_model(entry, n)
 
 
 def fragments_to_json_dict(fragments: Sequence[OrderFragment]) -> dict:
@@ -508,7 +522,8 @@ def _spans_to_fragments(
     for s, e in spans:
         seq = tuple(ground[s:e])
         if wrap and len(seq) > wrap:
-            raise ParameterError("window longer than the circle")
+            # every arc is at most size - 2 long, and wrap is the size
+            raise InternalInvariantError("window longer than the circle")
         if rng.random() < 0.5:
             seq = tuple(reversed(seq))
         windows.append(seq)

@@ -8,12 +8,13 @@ poset in which every element has strictly fewer incomparables.
 Iterating collapses any poset of bounded width to a chain of
 antichain classes compatible with the original order.
 
-The kernel works on bit masks: a poset keeps, next to its pair set, the
-mask of the elements above and below each element, so incomparables,
-the maximality test of the before relation, the quotient's classes and
-its well-definedness check, and the final ranks are word operations and
-popcounts rather than pair lookups. Set bits are read off the binary
-digits at C speed. Every invariant the construction promises (a
+The kernel works on bit masks: a poset is the mask of the elements above
+each element, so the order axioms, incomparables, the maximality test of
+the before relation, the quotient's classes and its well-definedness
+check, and the final ranks are word operations and popcounts. Set bits
+are read off the binary digits at C speed. Pairs appear only at the
+edges: the public constructor, the leq view, each round's before
+relation, and JSON. Every invariant the construction promises (a
 transitive before relation, a well-defined quotient that is a poset, at
 most size rounds) is still checked and raises InternalInvariantError.
 """
@@ -22,12 +23,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import reduce
-from itertools import chain, combinations, compress, repeat
+from functools import cached_property, reduce
+from itertools import chain, compress, repeat
 from operator import or_
 from typing import Iterable, Iterator, Sequence
 
+from .catalogue import SIG_ORDER
 from .errors import DomainError, InternalInvariantError, ParameterError
+from .structures import FiniteStructure, canonical_form
 
 Pair = tuple[int, int]
 
@@ -62,6 +65,11 @@ def _first_intransitive(succ: Sequence[int]) -> Pair | None:
     return None
 
 
+def _pairs(succ: Sequence[int]) -> frozenset[Pair]:
+    """The pairs (a, b) with bit b of succ[a] set."""
+    return frozenset(chain.from_iterable(zip(repeat(a), _bits(m)) for a, m in enumerate(succ)))
+
+
 def _masks(size: int, relation: Iterable[Pair]) -> list[int]:
     """Successor masks of a relation on range(size)."""
     succ = [0] * size
@@ -70,32 +78,28 @@ def _masks(size: int, relation: Iterable[Pair]) -> list[int]:
     return succ
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class FinitePoset:
     """A reflexive, antisymmetric, transitive relation on {0..size-1}.
 
-    Besides the pair set, a poset keeps bit masks: succ[a] has bit b set
-    when a <= b, pred[b] has bit a set. They are derived data, left out
-    of equality, hashing and repr.
+    A poset is its successor masks: succ[a] has bit b set when a <= b.
+    Equality and hashing read (size, succ). pred, with bit a of pred[b]
+    set when a <= b, is derived; so is leq, the pair set, built from the
+    masks on first read. FinitePoset(size, leq) checks the pairs once.
     """
 
     size: int
-    leq: frozenset[Pair]
-    succ: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    pred: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    succ: tuple[int, ...]
+    pred: tuple[int, ...] = field(compare=False)
 
-    def __post_init__(self) -> None:
-        if self.size < 1:
-            raise DomainError(f"poset size must be >= 1, got {self.size}")
-        # checked before the set merges equal pairs, such as (True, 1) into (1, 1)
-        for pair in self.leq:
-            if len(pair) != 2 or not all(
-                type(v) is int and 0 <= v < self.size for v in pair
-            ):
-                raise DomainError(f"bad pair {pair!r} for size {self.size}")
-        object.__setattr__(self, "leq", frozenset(self.leq))
-        self._set_masks(_masks(self.size, self.leq))
-        self._check_order()
+    def __init__(self, size: int, leq: Iterable[Pair]) -> None:
+        if size < 1:
+            raise DomainError(f"poset size must be >= 1, got {size}")
+        # checked before the masks, which would read (True, 1) as (1, 1)
+        for pair in leq:
+            if len(pair) != 2 or not all(type(v) is int and 0 <= v < size for v in pair):
+                raise DomainError(f"bad pair {pair!r} for size {size}")
+        self._set_masks(_masks(size, leq))
 
     @classmethod
     def _from_masks(cls, succ: list[int]) -> "FinitePoset":
@@ -103,37 +107,38 @@ class FinitePoset:
         whose masks are in range by construction; the order axioms are
         still checked and raise DomainError."""
         obj = object.__new__(cls)
-        object.__setattr__(obj, "size", len(succ))
-        pairs = chain.from_iterable(zip(repeat(a), _bits(m)) for a, m in enumerate(succ))
-        object.__setattr__(obj, "leq", frozenset(pairs))
         obj._set_masks(succ)
-        obj._check_order()
         return obj
 
     def _set_masks(self, succ: list[int]) -> None:
+        """Store succ and its transpose and check the order axioms on them."""
+        object.__setattr__(self, "size", len(succ))
         object.__setattr__(self, "succ", tuple(succ))
         object.__setattr__(self, "pred", tuple(_transpose(succ)))
-
-    def _check_order(self) -> None:
-        """Reflexivity, antisymmetry and transitivity on the masks; the
-        pair set is walked only to name an antisymmetry violation."""
-        succ, pred = self.succ, self.pred
-        for x in range(self.size):
-            if not succ[x] >> x & 1:
+        for x, up in enumerate(succ):
+            if not up >> x & 1:
                 raise DomainError(f"missing reflexive pair ({x}, {x})")
-        if any(succ[a] & pred[a] != 1 << a for a in range(self.size)):
-            for a, b in self.leq:
-                if a != b and succ[b] >> a & 1:
-                    raise DomainError(f"antisymmetry fails on ({a}, {b})")
+        for a, (up, down) in enumerate(zip(succ, self.pred)):
+            if up & down != 1 << a:
+                b = next(_bits(up & down ^ 1 << a))
+                raise DomainError(f"antisymmetry fails on ({a}, {b})")
         broken = _first_intransitive(succ)
         if broken:
             raise DomainError(f"transitivity fails through {broken}")
 
+    @cached_property
+    def leq(self) -> frozenset[Pair]:
+        """The pairs (a, b) with a <= b, built from the masks on first read."""
+        return _pairs(self.succ)
+
+    def __repr__(self) -> str:
+        return f"FinitePoset(size={self.size!r}, leq={self.leq!r})"
+
     def less(self, a: int, b: int) -> bool:
-        return a != b and (a, b) in self.leq
+        return a != b and self.succ[a] >> b & 1 == 1
 
     def incomparable(self, a: int, b: int) -> bool:
-        return a != b and (a, b) not in self.leq and (b, a) not in self.leq
+        return self.incomparable_mask(a) >> b & 1 == 1
 
     def incomparable_mask(self, a: int) -> int:
         """Bit mask of the elements incomparable to a."""
@@ -162,8 +167,8 @@ class FinitePoset:
         return cls(size=size, leq=pairs + [(x, x) for x in range(size)])
 
     def to_json_dict(self) -> dict:
-        strict = sorted(p for p in self.leq if p[0] != p[1])
-        return {"size": self.size, "leq": [list(p) for p in strict]}
+        strict = [[a, b] for a, m in enumerate(self.succ) for b in _bits(m ^ 1 << a)]
+        return {"size": self.size, "leq": strict}
 
 
 def max_incomparability(p: FinitePoset) -> int:
@@ -201,9 +206,10 @@ def triangle_step(p: FinitePoset) -> frozenset[Pair]:
     the elements incomparable to a.
 
     b is maximal in V(a) when succ[b] meets V(a) in b alone. The output
-    reuses the pair objects of p.leq, so round records that keep it cost
-    only the new arrows. Transitivity of the output holds for every
-    poset; a violation means the implementation is broken, not the input.
+    is p.leq, the poset's cached pair view, plus the arrows, so round
+    records that keep it cost only the new arrows. Transitivity of the
+    output holds for every poset; a violation means the implementation
+    is broken, not the input.
     """
     succ = list(p.succ)
     arrows = []
@@ -294,10 +300,7 @@ def _quotient(after: list[int]) -> tuple[FinitePoset, list[list[int]]]:
             raise InternalInvariantError(
                 f"quotient order ill-defined on classes {ca}, {cb}"
             )
-        up = 1 << ca
-        for cb in above:
-            up |= 1 << cb
-        qsucc.append(up)
+        qsucc.append(reduce(or_, (1 << cb for cb in above), 1 << ca))
     try:
         quotient = FinitePoset._from_masks(qsucc)
     except DomainError as exc:
@@ -319,9 +322,7 @@ def linearize(p: FinitePoset) -> LinearizationResult:
             )
         tri = triangle_step(current)
         quotient, groups = _quotient(_masks(current.size, tri))
-        nodes = [
-            tuple(sorted(x for g in group for x in nodes[g])) for group in groups
-        ]
+        nodes = [tuple(sorted(x for g in group for x in nodes[g])) for group in groups]
         trace.append(
             RoundRecord(
                 round_index=rounds,
@@ -374,31 +375,29 @@ def random_poset(
 def exhaustive_posets(size: int) -> tuple[FinitePoset, ...]:
     """All posets on size elements up to isomorphism, for small sizes.
 
-    Candidates are enumerated as transitively closed strict relations on
-    a topologically sorted labelling, then deduplicated by canonical
-    form, so each isomorphism class appears exactly once.
+    Candidates are the transitive relations among the strict orders on a
+    topologically sorted labelling, deduplicated by canonical form, so
+    each isomorphism class appears exactly once, as its first candidate.
+    A candidate has one bit per pair a < b, row a's from offsets[a] up.
     """
-    from .catalogue import SIG_ORDER
-    from .structures import FiniteStructure, canonical_form
-
     if size < 1:
         raise ParameterError(f"size must be >= 1, got {size}")
     if size > 6:
         raise ParameterError(f"exhaustive enumeration capped at size 6, got {size}")
-    slots = list(combinations(range(size), 2))
-    seen: dict[bytes, FinitePoset] = {}
-    for choice in range(1 << len(slots)):
-        strict = {slots[i] for i in range(len(slots)) if choice >> i & 1}
-        if any(
-            (a, c) not in strict
-            for a, b in strict
-            for c in range(b + 1, size)
-            if (b, c) in strict
-        ):
-            continue
-        pairs = frozenset(strict | {(x, x) for x in range(size)})
-        model = FiniteStructure.build(SIG_ORDER, size, {"leq": pairs})
-        code = canonical_form(model)
-        if code not in seen:
-            seen[code] = FinitePoset(size=size, leq=pairs)
-    return tuple(seen.values())
+    offsets = [a * (2 * size - a - 1) // 2 for a in range(size)]
+    seen: dict[bytes, list[int]] = {}
+    choice = 0
+    while choice < 1 << offsets[-1]:
+        succ = [
+            (choice >> o & (1 << size - 1 - a) - 1) << a + 1 | 1 << a
+            for a, o in enumerate(offsets)
+        ]
+        broken = _first_intransitive(succ)
+        if broken is None:
+            model = FiniteStructure.build(SIG_ORDER, size, {"leq": _pairs(succ)})
+            seen.setdefault(canonical_form(model), succ)
+        # row a's check reads only rows a and above, so every candidate that
+        # shares those bits fails it too: skip to the next one that does not
+        skip = offsets[broken[0]] if broken else 0
+        choice = (choice >> skip) + 1 << skip
+    return tuple(map(FinitePoset._from_masks, seen.values()))

@@ -363,7 +363,7 @@ def brute_max_antichain(p) -> int:
     best = 1
     for r in range(2, p.size + 1):
         for combo in itertools.combinations(range(p.size), r):
-            if all(p.incomparable(a, b) for a, b in itertools.combinations(combo, 2)):
+            if all(pair_incomparable(p, a, b) for a, b in itertools.combinations(combo, 2)):
                 best = r
                 break
     return best
@@ -403,12 +403,17 @@ def compositions_count_table(n: int, max_part: int) -> int:
     return acc[n]
 
 
+# The pair oracles read only membership in p.leq, never the masks.
+def pair_incomparable(p, a: int, b: int) -> bool:
+    return a != b and (a, b) not in p.leq and (b, a) not in p.leq
+
+
 def pair_incomparables(p, a: int) -> tuple[int, ...]:
-    return tuple(b for b in range(p.size) if p.incomparable(a, b))
+    return tuple(b for b in range(p.size) if pair_incomparable(p, a, b))
 
 
 def pair_is_chain(p) -> bool:
-    return all(not p.incomparable(a, b) for a, b in itertools.combinations(range(p.size), 2))
+    return not any(pair_incomparable(p, a, b) for a, b in itertools.combinations(range(p.size), 2))
 
 
 def pair_max_incomparability(p) -> int:
@@ -421,7 +426,7 @@ def pair_triangle_step(p) -> frozenset:
     for a in range(p.size):
         incs = pair_incomparables(p, a)
         for b in incs:
-            if not any(p.less(b, c) for c in incs):
+            if not any(c != b and (b, c) in p.leq for c in incs):
                 tri.add((a, b))
     return frozenset(tri)
 

@@ -265,3 +265,18 @@ def test_samplers_nest_along_size(entry_size, n):
     big = sample_model("dlo", entry_size)
     small = sample_model("dlo", n)
     assert induced_substructure(big, tuple(range(n))) == small
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: sample_model("dlo", 0), "dlo needs size >= 1, got 0", id="sample-size-0"),
+        pytest.param(
+            lambda: age_predictor(get_entry("dlo"), 0), "predictor needs n >= 1, got 0", id="predictor-n-0"
+        ),
+    ],
+)
+def test_refusals_name_the_bad_argument(call, message):
+    with pytest.raises(ParameterError) as info:
+        call()
+    assert str(info.value) == message

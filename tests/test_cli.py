@@ -14,6 +14,8 @@ import pytest
 from oligoprofile.cli import main
 from oligoprofile.growth import fibonacci
 
+from oracles import odd_divisor_necklace_count
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -168,6 +170,24 @@ def test_growth_table_output(capsys):
     assert code == 0
     assert "limit estimate" in out
     assert "1.618" in out
+
+
+def test_growth_profiles_an_entry_without_a_closed_form(capsys):
+    """local_order has no predictor, so growth counts its profile."""
+    code, out, err = run_cli(capsys, "growth", "local_order", "--n-max", "8", "--format", "json")
+    assert code == 0 and err == ""
+    values = [int(v) for v in json.loads(out)["values"]]
+    assert values == [odd_divisor_necklace_count(n) for n in range(1, 9)]
+
+
+def test_growth_of_a_profiled_entry_keeps_the_profile_budget(capsys):
+    """The default --n-max 24 needs C(27, 11) subsets at n = 11, over the
+    default budget, and is refused before any count."""
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "growth", "local_order")
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (1, "")
+    assert err == "error: local_order: 13037895 subsets of size 11 exceed budget 10000000\n"
 
 
 def test_growth_csv_header(capsys):

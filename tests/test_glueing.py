@@ -16,6 +16,7 @@ from oligoprofile.cli import main
 from oligoprofile.errors import (
     FragmentPairError,
     InconsistentFragmentsError,
+    InternalInvariantError,
     ParameterError,
     ResourceError,
 )
@@ -23,6 +24,7 @@ from oligoprofile.glueing import (
     OVERLAP_TAGS,
     GlueComponent,
     OrderFragment,
+    OverlapCase,
     classify_overlap,
     emit_invariant_relation,
     fragments_from_json_dict,
@@ -202,6 +204,59 @@ def test_emission_ignores_direction_and_rotation():
     line = GlueComponent(kind="linear", arrangement=(1, 2, 3), members=("a",))
     reversed_line = GlueComponent(kind="linear", arrangement=(3, 2, 1), members=("a",))
     assert emit_invariant_relation(line) == emit_invariant_relation(reversed_line)
+
+
+@pytest.mark.parametrize("kind, n, count", [("linear", 126, 2000376), ("circular", 38, 2085136)])
+def test_emission_one_element_past_the_cap_is_refused(kind, n, count):
+    component = GlueComponent(kind=kind, arrangement=tuple(range(n)), members=("a",))
+    with pytest.raises(ResourceError) as info:
+        emit_invariant_relation(component)
+    assert str(info.value) == (
+        f"emit: {count} tuples to evaluate for a {kind} component of {n} elements,"
+        " over the cap of 2000000"
+    )
+
+
+def test_emission_cap_counts_evaluated_tuples(monkeypatch):
+    """n**3 tuples for a line of n elements and n**4 for a circle: at the
+    cap a component is emitted, one tuple under it it is refused."""
+    line = GlueComponent(kind="linear", arrangement=(1, 2, 3, 4), members=("a",))
+    circle = GlueComponent(kind="circular", arrangement=(1, 2, 3), members=("a",))
+    monkeypatch.setattr(glueing, "_MAX_EMITTED_TUPLES", 81)
+    assert emit_invariant_relation(line) == sample_model("betweenness", 4)
+    assert emit_invariant_relation(circle) == sample_model("separation", 3)
+    monkeypatch.setattr(glueing, "_MAX_EMITTED_TUPLES", 80)
+    assert emit_invariant_relation(line) == sample_model("betweenness", 4)
+    with pytest.raises(ResourceError, match="^emit: 81 tuples"):
+        emit_invariant_relation(circle)
+    monkeypatch.setattr(glueing, "_MAX_EMITTED_TUPLES", 63)
+    with pytest.raises(ResourceError, match="^emit: 64 tuples"):
+        emit_invariant_relation(line)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: OverlapCase(tag="x", segments=()), "unknown overlap tag 'x'", id="overlap-tag"),
+        pytest.param(
+            lambda: GlueComponent(kind="x", arrangement=(), members=()), "unknown component kind 'x'", id="kind"
+        ),
+        pytest.param(
+            lambda: sample_linear_fragments(2, 0), "linear sampling needs size >= 3, got 2", id="linear-size"
+        ),
+    ],
+)
+def test_refusals_name_the_bad_argument(call, message):
+    with pytest.raises(ParameterError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_window_longer_than_the_circle_is_an_internal_error():
+    """Every arc is at most size - 2 long, so only a hand-built span can
+    trip this check."""
+    with pytest.raises(InternalInvariantError, match="^window longer than the circle$"):
+        glueing._spans_to_fragments(list(range(8)) * 2, [(0, 9)], random.Random(0), wrap=8)
 
 
 def test_glue_is_idempotent_on_recovered_arrangement():

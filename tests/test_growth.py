@@ -6,10 +6,11 @@ from hypothesis import strategies as st
 
 from oligoprofile import growth
 from oligoprofile.catalogue import age_predictor
-from oligoprofile.errors import DomainError
+from oligoprofile.errors import DomainError, ParameterError
 from oligoprofile.growth import (
     GOLDEN_RATIO,
     GrowthReport,
+    compositions_count,
     constants_table,
     fibonacci,
     growth_estimate,
@@ -147,3 +148,16 @@ def test_constants_table_entries():
 
 def test_ratio_table_indexing():
     assert ratio_table([1, 2, 6]) == [(2, 2.0), (3, 3.0)]
+
+
+@pytest.mark.parametrize(
+    "n, max_part, message",
+    [
+        (-1, 2, "compositions_count needs n >= 0, got -1"),
+        (3, 0, "max_part must be >= 1, got 0"),
+    ],
+)
+def test_compositions_count_refusals(n, max_part, message):
+    with pytest.raises(ParameterError) as info:
+        compositions_count(n, max_part)
+    assert str(info.value) == message

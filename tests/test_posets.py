@@ -1,6 +1,8 @@
 """Posets, width, and the collapse-to-chain construction."""
 
+import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -29,9 +31,10 @@ from oracles import (
 )
 
 
-def poset_from_strict(size, strict):
+def closed_pairs(size, strict):
+    """strict plus the diagonal, closed transitively on pair sets, so tests
+    can build posets from covers without kernel code."""
     pairs = set(strict) | {(x, x) for x in range(size)}
-    # close transitively so helpers can build test posets from covers
     changed = True
     while changed:
         changed = False
@@ -40,7 +43,11 @@ def poset_from_strict(size, strict):
                 if b == c and (a, d) not in pairs:
                     pairs.add((a, d))
                     changed = True
-    return FinitePoset(size=size, leq=frozenset(pairs))
+    return pairs
+
+
+def poset_from_strict(size, strict):
+    return FinitePoset(size=size, leq=frozenset(closed_pairs(size, strict)))
 
 
 def chain(n):
@@ -75,6 +82,16 @@ def test_validation_rejects_broken_relations():
         FinitePoset(size=2, leq=frozenset({(0, 0), (1, 1), (-1, 1)}))
     with pytest.raises(DomainError, match="bad pair"):
         FinitePoset(size=2, leq=frozenset({(0, 0), (1, 1), (0, 1, 1)}))
+
+
+def test_order_checks_name_the_least_broken_pair():
+    loops = {(x, x) for x in range(4)}
+    with pytest.raises(DomainError, match=r"^antisymmetry fails on \(1, 3\)$"):
+        FinitePoset(4, loops | {(3, 1), (1, 3), (3, 2), (2, 3)})
+    with pytest.raises(DomainError, match=r"^missing reflexive pair \(2, 2\)$"):
+        FinitePoset(4, loops - {(2, 2), (3, 3)} | {(0, 1), (1, 0)})
+    with pytest.raises(DomainError, match=r"^transitivity fails through \(1, 2\)$"):
+        FinitePoset(4, loops | {(1, 2), (2, 3)})
 
 
 def test_json_load_closes_reflexively():
@@ -114,15 +131,47 @@ def test_incomparability_helpers():
     assert not p.is_chain()
 
 
-def test_masks_stay_out_of_equality_and_repr():
+def test_succ_decides_equality_and_stays_out_of_repr():
     p = random_poset(12, max_width=4, seed=3)
     q = FinitePoset(size=p.size, leq=frozenset(sorted(p.leq)))
     assert p == q and hash(p) == hash(q)
     assert p.succ == q.succ and p.pred == q.pred
-    assert "succ" not in repr(p)
+    assert "succ" not in repr(p) and "pred" not in repr(p)
+    assert repr(p) == f"FinitePoset(size=12, leq={p.leq!r})"
+    # an isomorphic chain on other labels: same size, other masks
+    relabelled = poset_from_strict(3, {(2, 0), (0, 1)})
+    assert relabelled.succ != chain(3).succ and relabelled != chain(3)
     for a in range(p.size):
         assert p.succ[a] == sum(1 << b for b in range(p.size) if (a, b) in p.leq)
         assert p.pred[a] == sum(1 << b for b in range(p.size) if (b, a) in p.leq)
+
+
+def test_pairs_made_on_the_test_side_round_trip():
+    """Posets from pair sets that no kernel code produced: the leq view
+    gives the pairs back, the masks and queries agree with them, and the
+    poset equals the one built from masks made here."""
+    for seed in range(60):
+        rng = random.Random(seed)
+        size = 1 + seed % 13
+        layout = rng.sample(range(size), size)
+        strict = {
+            (layout[i], layout[j])
+            for i, j in itertools.combinations(range(size), 2)
+            if rng.random() < 0.3
+        }
+        pairs = closed_pairs(size, strict)
+        p = FinitePoset(size, pairs)
+        assert p.leq == frozenset(pairs)
+        succ = [sum(1 << b for b in range(size) if (a, b) in pairs) for a in range(size)]
+        assert list(p.succ) == succ
+        assert list(p.pred) == [sum(1 << a for a in range(size) if (a, b) in pairs) for b in range(size)]
+        kernel_built = FinitePoset._from_masks(succ)
+        assert kernel_built == p and hash(kernel_built) == hash(p)
+        assert kernel_built.leq == frozenset(pairs)
+        assert p.to_json_dict() == {"size": size, "leq": sorted([a, b] for a, b in pairs if a != b)}
+        for a, b in itertools.product(range(size), repeat=2):
+            assert p.less(a, b) == (a != b and (a, b) in pairs)
+            assert p.incomparable(a, b) == (a != b and (a, b) not in pairs and (b, a) not in pairs)
 
 
 def _oracle_corpus():
@@ -254,7 +303,7 @@ def test_linearize_json_shape():
 
 
 def test_exhaustive_counts():
-    assert [len(exhaustive_posets(s)) for s in range(1, 6)] == [1, 2, 5, 16, 63]
+    assert [len(exhaustive_posets(s)) for s in range(1, 7)] == [1, 2, 5, 16, 63, 318]
 
 
 def test_exhaustive_members_are_canonical_posets():
@@ -263,6 +312,8 @@ def test_exhaustive_members_are_canonical_posets():
         assert p.size == 4
     with pytest.raises(ParameterError):
         exhaustive_posets(7)
+    with pytest.raises(ParameterError, match=r"^size must be >= 1, got 0$"):
+        exhaustive_posets(0)
 
 
 def test_exhaustive_small_matches_brute_dedup():

@@ -431,3 +431,9 @@ def test_profile_sequence_json_rejects_malformed(data):
 def test_profiles_are_monotone(entry_id):
     values = profile(entry_id, 5).values
     assert all(a <= b for a, b in zip(values, values[1:]))
+
+
+def test_class_codes_refuses_empty_subsets():
+    with pytest.raises(ParameterError) as info:
+        class_codes(get_entry("dlo"), 5, 0)
+    assert str(info.value) == "subset size must be >= 1, got 0"

@@ -400,3 +400,70 @@ def test_refinement_kernel_matches_iterated_refinement():
             for c, cell in got.items():
                 assert c == sum(1 for x in fast if x < c)
                 assert all(keys[v] == keys[min(cell)] for v in cell)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: Signature((("", 2),)), "relation name must be a nonempty string, got ''", id="empty-name"
+        ),
+        pytest.param(lambda: FiniteStructure(SIG_EDGE, -1, (frozenset(),)), "size must be >= 0, got -1", id="size"),
+        pytest.param(lambda: FiniteStructure(SIG_EDGE, 2, ()), "0 tuple sets for 1 relation symbols", id="tuple-sets"),
+        pytest.param(
+            lambda: FiniteStructure.from_json_dict({"signature": [["e", 2]], "size": 2.0, "tuples": {}}),
+            "malformed structure JSON: size and tuple entries must be integers",
+            id="json-size",
+        ),
+        pytest.param(
+            lambda: FiniteStructure.from_json_dict({"signature": [["e", 2]], "size": 2, "tuples": {"e": [[0, 1.0]]}}),
+            "malformed structure JSON: size and tuple entries must be integers",
+            id="json-entry",
+        ),
+    ],
+)
+def test_refusals_name_the_bad_argument(call, message):
+    with pytest.raises(ParameterError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_empty_structures_are_isomorphic():
+    assert is_isomorphic(FiniteStructure.build(SIG_EDGE, 0), FiniteStructure.build(SIG_EDGE, 0))
+
+
+_json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 4), st.floats(allow_nan=False), st.text(max_size=2)
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=2), inner, max_size=3)),
+    max_leaves=10,
+)
+
+
+_json_relation = st.lists(st.one_of(st.sampled_from(["e", ""]), st.integers(-1, 3), _json_values), max_size=3)
+_json_tuple = st.lists(st.one_of(st.integers(-1, 4), _json_values), max_size=3)
+
+
+@given(
+    st.fixed_dictionaries(
+        {
+            "signature": st.one_of(_json_values, st.lists(_json_relation, max_size=2)),
+            "size": st.one_of(st.integers(-1, 4), _json_values),
+            "tuples": st.one_of(
+                _json_values,
+                st.dictionaries(st.sampled_from(["e", "x"]), st.lists(_json_tuple, max_size=3), max_size=2),
+            ),
+        }
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_json_loader_loads_or_raises_parameter_error(payload):
+    """Generated payloads either load into a structure that round-trips or
+    raise ParameterError; no other exception escapes."""
+    try:
+        s = FiniteStructure.from_json_dict(payload)
+    except ParameterError:
+        return
+    assert FiniteStructure.from_json_dict(s.to_json_dict()) == s

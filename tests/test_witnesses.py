@@ -256,3 +256,34 @@ def test_build_family_refuses_past_the_caps(construction, n, max_part):
     }[construction]
     with pytest.raises(ResourceError, match="over the cap"):
         constructor()
+
+
+def _family_of_size_zero():
+    fam = composition_witness(2, 2)
+    return WitnessFamily(
+        construction_id="composition",
+        n=0,
+        scaffold=fam.scaffold,
+        members=fam.members,
+        indices=fam.indices,
+        index_decoder=fam.index_decoder,
+    )
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: list(compositions(0, 2)), "compositions need n >= 1, got 0", id="compositions-n"),
+        pytest.param(lambda: list(compositions(3, 0)), "max_part must be >= 1, got 0", id="compositions-max-part"),
+        pytest.param(_family_of_size_zero, "witness family needs n >= 1, got 0", id="family-n"),
+        pytest.param(lambda: composition_witness(3, 0), "max_part must be >= 1, got 0", id="composition-max-part"),
+        pytest.param(
+            lambda: binary_pattern_witness(0), "binary_pattern_witness needs n >= 1, got 0", id="binary-pattern-n"
+        ),
+        pytest.param(lambda: antichain_witness(0), "antichain_witness needs n >= 1, got 0", id="antichain-n"),
+    ],
+)
+def test_refusals_name_the_bad_argument(call, message):
+    with pytest.raises(ParameterError) as info:
+        call()
+    assert str(info.value) == message
