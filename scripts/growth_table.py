@@ -1,8 +1,7 @@
 """Print a gnuplot-ready growth table for a counting sequence.
 
 Columns: n, value, nth root, consecutive ratio. The sequence comes
-from a catalogue entry's closed-form counter when it has one, from
-enumeration otherwise.
+from the catalogue entry's closed-form predictor.
 
 Example:
     python3 scripts/growth_table.py tree_c --n-max 40
@@ -11,7 +10,7 @@ Example:
 import argparse
 import sys
 
-from oligoprofile import get_entry, growth_estimate, profile
+from oligoprofile import age_predictor, get_entry, growth_estimate
 
 
 def main() -> int:
@@ -21,10 +20,7 @@ def main() -> int:
     args = parser.parse_args()
 
     entry = get_entry(args.entry)
-    if entry.predictor is not None:
-        values = [entry.predictor(n) for n in range(1, args.n_max + 1)]
-    else:
-        values = list(profile(args.entry, args.n_max).values)
+    values = [age_predictor(entry, n) for n in range(1, args.n_max + 1)]
     report = growth_estimate(values)
     print("# n  value  nth_root  ratio")
     for i, v in enumerate(values):

@@ -41,6 +41,7 @@ from .growth import (
     constants_table,
     fibonacci,
     growth_estimate,
+    local_order_count,
     lower_bound_check,
     ratio_table,
     tree_count,
@@ -121,6 +122,7 @@ __all__ = [
     "is_isomorphic",
     "linearize",
     "list_entry_ids",
+    "local_order_count",
     "lower_bound_check",
     "profile",
     "random_poset",

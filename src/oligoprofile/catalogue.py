@@ -1,11 +1,11 @@
 """Catalogue of finite samplers for classical oligomorphic structures.
 
-Each entry bundles a sampler (finite model of a given size), an optional
-closed-form predictor for the number of n-point substructure classes, a
-saturation rule saying how large a sample realises every n-point class, and
-a dedup key for subsets (see below). Entry identifiers are stable strings
-used by the CLI: pure_set, dlo, betweenness, circular, separation,
-local_order, fibered_order:k, tree_c.
+Each entry bundles a sampler (finite model of a given size), a closed-form
+predictor for the number of n-point substructure classes, a saturation rule
+saying how large a sample realises every n-point class, and a dedup key for
+subsets (see below). Entry identifiers are stable strings used by the CLI:
+pure_set, dlo, betweenness, circular, separation, local_order,
+fibered_order:k, tree_c.
 
 Entries are formulas. A family declares its signature and, for a requested
 size, the number of points and one predicate per relation; every sampler is
@@ -85,7 +85,7 @@ from operator import le
 from typing import Callable
 
 from .errors import ParameterError
-from .growth import compositions_count, tree_count
+from .growth import compositions_count, local_order_count, tree_count
 from .structures import FiniteStructure, Signature, signature
 
 # step(state, last, e): the state of a prefix extended by e; key(state): the
@@ -115,15 +115,14 @@ class CatalogueEntry:
     sampler(size) returns a FiniteStructure; its domain size equals the
     requested size except for tree_c, where the parameter indexes a
     universal tree and the domain is its leaf set (documented there).
-    predictor(n) gives the expected number of n-point classes, None when no
-    closed form is part of the family. subset_key_factory(model) and
-    subset_step_factory(model) return the key and the prefix step of the
-    module docstring.
+    predictor(n) gives the expected number of n-point classes in closed
+    form. subset_key_factory(model) and subset_step_factory(model) return
+    the key and the prefix step of the module docstring.
     """
 
     entry_id: str
     sampler: Callable[[int], FiniteStructure]
-    predictor: Callable[[int], int] | None
+    predictor: Callable[[int], int]
     saturation_rule: Callable[[int], int]
     subset_key_factory: Callable[[FiniteStructure], SubsetKey]
     subset_step_factory: Callable[[FiniteStructure], SubsetStep]
@@ -345,7 +344,7 @@ _BASE_ENTRIES = {
     "circular": _reduct_entry("circular", SIG_CIRCULAR, _fixed("circular", 1, _cyc)),
     "separation": _reduct_entry("separation", SIG_SEPARATION, _separation),
     "local_order": CatalogueEntry(
-        "local_order", _sampler(SIG_TOURNAMENT, _local_order), None, _rule_desk,
+        "local_order", _sampler(SIG_TOURNAMENT, _local_order), local_order_count, _rule_desk,
         _any_model(_out_degree_key), _out_degree_step_factory,
     ),
     "tree_c": CatalogueEntry(
@@ -394,12 +393,10 @@ def sample_model(entry: CatalogueEntry | str, size: int) -> FiniteStructure:
     return entry.sampler(size)
 
 
-def age_predictor(entry: CatalogueEntry | str, n: int) -> int | None:
-    """Closed-form class count for n-point substructures, if the family has one."""
+def age_predictor(entry: CatalogueEntry | str, n: int) -> int:
+    """Closed-form class count for n-point substructures."""
     if isinstance(entry, str):
         entry = get_entry(entry)
     if n < 1:
         raise ParameterError(f"predictor needs n >= 1, got {n}")
-    if entry.predictor is None:
-        return None
     return entry.predictor(n)

@@ -1,8 +1,9 @@
 """Growth diagnostics for profile sequences.
 
-Exact integer sequences (binary tree counts, Fibonacci) plus float-level
-estimators for the exponential growth rate of a sequence, and the table of
-named constants the package reproduces empirically.
+Exact integer sequences (binary tree counts, bounded compositions, local
+order necklaces, Fibonacci) plus float-level estimators for the exponential
+growth rate of a sequence, and the table of named constants the package
+reproduces empirically.
 """
 
 from __future__ import annotations
@@ -60,6 +61,33 @@ def compositions_count(n: int, max_part: int) -> int:
         acc.append(window)
         window += acc[m] - (acc[m - max_part] if m >= max_part else 0)
     return acc[n]
+
+
+def _totient(d: int) -> int:
+    """Euler's phi of d >= 1, exact, by trial division."""
+    phi, rest, p = d, d, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            while rest % p == 0:
+                rest //= p
+            phi -= phi // p
+        p += 1
+    if rest > 1:
+        phi -= phi // rest
+    return phi
+
+
+def local_order_count(n: int) -> int:
+    """Number of n-point classes of the local order (half-circle tournament).
+
+    f_n = (1/2n) * sum over odd d | n of phi(d) * 2^(n/d), an exact integer:
+    the classes are the binary necklaces of the out-degree sequence, so
+    n * f_n / 2^n tends to 1/2 and the growth base is 2.
+    """
+    if n < 1:
+        raise DomainError(f"local_order_count needs n >= 1, got {n}")
+    total = sum(_totient(d) << (n // d) for d in range(1, n + 1, 2) if n % d == 0)
+    return total // (2 * n)
 
 
 @dataclass(frozen=True)
@@ -174,4 +202,6 @@ def constants_table() -> tuple[NamedConstant, ...]:
 def ratio_table(values) -> list[tuple[int, float]]:
     """Gnuplot-ready (n, ratio) rows: ratio at n is values[n]/values[n-1]."""
     vals = [int(v) for v in values]
+    if any(v <= 0 for v in vals):
+        raise DomainError("ratio_table needs strictly positive values")
     return [(i + 2, b / a) for i, (a, b) in enumerate(zip(vals, vals[1:]))]

@@ -134,14 +134,21 @@ class FinitePoset:
     def __repr__(self) -> str:
         return f"FinitePoset(size={self.size!r}, leq={self.leq!r})"
 
+    def _element(self, a: int) -> int:
+        if type(a) is not int or not 0 <= a < self.size:
+            raise DomainError(f"{a!r} is not an element of a poset of size {self.size}")
+        return a
+
     def less(self, a: int, b: int) -> bool:
+        a, b = self._element(a), self._element(b)
         return a != b and self.succ[a] >> b & 1 == 1
 
     def incomparable(self, a: int, b: int) -> bool:
-        return self.incomparable_mask(a) >> b & 1 == 1
+        return self.incomparable_mask(a) >> self._element(b) & 1 == 1
 
     def incomparable_mask(self, a: int) -> int:
         """Bit mask of the elements incomparable to a."""
+        a = self._element(a)
         return ((1 << self.size) - 1) & ~(self.succ[a] | self.pred[a])
 
     def incomparables(self, a: int) -> tuple[int, ...]:
@@ -171,9 +178,15 @@ class FinitePoset:
         return {"size": self.size, "leq": strict}
 
 
+def _incomparable_masks(p: FinitePoset) -> list[int]:
+    """incomparable_mask of every element, read off the masks unchecked."""
+    full = (1 << p.size) - 1
+    return [full & ~(up | down) for up, down in zip(p.succ, p.pred)]
+
+
 def max_incomparability(p: FinitePoset) -> int:
     """Largest number of elements incomparable to a single element."""
-    return max(p.incomparable_mask(a).bit_count() for a in range(p.size))
+    return max(incs.bit_count() for incs in _incomparable_masks(p))
 
 
 def antichain_width(p: FinitePoset) -> int:
@@ -213,8 +226,7 @@ def triangle_step(p: FinitePoset) -> frozenset[Pair]:
     """
     succ = list(p.succ)
     arrows = []
-    for a in range(p.size):
-        incs = p.incomparable_mask(a)
+    for a, incs in enumerate(_incomparable_masks(p)):
         for b in _bits(incs):
             if p.succ[b] & incs == 1 << b:
                 succ[a] |= 1 << b

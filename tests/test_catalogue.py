@@ -243,7 +243,7 @@ def test_predictors_where_defined():
         fibonacci(n + 1) for n in range(1, 8)
     ]
     assert [age_predictor("tree_c", n) for n in (1, 4, 6)] == [1, 2, 6]
-    assert age_predictor("local_order", 4) is None
+    assert [age_predictor("local_order", n) for n in (4, 8, 10)] == [2, 16, 52]
 
 
 def test_fibered_three_predictor_counts_bounded_compositions():

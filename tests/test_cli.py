@@ -172,22 +172,30 @@ def test_growth_table_output(capsys):
     assert "1.618" in out
 
 
-def test_growth_profiles_an_entry_without_a_closed_form(capsys):
-    """local_order has no predictor, so growth counts its profile."""
-    code, out, err = run_cli(capsys, "growth", "local_order", "--n-max", "8", "--format", "json")
+def test_growth_of_local_order_reads_its_closed_form(capsys):
+    """Past the n the profile engine reaches, at once."""
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "growth", "local_order", "--n-max", "60", "--format", "json")
+    assert time.perf_counter() - start < 1
     assert code == 0 and err == ""
     values = [int(v) for v in json.loads(out)["values"]]
-    assert values == [odd_divisor_necklace_count(n) for n in range(1, 9)]
+    assert values == [odd_divisor_necklace_count(n) for n in range(1, 61)]
 
 
-def test_growth_of_a_profiled_entry_keeps_the_profile_budget(capsys):
-    """The default --n-max 24 needs C(27, 11) subsets at n = 11, over the
-    default budget, and is refused before any count."""
-    start = time.perf_counter()
+def test_growth_of_local_order_at_the_default_n_max(capsys):
     code, out, err = run_cli(capsys, "growth", "local_order")
-    assert time.perf_counter() - start < 5
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-2:] == [
+        " 24  349536    1.70208    1.91672", "limit estimate 2.00135 (monotone values)"
+    ]
+
+
+def test_growth_refuses_a_huge_n_max_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "growth", "fibered_order:2", "--n-max", "20000")
+    assert time.perf_counter() - start < 1
     assert (code, out) == (1, "")
-    assert err == "error: local_order: 13037895 subsets of size 11 exceed budget 10000000\n"
+    assert err == "error: growth --n-max 20000 exceeds the cap of 2000\n"
 
 
 def test_growth_csv_header(capsys):

@@ -14,12 +14,13 @@ from oligoprofile.growth import (
     constants_table,
     fibonacci,
     growth_estimate,
+    local_order_count,
     lower_bound_check,
     ratio_table,
     tree_count,
 )
 
-from oracles import brute_tree_count
+from oracles import brute_tree_count, odd_divisor_necklace_count
 
 
 def test_tree_count_first_values():
@@ -48,6 +49,20 @@ def test_tree_count_far_past_the_recursion_limit(monkeypatch):
 def test_tree_count_domain():
     with pytest.raises(DomainError):
         tree_count(0)
+
+
+def test_local_order_count_matches_the_necklace_oracle():
+    # the oracle counts totatives by gcd, so it shares no code with the library
+    for n in range(1, 200):
+        assert local_order_count(n) == odd_divisor_necklace_count(n), n
+    with pytest.raises(DomainError, match="local_order_count needs n >= 1, got 0"):
+        local_order_count(0)
+
+
+def test_local_order_grows_with_base_two():
+    """n * f_n / 2^n tends to 1/2: the growth base is exactly 2."""
+    assert 10 * local_order_count(10) / 2 ** 10 == pytest.approx(0.5078, abs=1e-4)
+    assert 60 * local_order_count(60) / 2 ** 60 == pytest.approx(0.5, abs=1e-9)
 
 
 def test_fibonacci_values_and_domain():
@@ -148,6 +163,8 @@ def test_constants_table_entries():
 
 def test_ratio_table_indexing():
     assert ratio_table([1, 2, 6]) == [(2, 2.0), (3, 3.0)]
+    with pytest.raises(DomainError, match="ratio_table needs strictly positive values"):
+        ratio_table([0, 1])
 
 
 @pytest.mark.parametrize(

@@ -131,6 +131,30 @@ def test_incomparability_helpers():
     assert not p.is_chain()
 
 
+NON_ELEMENT_QUERIES = [
+    ("less", (-1, 0), -1),
+    ("less", (0, -1), -1),
+    ("less", (5, 0), 5),
+    ("less", (3, 3), 3),
+    ("incomparable", (0, 3), 3),
+    ("incomparable", (-1, 1), -1),
+    ("incomparable_mask", (7,), 7),
+    ("incomparables", (-1,), -1),
+    ("incomparables", (True,), True),
+]
+
+
+@pytest.mark.parametrize(
+    "method, args, bad", NON_ELEMENT_QUERIES,
+    ids=[f"{m}{a}".replace(" ", "") for m, a, _ in NON_ELEMENT_QUERIES],
+)
+def test_queries_refuse_non_elements(method, args, bad):
+    p = FinitePoset(3, [(0, 0), (1, 1), (2, 2), (2, 0)])
+    with pytest.raises(DomainError) as info:
+        getattr(p, method)(*args)
+    assert str(info.value) == f"{bad!r} is not an element of a poset of size 3"
+
+
 def test_succ_decides_equality_and_stays_out_of_repr():
     p = random_poset(12, max_width=4, seed=3)
     q = FinitePoset(size=p.size, leq=frozenset(sorted(p.leq)))

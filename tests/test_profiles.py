@@ -15,7 +15,7 @@ from oligoprofile.catalogue import (
     sample_model,
 )
 from oligoprofile.errors import ParameterError, ResourceError, SaturationError
-from oligoprofile.growth import compositions_count, fibonacci
+from oligoprofile.growth import compositions_count, fibonacci, local_order_count
 from oligoprofile import profiles
 from oligoprofile.profiles import ProfileSequence, class_codes, profile
 from oligoprofile.structures import (
@@ -88,14 +88,17 @@ def test_local_order_profile_matches_tournament_search():
     those without a directed triangle in any neighbourhood; it never touches
     the half-circle sampler, so agreement pins the profile from two sides.
     """
-    seq = profile("local_order", 6)
-    assert seq.values == tuple(locally_transitive_count(n) for n in range(1, 7))
+    brute = tuple(locally_transitive_count(n) for n in range(1, 7))
+    assert profile("local_order", 6).values == brute
+    assert tuple(local_order_count(n) for n in range(1, 7)) == brute
 
 
 def test_local_order_profile_matches_necklace_closed_form():
-    seq = profile("local_order", 7)
-    assert seq.values == (1, 1, 2, 2, 4, 6, 10)
-    assert seq.values == tuple(odd_divisor_necklace_count(n) for n in range(1, 8))
+    """The engine, the library's predictor and the test oracle agree."""
+    seq = profile("local_order", 8)
+    assert seq.values == (1, 1, 2, 2, 4, 6, 10, 16)
+    assert seq.values == tuple(odd_divisor_necklace_count(n) for n in range(1, 9))
+    assert seq.values == tuple(local_order_count(n) for n in range(1, 9))
 
 
 def test_profile_accepts_entry_object():

@@ -9,16 +9,26 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
-SCRIPT_RUNS = [
-    ("glue_recovery.py", ["--cases", "6", "--max-size", "40", "--seed", "1"], "6 cases, 0 failures"),
-    ("growth_table.py", ["tree_c", "--n-max", "6"], "# limit estimate"),
-    ("poset_experiment.py", ["--count", "10", "--size", "12", "--width", "4", "--seed", "1"],
-     "all checks passed"),
-    ("profile_catalogue.py", ["--n-max", "4", "--entries", "circular", "tree_c"], "ok"),
-]
+# test id -> (script, arguments, a line fragment the output must contain)
+SCRIPT_RUNS = {
+    "glue_recovery.py": (
+        "glue_recovery.py", ["--cases", "6", "--max-size", "40", "--seed", "1"], "6 cases, 0 failures"
+    ),
+    "growth_table.py": ("growth_table.py", ["tree_c", "--n-max", "6"], "# limit estimate"),
+    "growth_table.py-local_order": (
+        "growth_table.py", ["local_order", "--n-max", "60"], "# limit estimate"
+    ),
+    "poset_experiment.py": (
+        "poset_experiment.py", ["--count", "10", "--size", "12", "--width", "4", "--seed", "1"],
+        "all checks passed",
+    ),
+    "profile_catalogue.py": (
+        "profile_catalogue.py", ["--n-max", "4", "--entries", "circular", "tree_c"], "ok"
+    ),
+}
 
 
-@pytest.mark.parametrize("script, args, expected", SCRIPT_RUNS, ids=[r[0] for r in SCRIPT_RUNS])
+@pytest.mark.parametrize("script, args, expected", list(SCRIPT_RUNS.values()), ids=list(SCRIPT_RUNS))
 def test_script_runs(script, args, expected):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
