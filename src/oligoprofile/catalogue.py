@@ -74,6 +74,35 @@ state keeps its fixed out-degree minus the point count and its position
 from the first point; the last position is the span. A new point beats
 exactly the frozen points. Translates share a state, which fixes the
 states of all extensions by equal steps, and the first reached ends lowest.
+
+Saturation proofs. saturation_rule(n) is a sample size that realises every
+n-point class of the structure. An entry whose saturation_proof names one
+of the sections below is counted once per n, at that size; profile()
+rechecks an entry without a proof on larger samples.
+
+  reducts: the formulas only compare their arguments, so any n points of a
+  chain induce the one class, and 2n+3 >= n points hold n of them.
+
+  fibered_order: k*n points are n whole blocks; a composition of n with r
+  parts, each at most k, takes its i-th part from block i.
+
+  tree_c: an n-point substructure is fixed by the shape of the binary tree
+  its leaves span, since the relation compares depths of meets on a common
+  root path. _universal_tree_depths proves that U_n embeds every shape
+  with at most n leaves, keeping meets and their order along root paths.
+
+  local_order: every finite local order is n points on a circle in general
+  position, x -> y iff y lies in the open half-circle clockwise of x; this
+  is the age of the dense local order S(2) (Lachlan 1984, homogeneous
+  tournaments). The tournament depends only on the cyclic order of the 2n
+  points and their antipodes; number the slots of that order 0..2n-1, so
+  that slot s+n holds the antipode of slot s. On the circulant of N = 2m+1 points (a
+  circle of length N, half-circle m+1/2) put slot s < n at s if it holds a
+  point and at s+1/2 if an antipode. Slot s+n then falls at s+m+1/2 or at
+  the integer s+m+1, in [s+m+1/2, s+m+1]. Both halves increase, every
+  point sits on an integer, and the halves do not overlap or wrap when
+  m >= n. So the circulant on 2n+1 points, and hence on 2n+3, realises
+  every n-point local order.
 """
 
 from __future__ import annotations
@@ -117,7 +146,9 @@ class CatalogueEntry:
     universal tree and the domain is its leaf set (documented there).
     predictor(n) gives the expected number of n-point classes in closed
     form. subset_key_factory(model) and subset_step_factory(model) return
-    the key and the prefix step of the module docstring.
+    the key and the prefix step of the module docstring. saturation_proof
+    names the module docstring's section proving saturation_rule, or is
+    None for an unproven rule.
     """
 
     entry_id: str
@@ -126,6 +157,7 @@ class CatalogueEntry:
     saturation_rule: Callable[[int], int]
     subset_key_factory: Callable[[FiniteStructure], SubsetKey]
     subset_step_factory: Callable[[FiniteStructure], SubsetStep]
+    saturation_proof: str | None = None
 
 
 def _at_least(entry_id: str, least: int, size: int) -> int:
@@ -327,13 +359,14 @@ def _fibered_entry(k: int) -> CatalogueEntry:
         saturation_rule=lambda n, _k=k: _k * n,
         subset_key_factory=_identity_key_factory,
         subset_step_factory=_any_model(step),
+        saturation_proof="fibered_order",
     )
 
 
 def _reduct_entry(entry_id: str, sig: Signature, family: Family) -> CatalogueEntry:
     return CatalogueEntry(
         entry_id, _sampler(sig, family), lambda n: 1, _rule_desk, _identity_key_factory,
-        _const_step_factory,
+        _const_step_factory, "reducts",
     )
 
 
@@ -345,11 +378,11 @@ _BASE_ENTRIES = {
     "separation": _reduct_entry("separation", SIG_SEPARATION, _separation),
     "local_order": CatalogueEntry(
         "local_order", _sampler(SIG_TOURNAMENT, _local_order), local_order_count, _rule_desk,
-        _any_model(_out_degree_key), _out_degree_step_factory,
+        _any_model(_out_degree_key), _out_degree_step_factory, "local_order",
     ),
     "tree_c": CatalogueEntry(
         "tree_c", _sampler(SIG_TREE, _tree), tree_count, lambda n: n,
-        _any_model(_tree_key), _tree_step_factory,
+        _any_model(_tree_key), _tree_step_factory, "tree_c",
     ),
 }
 

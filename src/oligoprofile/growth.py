@@ -204,4 +204,7 @@ def ratio_table(values) -> list[tuple[int, float]]:
     vals = [int(v) for v in values]
     if any(v <= 0 for v in vals):
         raise DomainError("ratio_table needs strictly positive values")
-    return [(i + 2, b / a) for i, (a, b) in enumerate(zip(vals, vals[1:]))]
+    try:
+        return [(i + 2, b / a) for i, (a, b) in enumerate(zip(vals, vals[1:]))]
+    except OverflowError:
+        raise DomainError("a ratio of the values exceeds float range") from None

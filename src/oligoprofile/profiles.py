@@ -2,10 +2,12 @@
 
 profile(entry, n_max) computes, for each n up to n_max, the number of
 distinct canonical codes among the induced substructures on all n-subsets
-of a finite model sampled at the entry's saturation size. The code set is
-recomputed on a strictly larger sample (rule size + 2); equal sets are the
-saturation check, unequal ones trigger one retry two sizes further before a
-SaturationError.
+of a finite model sampled at the entry's saturation size (the base). An
+entry whose saturation rule is proven (catalogue, "Saturation proofs") is
+counted once per n, at the base. Any other entry is rechecked: the code
+set is recomputed on a strictly larger sample (base + 2); equal sets are
+the saturation check, unequal ones trigger one retry two sizes further
+(base + 4) before a SaturationError.
 
 Subsets are enumerated as a frontier of sorted prefixes, one level per
 length. Each level maps a prefix state (the entry's subset step, see
@@ -17,8 +19,9 @@ Counting never trusts the dedup key alone: keys only pick one
 representative subset per key, canonical codes of the representatives are
 what gets counted. Canonical codes are memoised by literal encoding.
 
-Every base and base+2 count is checked against the budget before the
-first one is computed, so an over-budget request fails at once.
+Every count that will run (the base, and base + 2 for an unproven entry)
+is checked against the budget before the first one is computed, so an
+over-budget request fails at once.
 """
 
 from __future__ import annotations
@@ -38,7 +41,8 @@ DEFAULT_BUDGET = 10_000_000
 
 @dataclass(frozen=True)
 class ProfileSequence:
-    """Profile values f_1..f_n with the sampler size each stabilised at."""
+    """Profile values f_1..f_n with the sample size each was counted at:
+    the proven base, or the size where the recheck settled."""
 
     entry_id: str
     values: tuple[int, ...]
@@ -150,24 +154,32 @@ class _ClassCounter:
 def profile(entry, n_max: int, budget: int = DEFAULT_BUDGET) -> ProfileSequence:
     """Profile f_1..f_{n_max} of a catalogue entry with saturation checking.
 
-    Accepts an entry object or a stable identifier string. budget bounds
-    C(sample size, n) for every count; the base and base+2 counts of every
-    n are checked, in order, before any is computed.
+    Accepts an entry object or a stable identifier string. A proven entry
+    is counted at its base size only; an unproven one is rechecked at base
+    + 2 and, if that differs, base + 4. budget bounds C(sample size, n) for
+    every count; the base counts of every n, and the base + 2 counts of an
+    unproven entry, are checked in order before any is computed.
     """
     if isinstance(entry, str):
         entry = catalogue.get_entry(entry)
     if n_max < 1:
         raise ParameterError(f"n_max must be >= 1, got {n_max}")
+    proven = entry.saturation_proof is not None
     counter = _ClassCounter(entry, budget)
     for n in range(1, n_max + 1):
         base = entry.saturation_rule(n)
         counter.checked_model(base, n)
-        counter.checked_model(base + 2, n)
+        if not proven:
+            counter.checked_model(base + 2, n)
     values = []
     sat = []
     for n in range(1, n_max + 1):
         base = entry.saturation_rule(n)
         s1 = counter.codes(base, n)
+        if proven:
+            values.append(len(s1))
+            sat.append(base)
+            continue
         s2 = counter.codes(base + 2, n)
         if s1 == s2:
             values.append(len(s1))

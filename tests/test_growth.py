@@ -165,6 +165,9 @@ def test_ratio_table_indexing():
     assert ratio_table([1, 2, 6]) == [(2, 2.0), (3, 3.0)]
     with pytest.raises(DomainError, match="ratio_table needs strictly positive values"):
         ratio_table([0, 1])
+    assert ratio_table([10**399, 10**400]) == [(2, 10.0)]
+    with pytest.raises(DomainError, match="a ratio of the values exceeds float range"):
+        ratio_table([1, 10**400])
 
 
 @pytest.mark.parametrize(

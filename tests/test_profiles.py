@@ -1,5 +1,6 @@
 """Profile computation: dedup, saturation, budgets and known sequences."""
 
+import dataclasses
 import functools
 import itertools
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oligoprofile import catalogue
 from oligoprofile.catalogue import (
     CatalogueEntry,
     _model_tree_depths,
@@ -15,7 +17,7 @@ from oligoprofile.catalogue import (
     sample_model,
 )
 from oligoprofile.errors import ParameterError, ResourceError, SaturationError
-from oligoprofile.growth import compositions_count, fibonacci, local_order_count
+from oligoprofile.growth import compositions_count, fibonacci, local_order_count, tree_count
 from oligoprofile import profiles
 from oligoprofile.profiles import ProfileSequence, class_codes, profile
 from oligoprofile.structures import (
@@ -79,6 +81,14 @@ def test_tree_profile_follows_shape_counts():
     seq = profile("tree_c", 6)
     assert seq.values == (1, 1, 1, 2, 3, 6)
     assert seq.saturated_at == (1, 2, 3, 4, 5, 6)
+
+
+def test_tree_profile_reaches_nine_leaves_under_the_default_budget():
+    """n=9 counts C(23, 9) = 817,190 subsets at the base only."""
+    seq = profile("tree_c", 9)
+    assert seq.values == tuple(tree_count(n) for n in range(1, 10))
+    assert seq.values[-1] == 46
+    assert seq.saturated_at == tuple(range(1, 10))
 
 
 def test_local_order_profile_matches_tournament_search():
@@ -174,6 +184,40 @@ def test_equal_counts_with_different_codes_are_rechecked():
     assert seq.saturated_at == (5,)
 
 
+def test_a_proven_entry_is_counted_once_at_its_base():
+    sizes = []
+    swap = _swapping_entry({3: "a", 5: "b", 7: "b"})
+
+    def sampler(size):
+        sizes.append(size)
+        return swap.sampler(size)
+
+    entry = dataclasses.replace(swap, sampler=sampler, saturation_proof="test")
+    seq = profile(entry, 1)
+    assert seq.values == (1,)
+    assert seq.saturated_at == (3,)
+    assert sizes == [3]
+
+
+# n_max of each entry's profile stdout pin in test_cli
+_PINNED_N = {"fibered_order:2": 10, "tree_c": 7}
+
+
+@pytest.mark.parametrize("entry_id", default_sweep_ids())
+def test_proven_saturation_survives_the_recheck(entry_id):
+    """Every catalogue entry is proven, so profile() counts it at its base
+    only; the recheck it skips runs here, so a wrong proof fails loudly:
+    base and base+2 give equal code sets for every n up to the entry's
+    pinned n_max."""
+    entry = get_entry(entry_id)
+    assert entry.saturation_proof is not None
+    assert f"  {entry.saturation_proof}: " in catalogue.__doc__
+    for n in range(1, _PINNED_N.get(entry_id, 8) + 1):
+        base = entry.saturation_rule(n)
+        assert class_codes(entry, base, n) == class_codes(entry, base + 2, n), n
+
+
+
 def test_saturation_error_reports_code_set_differences():
     with pytest.raises(SaturationError) as info:
         profile(_swapping_entry({3: "a", 5: "b", 7: "a"}), 1)
@@ -200,8 +244,8 @@ def _brute_codes(entry_id, size, n):
 def test_class_codes_match_brute_scan(entry_id):
     """The pruned scan finds every class the exhaustive scan finds.
 
-    Brute codes canonicalise every n-subset with no key and no step, at the
-    two sample sizes the saturation check compares.
+    Brute codes canonicalise every n-subset with no key and no step, at
+    base and base+2.
     """
     entry = get_entry(entry_id)
     n_max = 6 if entry_id == "tree_c" else 5
@@ -245,7 +289,7 @@ def _state_keys(entry, model, n):
 @pytest.mark.parametrize("entry_id", default_sweep_ids())
 def test_state_keys_equal_subset_keys(entry_id):
     """The key of a subset's final step state is the key the subset-based
-    oracle computes, at the sizes the saturation check compares."""
+    oracle computes, at base and base+2."""
     entry = get_entry(entry_id)
     for n in range(1, 6):
         base = entry.saturation_rule(n)
@@ -261,7 +305,7 @@ def test_first_prefix_per_state_reaches_every_key(entry_id):
     """The step contract itself, for every prefix and not only those the
     frontier keeps: of the prefixes sharing a state, the first in
     lexicographic order reaches by extension every key that a later one
-    reaches, at the sizes the saturation check compares."""
+    reaches, at base and base+2."""
     entry = get_entry(entry_id)
     for n in range(2, 7):
         base = entry.saturation_rule(n)
@@ -342,9 +386,8 @@ def test_out_degree_keys_merge_equal_gap_necklaces():
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_local_order_keys_are_complete(n):
-    """One representative per class at the sizes the saturation check
-    compares: no two keys share a canonical code, and the keys number the
-    necklace closed form."""
+    """One representative per class at base and base+2: no two keys share
+    a canonical code, and the keys number the necklace closed form."""
     entry = get_entry("local_order")
     counter = profiles._ClassCounter(entry, profiles.DEFAULT_BUDGET)
     for size in (entry.saturation_rule(n), entry.saturation_rule(n) + 2):
@@ -382,8 +425,8 @@ def test_keys_are_sound_past_the_brute_gate(entry_id, size, n):
 @pytest.mark.parametrize(
     "entry_id, n_max, message",
     [
-        ("tree_c", 9, "tree_c: 124403620 subsets of size 9 exceed budget 10000000"),
-        ("local_order", 12, "local_order: 13037895 subsets of size 11 exceed budget 10000000"),
+        ("tree_c", 10, "tree_c: 30045015 subsets of size 10 exceed budget 10000000"),
+        ("local_order", 12, "local_order: 17383860 subsets of size 12 exceed budget 10000000"),
     ],
 )
 def test_over_budget_profile_fails_before_counting(monkeypatch, entry_id, n_max, message):
