@@ -5,12 +5,18 @@ profile enumeration, growth analysis, witness families, poset
 linearization, fragment glueing, and the constant table. Output is
 deterministic for a fixed command line and input files, so runs can
 be diffed byte for byte.
+
+JSON output is exactly the bytes of ``json.dumps(payload, indent=2)``
+plus a newline. ``_json_text`` lays out dicts and lists itself and
+leaves every scalar, and every flat int row or int matrix, to the C
+encoder, which ``indent`` would otherwise switch off.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .catalogue import age_predictor, get_entry, list_entry_ids
@@ -26,8 +32,67 @@ def _real(x: float) -> float:
     return float(f"{x:.6g}")
 
 
+_encode = json.JSONEncoder().encode
+_ROW = r"\[-?\d+(?:, -?\d+)*\]"
+_INT_ROW = re.compile(_ROW)
+_INT_MATRIX = re.compile(rf"\[(?:{_ROW}|\[\])(?:, (?:{_ROW}|\[\]))*\]")
+
+
+def _key(key) -> str:
+    """A dict key as json.dumps writes it: a scalar that is not a str is quoted."""
+    if isinstance(key, str):
+        return _encode(key)
+    if key is None or isinstance(key, (int, float)):
+        return f'"{_encode(key)}"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _emit(value, indent: str, out: list[str]) -> None:
+    """Append the indent=2 text of value, opened at this indent, to out."""
+    if isinstance(value, str) or not isinstance(value, (list, tuple, dict)):
+        out.append(_encode(value))
+        return
+    if not value:
+        out.append("{}" if isinstance(value, dict) else "[]")
+        return
+    inner = indent + "  "
+    row, cell = "\n" + inner, "\n" + inner + "  "
+    sep = "," + row
+    # every item is led by sep; the first one's is swapped for the bracket
+    start = len(out)
+    if isinstance(value, dict):
+        for k, v in value.items():
+            out += (sep, _key(k), ": ")
+            _emit(v, inner, out)
+        out[start] = "{" + row
+        out.append("\n" + indent + "}")
+        return
+    # Compact-encode a list that starts like an int row or matrix once; a
+    # list of dicts (witness members) is never encoded whole.
+    first = value[0]
+    if isinstance(first, int) or (isinstance(first, (list, tuple)) and first and isinstance(first[0], int)):
+        text = _encode(value)
+        if _INT_ROW.fullmatch(text):
+            out += ("[", row, text[1:-1].replace(", ", sep), "\n" + indent + "]")
+            return
+        if _INT_MATRIX.fullmatch(text):
+            # rows open on row lines, items on cell lines; an empty row stays []
+            body = text[1:-1].replace("], [", "]" + sep + "[").replace(", ", "," + cell)
+            body = body.replace("[", "[" + cell).replace("]", row + "]")
+            out += ("[", row, body.replace("[" + cell + row + "]", "[]"), "\n" + indent + "]")
+            return
+    for v in value:
+        out.append(sep)
+        _emit(v, inner, out)
+    out[start] = "[" + row
+    out.append("\n" + indent + "]")
+
+
 def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    out: list[str] = []
+    _emit(payload, "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def _load_json(path: str) -> dict:

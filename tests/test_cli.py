@@ -10,9 +10,12 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oligoprofile.cli import main
+from oligoprofile.cli import _json_text, main
 from oligoprofile.growth import fibonacci
+from oligoprofile.posets import random_poset
 
 from oracles import odd_divisor_necklace_count
 
@@ -106,6 +109,91 @@ def test_profile_stdout_is_pinned(capsys, entry, n_max):
         assert code == 0
         digests.append(hashlib.sha256(out.encode()).hexdigest())
     assert tuple(digests) == PROFILE_PINS[entry, n_max]
+
+
+def _digest(out: str) -> str:
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+# argv -> sha256 of `witness argv` stdout, taken before the JSON emitter
+# replaced json.dumps(indent=2). n=9 has the payload shapes of the perfbench
+# families at n=10 and 11: int-matrix indices, dict members, int-row tuples.
+WITNESS_PINS = {
+    ("composition", "--n", "9"): "b0acf436b92ba320ca8a7e47e4b5273b9cd8bb0111e1eef4d7360ed5fbd721bc",
+    ("antichain", "--n", "9"): "ba1ee304f34cc50faed17fbd838ff20ba2d7ce2609ce7c3e5457b914c389a654",
+    ("binary_pattern", "--n", "9"): "8b69422f901c17f094bb4ec6b556f8dfefb57e7f77232ec27025bf6cf5e169fe",
+    ("composition", "--n", "10", "--max-part", "2"): (
+        "7af4cf583a7e9dc0f45b380df06fbc1f91c9e592d433a2143d0959ca74f6f8c4"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(WITNESS_PINS), ids=" ".join)
+def test_witness_stdout_is_pinned(capsys, argv):
+    code, out, err = run_cli(capsys, "witness", *argv)
+    assert (code, err) == (0, "")
+    assert _digest(out) == WITNESS_PINS[argv]
+
+
+# argv -> sha256 of the JSON stdout of every other command, taken the same way;
+# profile and glue are pinned above and in test_glueing.py
+JSON_PINS = {
+    ("linearize", "--in", "poset.json"): "f7f64ab9b4427b70275559fcc566145241b0bdfcdf6ddf7dd623395b2eba0b9c",
+    ("growth", "tree_c", "--format", "json"): (
+        "e76493425dd98f74ef6404650add148e90f46f1bce7f9704b9b186070b3ac188"
+    ),
+    ("constants", "--format", "json"): "24b173d73ed6e5a6089f6092539f586926f93ccfe07174a8cfb6658893424312",
+    ("catalogue-list", "--format", "json"): (
+        "5137f9050493ba6b72e6a785554f3bd5b4ae947b3e15790200bf517524293566"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(JSON_PINS), ids=" ".join)
+def test_json_stdout_is_pinned(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "poset.json").write_text(json.dumps(random_poset(30, 6, seed=1).to_json_dict()))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert _digest(out) == JSON_PINS[argv]
+
+
+_TRICKY_STRINGS = st.sampled_from([", ", "], [", "[1, 2]", '"', 'a"b', "\\", "\n", "\u00e9"])
+_FLOATS = st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 1e300, 0.5]) | st.floats()
+_INTS = st.integers(min_value=-(10**20), max_value=10**20)
+_ROWS = st.lists(_INTS | st.booleans(), max_size=4)
+_KEYS = st.text(max_size=3) | _TRICKY_STRINGS | _INTS | st.booleans() | st.none() | _FLOATS
+_JSON = st.recursive(
+    st.none() | st.booleans() | _INTS | _FLOATS | st.text(max_size=4) | _TRICKY_STRINGS
+    | _ROWS | st.lists(_ROWS, max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_KEYS, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_JSON)
+@example([[], [1]])
+@example([[1], [], [-2, 3, 4]])
+@example([1, True, -2])
+@example([1, ", ", '"'])
+@example([[1, "], ["]])
+@example((1, (2, 3), [None, "], ["]))
+@example([[1, 2.5], [3]])
+@example([[[1]], [2]])
+@example({1: [], None: 0, True: 1, 1.5: -0.0, math.nan: [math.inf, 1e300], ", ": {}})
+def test_json_text_is_json_dumps_indent_2(payload):
+    assert _json_text(payload) == json.dumps(payload, indent=2) + "\n"
+
+
+def test_json_text_refuses_what_json_dumps_refuses():
+    for payload in ({(1, 2): 0}, [1, {2}], {"a": object()}):
+        with pytest.raises(TypeError):
+            json.dumps(payload, indent=2)
+        with pytest.raises(TypeError):
+            _json_text(payload)
 
 
 def test_profile_jobs_do_not_change_output(capsys):
