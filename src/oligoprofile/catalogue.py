@@ -394,6 +394,9 @@ def get_entry(entry_id: str) -> CatalogueEntry:
     if entry_id.startswith("fibered_order:"):
         raw = entry_id.split(":", 1)[1]
         try:
+            # one spelling per k: ASCII digits, no sign, space, "_" or leading 0
+            if not (raw.isascii() and raw.isdigit()) or raw[0] == "0" and raw != "0":
+                raise ValueError
             k = int(raw)
         except ValueError:
             raise ParameterError(f"bad fibered_order block size {raw!r}") from None

@@ -11,10 +11,12 @@ antichain classes compatible with the original order.
 The kernel works on bit masks: a poset is the mask of the elements above
 each element, so the order axioms, incomparables, the maximality test of
 the before relation, the quotient's classes and its well-definedness
-check, and the final ranks are word operations and popcounts. Set bits
-are read off the binary digits at C speed. Pairs appear only at the
-edges: the public constructor, the leq view, each round's before
-relation, and JSON. Every invariant the construction promises (a
+check, and the final ranks are word operations and popcounts. Each
+round's before relation stays successor masks from triangle_step to the
+round record, and the input elements behind each quotient element are a
+mask too. Set bits are read off the binary digits at C speed. Pairs
+appear only at the edges: the public constructor, from_json_dict, the
+leq view and JSON. Every invariant the construction promises (a
 transitive before relation, a well-defined quotient that is a poset, at
 most size rounds) is still checked and raises InternalInvariantError.
 """
@@ -70,14 +72,6 @@ def _pairs(succ: Sequence[int]) -> frozenset[Pair]:
     return frozenset(chain.from_iterable(zip(repeat(a), _bits(m)) for a, m in enumerate(succ)))
 
 
-def _masks(size: int, relation: Iterable[Pair]) -> list[int]:
-    """Successor masks of a relation on range(size)."""
-    succ = [0] * size
-    for a, b in relation:
-        succ[a] |= 1 << b
-    return succ
-
-
 @dataclass(frozen=True, init=False, repr=False)
 class FinitePoset:
     """A reflexive, antisymmetric, transitive relation on {0..size-1}.
@@ -95,11 +89,14 @@ class FinitePoset:
     def __init__(self, size: int, leq: Iterable[Pair]) -> None:
         if size < 1:
             raise DomainError(f"poset size must be >= 1, got {size}")
-        # checked before the masks, which would read (True, 1) as (1, 1)
+        succ = [0] * size
+        # one pass, so an iterator is read once; each pair is checked
+        # before it is set, since a mask would read (True, 1) as (1, 1)
         for pair in leq:
             if len(pair) != 2 or not all(type(v) is int and 0 <= v < size for v in pair):
                 raise DomainError(f"bad pair {pair!r} for size {size}")
-        self._set_masks(_masks(size, leq))
+            succ[pair[0]] |= 1 << pair[1]
+        self._set_masks(succ)
 
     @classmethod
     def _from_masks(cls, succ: list[int]) -> "FinitePoset":
@@ -214,42 +211,40 @@ def antichain_width(p: FinitePoset) -> int:
     return n - matched
 
 
-def triangle_step(p: FinitePoset) -> frozenset[Pair]:
-    """The before relation: a before b when a <= b or b is maximal among
-    the elements incomparable to a.
+def triangle_step(p: FinitePoset) -> tuple[int, ...]:
+    """The before relation as successor masks: bit b of row a is set when
+    a <= b or b is maximal among the elements incomparable to a.
 
-    b is maximal in V(a) when succ[b] meets V(a) in b alone. The output
-    is p.leq, the poset's cached pair view, plus the arrows, so round
-    records that keep it cost only the new arrows. Transitivity of the
-    output holds for every poset; a violation means the implementation
-    is broken, not the input.
+    b is maximal in V(a) when succ[b] meets V(a) in b alone. Transitivity
+    of the output holds for every poset; a violation means the
+    implementation is broken, not the input.
     """
-    succ = list(p.succ)
-    arrows = []
+    before = list(p.succ)
     for a, incs in enumerate(_incomparable_masks(p)):
         for b in _bits(incs):
             if p.succ[b] & incs == 1 << b:
-                succ[a] |= 1 << b
-                arrows.append((a, b))
-    broken = _first_intransitive(succ)
+                before[a] |= 1 << b
+    broken = _first_intransitive(before)
     if broken:
         raise InternalInvariantError(f"before relation not transitive through {broken}")
-    return p.leq.union(arrows)
+    return tuple(before)
 
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """One collapse round: the before relation seen and the quotient shape."""
+    """One collapse round: the before relation as successor masks (bit b
+    of before[a] set when a is before b) and the quotient shape. JSON
+    lists its pairs under "tri" row by row, which is sorted pair order."""
 
     round_index: int
-    tri: tuple[Pair, ...]
+    before: tuple[int, ...]
     quotient_width: int
     quotient_incomparability: int
 
     def to_json_dict(self) -> dict:
         return {
             "round": self.round_index,
-            "tri": [list(p) for p in self.tri],
+            "tri": [[a, b] for a, m in enumerate(self.before) for b in _bits(m)],
             "quotient_width": self.quotient_width,
             "quotient_incomparability": self.quotient_incomparability,
         }
@@ -269,7 +264,7 @@ class LinearizationResult:
         }
 
 
-def _quotient(after: list[int]) -> tuple[FinitePoset, list[list[int]]]:
+def _quotient(after: Sequence[int]) -> tuple[FinitePoset, list[list[int]]]:
     """Group mutually before-related elements and order the groups;
     after[a] has bit b set when a is before b.
 
@@ -323,7 +318,8 @@ def _quotient(after: list[int]) -> tuple[FinitePoset, list[list[int]]]:
 def linearize(p: FinitePoset) -> LinearizationResult:
     """Collapse a poset to an ordered partition into antichain classes."""
     current = p
-    nodes: list[tuple[int, ...]] = [(i,) for i in range(p.size)]
+    # the input elements each current element stands for, as a mask
+    nodes = [1 << i for i in range(p.size)]
     trace: list[RoundRecord] = []
     rounds = 0
     while not current.is_chain():
@@ -332,21 +328,23 @@ def linearize(p: FinitePoset) -> LinearizationResult:
             raise InternalInvariantError(
                 f"no chain after {rounds - 1} rounds on {p.size} elements"
             )
-        tri = triangle_step(current)
-        quotient, groups = _quotient(_masks(current.size, tri))
-        nodes = [tuple(sorted(x for g in group for x in nodes[g])) for group in groups]
+        before = triangle_step(current)
+        quotient, groups = _quotient(before)
+        nodes = [reduce(or_, map(nodes.__getitem__, group)) for group in groups]
         trace.append(
             RoundRecord(
                 round_index=rounds,
-                tri=tuple(sorted(tri)),
+                before=before,
                 quotient_width=antichain_width(quotient),
                 quotient_incomparability=max_incomparability(quotient),
             )
         )
         current = quotient
-    order = sorted(range(current.size), key=lambda a: current.pred[a].bit_count())
-    classes = tuple(nodes[a] for a in order)
-    return LinearizationResult(classes=classes, trace=tuple(trace))
+    # in a chain, an element with r elements at or below it has rank r - 1
+    classes = [()] * current.size
+    for a, down in enumerate(current.pred):
+        classes[down.bit_count() - 1] = tuple(_bits(nodes[a]))
+    return LinearizationResult(classes=tuple(classes), trace=tuple(trace))
 
 
 def random_poset(

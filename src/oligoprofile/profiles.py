@@ -21,7 +21,9 @@ what gets counted. Canonical codes are memoised by literal encoding.
 
 Every count that will run (the base, and base + 2 for an unproven entry)
 is checked against the budget before the first one is computed, so an
-over-budget request fails at once.
+over-budget request fails at once: C(size, n) for every count before the
+first sample is built, since a sample has at least size points, then
+C(points, n) on each sample.
 """
 
 from __future__ import annotations
@@ -121,20 +123,29 @@ class _ClassCounter:
             level = nxt
         return level
 
+    def check_budget(self, points: int, n: int) -> None:
+        """Refuse when the n-subsets of this many points exceed the budget."""
+        total = math.comb(points, n)
+        if total > self.budget:
+            raise ResourceError(
+                f"{self.entry.entry_id}: {total} subsets of size {n} exceed budget {self.budget}"
+            )
+
     def checked_model(self, size: int, n: int):
-        """The sample of this size, once n-subsets of it fit the budget."""
+        """The sample of this size, once n-subsets of it fit the budget.
+
+        Every sampler has at least size points, so C(size, n) is checked
+        before the sample is built and C(model.size, n) after.
+        """
         if n < 1:
             raise ParameterError(f"subset size must be >= 1, got {n}")
+        self.check_budget(size, n)
         model = self.model(size)
         if n > model.size:
             raise ParameterError(
                 f"{self.entry.entry_id}: sample of {model.size} points cannot host n={n}"
             )
-        total = math.comb(model.size, n)
-        if total > self.budget:
-            raise ResourceError(
-                f"{self.entry.entry_id}: {total} subsets of size {n} exceed budget {self.budget}"
-            )
+        self.check_budget(model.size, n)
         return model
 
     def codes(self, size: int, n: int) -> frozenset[bytes]:
@@ -158,7 +169,8 @@ def profile(entry, n_max: int, budget: int = DEFAULT_BUDGET) -> ProfileSequence:
     is counted at its base size only; an unproven one is rechecked at base
     + 2 and, if that differs, base + 4. budget bounds C(sample size, n) for
     every count; the base counts of every n, and the base + 2 counts of an
-    unproven entry, are checked in order before any is computed.
+    unproven entry, are checked in order before any is computed, and on
+    their sizes alone before any sample is built.
     """
     if isinstance(entry, str):
         entry = catalogue.get_entry(entry)
@@ -166,11 +178,12 @@ def profile(entry, n_max: int, budget: int = DEFAULT_BUDGET) -> ProfileSequence:
         raise ParameterError(f"n_max must be >= 1, got {n_max}")
     proven = entry.saturation_proof is not None
     counter = _ClassCounter(entry, budget)
-    for n in range(1, n_max + 1):
-        base = entry.saturation_rule(n)
-        counter.checked_model(base, n)
-        if not proven:
-            counter.checked_model(base + 2, n)
+    extra = (0,) if proven else (0, 2)
+    checks = [(entry.saturation_rule(n) + d, n) for n in range(1, n_max + 1) for d in extra]
+    for size, n in checks:
+        counter.check_budget(size, n)
+    for size, n in checks:
+        counter.checked_model(size, n)
     values = []
     sat = []
     for n in range(1, n_max + 1):

@@ -88,7 +88,14 @@ def test_default_sweep_is_concrete():
         assert get_entry(entry_id).entry_id == entry_id
 
 
-@pytest.mark.parametrize("bad", ["nope", "fibered_order:0", "fibered_order:x", "fibered_order:"])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "nope", "fibered_order:0", "fibered_order:x", "fibered_order:",
+        "fibered_order:+3", "fibered_order: 3", "fibered_order:0_3", "fibered_order:03",
+        "fibered_order:\u0663",
+    ],
+)
 def test_get_entry_rejects_unknown(bad):
     with pytest.raises(ParameterError):
         get_entry(bad)

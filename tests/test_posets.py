@@ -1,5 +1,6 @@
 """Posets, width, and the collapse-to-chain construction."""
 
+import hashlib
 import itertools
 import json
 import random
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from oligoprofile.errors import DomainError, InternalInvariantError, ParameterError
 from oligoprofile.posets import (
     FinitePoset,
-    _masks,
+    _pairs,
     _quotient,
     antichain_width,
     exhaustive_posets,
@@ -82,6 +83,14 @@ def test_validation_rejects_broken_relations():
         FinitePoset(size=2, leq=frozenset({(0, 0), (1, 1), (-1, 1)}))
     with pytest.raises(DomainError, match="bad pair"):
         FinitePoset(size=2, leq=frozenset({(0, 0), (1, 1), (0, 1, 1)}))
+
+
+def test_constructor_reads_an_iterator_of_pairs_once():
+    p = FinitePoset(2, (q for q in [(0, 0), (1, 1), (0, 1)]))
+    assert p == FinitePoset(2, [(0, 0), (1, 1), (0, 1)])
+    assert p.less(0, 1)
+    with pytest.raises(DomainError, match="bad pair"):
+        FinitePoset(2, (q for q in [(0, 0), (1, 1), (0, 2)]))
 
 
 def test_order_checks_name_the_least_broken_pair():
@@ -215,12 +224,26 @@ def test_mask_kernel_matches_pair_oracles():
             assert p.incomparables(a) == pair_incomparables(p, a)
         assert p.is_chain() == pair_is_chain(p)
         assert max_incomparability(p) == pair_max_incomparability(p)
-        tri = triangle_step(p)
-        assert tri == pair_triangle_step(p)
+        before = triangle_step(p)
+        tri = pair_triangle_step(p)
+        assert _pairs(before) == tri
         qleq, groups = pair_quotient(p.size, tri)
-        quotient, got_groups = _quotient(_masks(p.size, tri))
+        quotient, got_groups = _quotient(before)
         assert got_groups == groups
         assert quotient.leq == qleq
+        if not p.is_chain():
+            first = linearize(p).trace[0].to_json_dict()
+            assert first["tri"] == [list(pair) for pair in sorted(tri)]
+
+
+# sha256 of json.dumps of the linearize JSON of every _oracle_corpus()
+# poset, in order, taken before the before relation became masks
+ORACLE_CORPUS_LINEARIZE_SHA256 = "f2f84285dcf28894f46253fc7996264acbbb45035c465f0862c549fdeaaa88ee"
+
+
+def test_linearize_json_over_the_oracle_corpus_is_pinned():
+    payload = json.dumps([linearize(p).to_json_dict() for p in _oracle_corpus()])
+    assert hashlib.sha256(payload.encode()).hexdigest() == ORACLE_CORPUS_LINEARIZE_SHA256
 
 
 def test_quotient_rejects_broken_before_relations():
@@ -251,9 +274,11 @@ def test_width_matches_brute_search(size, seed):
 
 
 def test_triangle_step_on_zigzag():
-    tri = triangle_step(N_POSET)
-    arrows = set(tri) - set(N_POSET.leq)
+    before = triangle_step(N_POSET)
+    assert _pairs(before) == pair_triangle_step(N_POSET)
+    arrows = _pairs(before) - N_POSET.leq
     assert arrows == {(0, 3), (1, 0), (2, 3), (3, 2)}
+    assert before == (0b1101, 0b1111, 0b1100, 0b1100)
 
 
 def test_linearize_zigzag_classes():

@@ -422,25 +422,42 @@ def test_keys_are_sound_past_the_brute_gate(entry_id, size, n):
         assert code == canonical_form(induced_substructure(model, latest[k])), k
 
 
+# The sizes of the samples built before the refusal. A sampler has at
+# least size points, so C(size, n) refuses before any sample is built;
+# tree_c's leaf count exceeds its size, so only the exact check on its
+# built samples refuses it.
+_SAMPLED_BEFORE_REFUSAL = {"tree_c": list(range(1, 11))}
+
+
 @pytest.mark.parametrize(
     "entry_id, n_max, message",
     [
         ("tree_c", 10, "tree_c: 30045015 subsets of size 10 exceed budget 10000000"),
         ("local_order", 12, "local_order: 17383860 subsets of size 12 exceed budget 10000000"),
+        ("fibered_order:2500", 2, "fibered_order:2500: 12497500 subsets of size 2 exceed budget 10000000"),
     ],
 )
 def test_over_budget_profile_fails_before_counting(monkeypatch, entry_id, n_max, message):
     calls = []
+    built = []
 
     def counted(sub):
         calls.append(sub)
         return canonical_form(sub)
 
+    model = profiles._ClassCounter.model
+
+    def recorded(counter, size):
+        built.append(size)
+        return model(counter, size)
+
     monkeypatch.setattr(profiles, "canonical_form", counted)
+    monkeypatch.setattr(profiles._ClassCounter, "model", recorded)
     with pytest.raises(ResourceError) as info:
         profile(entry_id, n_max)
     assert str(info.value) == message
     assert calls == []
+    assert built == _SAMPLED_BEFORE_REFUSAL.get(entry_id, [])
 
 
 def test_profile_sequence_validation():
