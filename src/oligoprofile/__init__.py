@@ -24,7 +24,6 @@ from .errors import (
     OligoError,
     ParameterError,
     ResourceError,
-    SaturationError,
     SignatureMismatchError,
 )
 from .glueing import (
@@ -97,7 +96,6 @@ __all__ = [
     "ParameterError",
     "ProfileSequence",
     "ResourceError",
-    "SaturationError",
     "Signature",
     "SignatureMismatchError",
     "WitnessFamily",

@@ -76,9 +76,9 @@ exactly the frozen points. Translates share a state, which fixes the
 states of all extensions by equal steps, and the first reached ends lowest.
 
 Saturation proofs. saturation_rule(n) is a sample size that realises every
-n-point class of the structure. An entry whose saturation_proof names one
-of the sections below is counted once per n, at that size; profile()
-rechecks an entry without a proof on larger samples.
+n-point class of the structure. Every entry's saturation_proof names one of
+the sections below, and profile() counts each n once, at that size; the
+tests recheck the rule on a sample two sizes larger.
 
   reducts: the formulas only compare their arguments, so any n points of a
   chain induce the one class, and 2n+3 >= n points hold n of them.
@@ -147,8 +147,7 @@ class CatalogueEntry:
     predictor(n) gives the expected number of n-point classes in closed
     form. subset_key_factory(model) and subset_step_factory(model) return
     the key and the prefix step of the module docstring. saturation_proof
-    names the module docstring's section proving saturation_rule, or is
-    None for an unproven rule.
+    names the module docstring's section proving saturation_rule.
     """
 
     entry_id: str
@@ -157,7 +156,7 @@ class CatalogueEntry:
     saturation_rule: Callable[[int], int]
     subset_key_factory: Callable[[FiniteStructure], SubsetKey]
     subset_step_factory: Callable[[FiniteStructure], SubsetStep]
-    saturation_proof: str | None = None
+    saturation_proof: str
 
 
 def _at_least(entry_id: str, least: int, size: int) -> int:

@@ -26,36 +26,6 @@ class DomainError(OligoError):
     """Input outside the mathematical domain of an operation."""
 
 
-class SaturationError(OligoError):
-    """Profile code sets kept drifting when the sampled model was enlarged.
-
-    lacking holds, for each consecutive pair of sizes, the number of codes
-    only the smaller sample has and the number only the larger one has.
-    """
-
-    def __init__(
-        self,
-        entry_id: str,
-        n: int,
-        counts: tuple[int, ...],
-        sizes: tuple[int, ...],
-        lacking: tuple[tuple[int, int], ...],
-    ):
-        self.entry_id = entry_id
-        self.n = n
-        self.counts = counts
-        self.sizes = sizes
-        self.lacking = lacking
-        pairs = ", ".join(
-            f"{a}->{b}: {only_a} lost, {only_b} new"
-            for (a, b), (only_a, only_b) in zip(zip(sizes, sizes[1:]), lacking)
-        )
-        super().__init__(
-            f"profile of {entry_id!r} at n={n} did not stabilise: "
-            f"counts {counts} at sampler sizes {sizes}; codes by size step {pairs}"
-        )
-
-
 class ResourceError(OligoError):
     """A configured budget (subset count, recursion depth) was exceeded."""
 

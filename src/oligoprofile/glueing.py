@@ -35,6 +35,7 @@ from .errors import (
     ParameterError,
     ResourceError,
 )
+from . import structures
 from .structures import FiniteStructure
 
 Element = Hashable
@@ -247,10 +248,6 @@ _REVERSING_TAGS = ("aligned-reversed", "double-wrap-reversed")
 # and circles of 30,000 elements have about 19,500.
 _MAX_SHARINGS = 200_000
 
-# Cap on the tuples emit_invariant_relation evaluates. The largest accepted
-# line (125 elements) and circle (37) take 0.7 s and 0.9 s on a 2-core x86-64 VM.
-_MAX_EMITTED_TUPLES = 2_000_000
-
 # the other fragment, the pair's parity, one anchor element per shared run
 Edge = tuple[int, int, tuple[Element, ...]]
 
@@ -397,14 +394,17 @@ def emit_invariant_relation(component: GlueComponent) -> FiniteStructure:
     sets are unchanged under reversing (and, for cycles, rotating) the
     arrangement, so equal components emit equal structures. Sampling
     evaluates n**3 or n**4 tuples for n elements, which is refused past
-    _MAX_EMITTED_TUPLES before any is evaluated.
+    structures.MAX_EVALUATED_TUPLES before the sample is built: the
+    separation family tabulates its n**3 cyclic triples before the
+    evaluator's own check. The largest accepted line (125 elements) and
+    circle (37) take 0.7 s and 0.9 s on a 2-core x86-64 VM.
     """
     n = len(component.arrangement)
     entry, arity = ("betweenness", 3) if component.kind == "linear" else ("separation", 4)
-    if n**arity > _MAX_EMITTED_TUPLES:
+    if n**arity > structures.MAX_EVALUATED_TUPLES:
         raise ResourceError(
             f"emit: {n**arity} tuples to evaluate for a {component.kind} component"
-            f" of {n} elements, over the cap of {_MAX_EMITTED_TUPLES}"
+            f" of {n} elements, over the cap of {structures.MAX_EVALUATED_TUPLES}"
         )
     return sample_model(entry, n)
 

@@ -477,6 +477,24 @@ def test_budget_failure_exits_one(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["dlo", "--n-max", "10000000"], "dlo: 17383860 subsets of size 12 exceed budget 10000000"),
+        (
+            ["fibered_order:2000", "--n-max", "1"],
+            "sample of 2000 points: 4000000 tuples to evaluate, over the cap of 2000000",
+        ),
+    ],
+)
+def test_oversized_profile_exits_one_at_once(capsys, argv, message):
+    """A huge --n-max stops at its first over-budget n, and a sample past
+    the evaluator's cap is refused before it is built."""
+    start = time.perf_counter()
+    assert run_cli(capsys, "profile", *argv) == (1, "", f"error: {message}\n")
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["catalogue-list"],

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oligoprofile import glueing
+from oligoprofile import glueing, structures
 from oligoprofile.catalogue import sample_model
 from oligoprofile.cli import main
 from oligoprofile.errors import (
@@ -222,14 +222,14 @@ def test_emission_cap_counts_evaluated_tuples(monkeypatch):
     cap a component is emitted, one tuple under it it is refused."""
     line = GlueComponent(kind="linear", arrangement=(1, 2, 3, 4), members=("a",))
     circle = GlueComponent(kind="circular", arrangement=(1, 2, 3), members=("a",))
-    monkeypatch.setattr(glueing, "_MAX_EMITTED_TUPLES", 81)
+    monkeypatch.setattr(structures, "MAX_EVALUATED_TUPLES", 81)
     assert emit_invariant_relation(line) == sample_model("betweenness", 4)
     assert emit_invariant_relation(circle) == sample_model("separation", 3)
-    monkeypatch.setattr(glueing, "_MAX_EMITTED_TUPLES", 80)
+    monkeypatch.setattr(structures, "MAX_EVALUATED_TUPLES", 80)
     assert emit_invariant_relation(line) == sample_model("betweenness", 4)
     with pytest.raises(ResourceError, match="^emit: 81 tuples"):
         emit_invariant_relation(circle)
-    monkeypatch.setattr(glueing, "_MAX_EMITTED_TUPLES", 63)
+    monkeypatch.setattr(structures, "MAX_EVALUATED_TUPLES", 63)
     with pytest.raises(ResourceError, match="^emit: 64 tuples"):
         emit_invariant_relation(line)
 

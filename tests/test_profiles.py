@@ -14,9 +14,10 @@ from oligoprofile.catalogue import (
     _model_tree_depths,
     default_sweep_ids,
     get_entry,
+    list_entry_ids,
     sample_model,
 )
-from oligoprofile.errors import ParameterError, ResourceError, SaturationError
+from oligoprofile.errors import ParameterError, ResourceError
 from oligoprofile.growth import compositions_count, fibonacci, local_order_count, tree_count
 from oligoprofile import profiles
 from oligoprofile.profiles import ProfileSequence, class_codes, profile
@@ -147,26 +148,6 @@ def _identity_keys(model):
     return lambda state: state
 
 
-def test_unstable_counts_raise_saturation_error():
-    # one marked point appears only at sample size 5, so counts go 1, 2, 1
-    sig = signature(("mark", 1))
-
-    def sampler(size):
-        marks = {(0,)} if size == 5 else set()
-        return FiniteStructure.build(sig, size, {"mark": marks})
-
-    entry = CatalogueEntry(
-        entry_id="drift",
-        sampler=sampler,
-        predictor=None,
-        saturation_rule=lambda n: 3,
-        subset_key_factory=_identity_keys,
-        subset_step_factory=_prefix_steps,
-    )
-    with pytest.raises(SaturationError):
-        profile(entry, 1)
-
-
 def _swapping_entry(labels):
     """One-point classes that keep their count but change their code."""
     sig = signature(("a", 1), ("b", 1))
@@ -175,13 +156,7 @@ def _swapping_entry(labels):
         rel = labels[size]
         return FiniteStructure.build(sig, size, {rel: {(e,) for e in range(size)}})
 
-    return CatalogueEntry("swap", sampler, None, lambda n: 3, _identity_keys, _prefix_steps)
-
-
-def test_equal_counts_with_different_codes_are_rechecked():
-    seq = profile(_swapping_entry({3: "a", 5: "b", 7: "b"}), 1)
-    assert seq.values == (1,)
-    assert seq.saturated_at == (5,)
+    return CatalogueEntry("swap", sampler, None, lambda n: 3, _identity_keys, _prefix_steps, "test")
 
 
 def test_a_proven_entry_is_counted_once_at_its_base():
@@ -192,7 +167,7 @@ def test_a_proven_entry_is_counted_once_at_its_base():
         sizes.append(size)
         return swap.sampler(size)
 
-    entry = dataclasses.replace(swap, sampler=sampler, saturation_proof="test")
+    entry = dataclasses.replace(swap, sampler=sampler)
     seq = profile(entry, 1)
     assert seq.values == (1,)
     assert seq.saturated_at == (3,)
@@ -210,21 +185,18 @@ def test_proven_saturation_survives_the_recheck(entry_id):
     base and base+2 give equal code sets for every n up to the entry's
     pinned n_max."""
     entry = get_entry(entry_id)
-    assert entry.saturation_proof is not None
     assert f"  {entry.saturation_proof}: " in catalogue.__doc__
     for n in range(1, _PINNED_N.get(entry_id, 8) + 1):
         base = entry.saturation_rule(n)
         assert class_codes(entry, base, n) == class_codes(entry, base + 2, n), n
 
 
-
-def test_saturation_error_reports_code_set_differences():
-    with pytest.raises(SaturationError) as info:
-        profile(_swapping_entry({3: "a", 5: "b", 7: "a"}), 1)
-    assert info.value.counts == (1, 1, 1)
-    assert info.value.sizes == (3, 5, 7)
-    assert info.value.lacking == ((1, 1), (1, 1))
-    assert "3->5: 1 lost, 1 new" in str(info.value)
+def test_the_recheck_sweeps_every_entry():
+    """The recheck above is the only one: every listed entry is in the
+    sweep, the fibered_order:k template by at least one k."""
+    sweep = set(default_sweep_ids())
+    assert set(list_entry_ids()) - {"fibered_order:k"} <= sweep
+    assert any(entry_id.startswith("fibered_order:") for entry_id in sweep)
 
 
 def _brute_codes(entry_id, size, n):
@@ -389,10 +361,9 @@ def test_local_order_keys_are_complete(n):
     """One representative per class at base and base+2: no two keys share
     a canonical code, and the keys number the necklace closed form."""
     entry = get_entry("local_order")
-    counter = profiles._ClassCounter(entry, profiles.DEFAULT_BUDGET)
     for size in (entry.saturation_rule(n), entry.saturation_rule(n) + 2):
-        model = counter.model(size)
-        reps = counter._representatives(model, n)
+        model = sample_model(entry, size)
+        reps = profiles._representatives(entry, model, n)
         codes = {canonical_form(induced_substructure(model, s)) for s in reps.values()}
         assert len(reps) == len(codes) == odd_divisor_necklace_count(n), size
 
@@ -412,8 +383,7 @@ def test_keys_are_sound_past_the_brute_gate(entry_id, size, n):
         latest[k] = subset
     assert len(first) > 1
     # each key's representative is its lex-least subset, in the same order
-    counter = profiles._ClassCounter(entry, profiles.DEFAULT_BUDGET)
-    assert list(counter._representatives(model, n).items()) == list(first.items())
+    assert list(profiles._representatives(entry, model, n).items()) == list(first.items())
     if entry_id == "local_order":
         # one key per class: a finer key fails here, not just in the benchmark
         assert len(first) == 10
@@ -445,19 +415,34 @@ def test_over_budget_profile_fails_before_counting(monkeypatch, entry_id, n_max,
         calls.append(sub)
         return canonical_form(sub)
 
-    model = profiles._ClassCounter.model
+    entry = get_entry(entry_id)
 
-    def recorded(counter, size):
+    def recorded(size):
         built.append(size)
-        return model(counter, size)
+        return entry.sampler(size)
 
     monkeypatch.setattr(profiles, "canonical_form", counted)
-    monkeypatch.setattr(profiles._ClassCounter, "model", recorded)
     with pytest.raises(ResourceError) as info:
-        profile(entry_id, n_max)
+        profile(dataclasses.replace(entry, sampler=recorded), n_max)
     assert str(info.value) == message
     assert calls == []
     assert built == _SAMPLED_BEFORE_REFUSAL.get(entry_id, [])
+
+
+def test_a_huge_n_max_is_refused_at_its_first_over_budget_n():
+    """Each n is checked as its size is computed, so dlo stops at n = 12
+    (C(27, 12) subsets) and computes no size beyond it."""
+    entry = get_entry("dlo")
+    rules = []
+
+    def rule(n):
+        rules.append(n)
+        return entry.saturation_rule(n)
+
+    with pytest.raises(ResourceError) as info:
+        profile(dataclasses.replace(entry, saturation_rule=rule), 10**6)
+    assert str(info.value) == "dlo: 17383860 subsets of size 12 exceed budget 10000000"
+    assert len(rules) <= 12
 
 
 def test_profile_sequence_validation():

@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oligoprofile import structures
 from oligoprofile.catalogue import default_sweep_ids, sample_model
 from oligoprofile.errors import (
     InvalidSubsetError,
     OligoError,
     ParameterError,
+    ResourceError,
     SignatureMismatchError,
 )
 from oligoprofile.structures import (
@@ -115,6 +117,26 @@ def test_evaluated_holds_exactly_where_the_formulas_do():
     assert s.relation("diag") == {(x, x, x) for x in range(4)}
     assert FiniteStructure._evaluated(Signature(()), 3, ()) == FiniteStructure.build(Signature(()), 3)
     assert FiniteStructure._evaluated(sig, 0, formulas) == FiniteStructure.build(sig, 0)
+
+
+def test_evaluated_cap_counts_tuples_over_every_relation(monkeypatch):
+    """4**2 + 4 = 20 tuples on 4 points: at the cap the structure is
+    evaluated, one tuple under it it is refused before any formula runs."""
+    sig = signature(("lt", 2), ("two", 1))
+    calls = []
+
+    def lt(x, y):
+        calls.append((x, y))
+        return x < y
+
+    monkeypatch.setattr(structures, "MAX_EVALUATED_TUPLES", 20)
+    assert FiniteStructure._evaluated(sig, 4, (lt, lambda x: x == 2)).relation("two") == {(2,)}
+    calls.clear()
+    monkeypatch.setattr(structures, "MAX_EVALUATED_TUPLES", 19)
+    with pytest.raises(ResourceError) as info:
+        FiniteStructure._evaluated(sig, 4, (lt, lambda x: x == 2))
+    assert str(info.value) == "sample of 4 points: 20 tuples to evaluate, over the cap of 19"
+    assert calls == []
 
 
 def test_relabel_moves_tuples():
