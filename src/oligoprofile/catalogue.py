@@ -141,7 +141,7 @@ SIG_TREE = signature(("branch", 3))
 class CatalogueEntry:
     """One structure family: sampler, predictor, saturation and dedup data.
 
-    sampler(size) returns a FiniteStructure; its domain size equals the
+    sampler(size) returns a FiniteStructure of points(size) points: the
     requested size except for tree_c, where the parameter indexes a
     universal tree and the domain is its leaf set (documented there).
     predictor(n) gives the expected number of n-point classes in closed
@@ -152,6 +152,7 @@ class CatalogueEntry:
 
     entry_id: str
     sampler: Callable[[int], FiniteStructure]
+    points: Callable[[int], int]
     predictor: Callable[[int], int]
     saturation_rule: Callable[[int], int]
     subset_key_factory: Callable[[FiniteStructure], SubsetKey]
@@ -354,6 +355,7 @@ def _fibered_entry(k: int) -> CatalogueEntry:
     return CatalogueEntry(
         entry_id=f"fibered_order:{k}",
         sampler=_sampler(SIG_FIBERED, family),
+        points=lambda size: size,
         predictor=lambda n, _k=k: compositions_count(n, _k),
         saturation_rule=lambda n, _k=k: _k * n,
         subset_key_factory=_identity_key_factory,
@@ -364,8 +366,8 @@ def _fibered_entry(k: int) -> CatalogueEntry:
 
 def _reduct_entry(entry_id: str, sig: Signature, family: Family) -> CatalogueEntry:
     return CatalogueEntry(
-        entry_id, _sampler(sig, family), lambda n: 1, _rule_desk, _identity_key_factory,
-        _const_step_factory, "reducts",
+        entry_id, _sampler(sig, family), lambda size: size, lambda n: 1, _rule_desk,
+        _identity_key_factory, _const_step_factory, "reducts",
     )
 
 
@@ -376,11 +378,11 @@ _BASE_ENTRIES = {
     "circular": _reduct_entry("circular", SIG_CIRCULAR, _fixed("circular", 1, _cyc)),
     "separation": _reduct_entry("separation", SIG_SEPARATION, _separation),
     "local_order": CatalogueEntry(
-        "local_order", _sampler(SIG_TOURNAMENT, _local_order), local_order_count, _rule_desk,
-        _any_model(_out_degree_key), _out_degree_step_factory, "local_order",
+        "local_order", _sampler(SIG_TOURNAMENT, _local_order), lambda size: size, local_order_count,
+        _rule_desk, _any_model(_out_degree_key), _out_degree_step_factory, "local_order",
     ),
     "tree_c": CatalogueEntry(
-        "tree_c", _sampler(SIG_TREE, _tree), tree_count, lambda n: n,
+        "tree_c", _sampler(SIG_TREE, _tree), _universal_leaf_count, tree_count, lambda n: n,
         _any_model(_tree_key), _tree_step_factory, "tree_c",
     ),
 }

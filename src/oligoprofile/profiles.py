@@ -18,10 +18,10 @@ representative subset per key, canonical codes of the representatives are
 what gets counted. Within one count, canonical codes are memoised by
 literal encoding.
 
-Every count is checked against the budget before the first one is
-computed, so an over-budget request fails at once: C(size, n) for each n
-as its size is computed, before the first sample is built, since a sample
-has at least size points, then C(points, n) on each sample.
+Every budget is checked before any sample is built: the entry declares
+each sample's points, and C(points, n) is checked for each n as its size
+is computed. Then one sample per n is built, checked against its
+declaration, counted and dropped.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 # catalogue.get_entry is looked up per call, so a wrapped one is honoured
 from . import catalogue
-from .errors import ParameterError, ResourceError
+from .errors import InternalInvariantError, ParameterError, ResourceError
 from .structures import canonical_form, induced_substructure, structure_encoding
 
 DEFAULT_BUDGET = 10_000_000
@@ -85,26 +85,25 @@ class ProfileSequence:
         return cls(entry_id, tuple(values), tuple(sat))
 
 
-def _check_budget(entry_id: str, points: int, n: int, budget: int) -> None:
-    """Refuse when the n-subsets of this many points exceed the budget."""
-    total = math.comb(points, n)
-    if total > budget:
-        raise ResourceError(f"{entry_id}: {total} subsets of size {n} exceed budget {budget}")
-
-
-def _checked_model(entry, size: int, n: int, budget: int):
-    """The sample of this size, once n-subsets of it fit the budget.
-
-    Every sampler has at least size points, so C(size, n) is checked
-    before the sample is built and C(model.size, n) after.
-    """
+def _checked_points(entry, size: int, n: int, budget: int) -> int:
+    """The points the sample of this size declares, once n-subsets fit the budget."""
     if n < 1:
         raise ParameterError(f"subset size must be >= 1, got {n}")
-    _check_budget(entry.entry_id, size, n, budget)
+    points = entry.points(size)
+    if n > points:
+        raise ParameterError(f"{entry.entry_id}: sample of {points} points cannot host n={n}")
+    total = math.comb(points, n)
+    if total > budget:
+        raise ResourceError(f"{entry.entry_id}: {total} subsets of size {n} exceed budget {budget}")
+    return points
+
+
+def _sample(entry, size: int, points: int):
     model = entry.sampler(size)
-    if n > model.size:
-        raise ParameterError(f"{entry.entry_id}: sample of {model.size} points cannot host n={n}")
-    _check_budget(entry.entry_id, model.size, n, budget)
+    if model.size != points:
+        raise InternalInvariantError(
+            f"{entry.entry_id}: sampler({size}) built {model.size} points, declared {points}"
+        )
     return model
 
 
@@ -145,25 +144,23 @@ def profile(entry, n_max: int, budget: int = DEFAULT_BUDGET) -> ProfileSequence:
     the sample of saturation_rule(n) points.
 
     Accepts an entry object or a stable identifier string. budget bounds
-    C(sample size, n) for every count; each n is checked on its size alone
-    as that size is computed, stopping at the first refusal, then on each
-    sample as it is built, before any count.
+    C(sample points, n) for every count, checked on each n's declared
+    points as its size is computed, before any sample is built.
     """
     if isinstance(entry, str):
         entry = catalogue.get_entry(entry)
     if n_max < 1:
         raise ParameterError(f"n_max must be >= 1, got {n_max}")
-    sizes = []
+    plan = []
     for n in range(1, n_max + 1):
-        sizes.append(entry.saturation_rule(n))
-        _check_budget(entry.entry_id, sizes[-1], n, budget)
-    models = [_checked_model(entry, size, n, budget) for n, size in enumerate(sizes, 1)]
-    values = tuple(len(_codes(entry, model, n)) for n, model in enumerate(models, 1))
-    return ProfileSequence(entry.entry_id, values, tuple(sizes))
+        size = entry.saturation_rule(n)
+        plan.append((size, _checked_points(entry, size, n, budget)))
+    values = tuple(len(_codes(entry, _sample(entry, *step), n)) for n, step in enumerate(plan, 1))
+    return ProfileSequence(entry.entry_id, values, tuple(size for size, _ in plan))
 
 
 def class_codes(entry, size: int, n: int, budget: int = DEFAULT_BUDGET) -> frozenset[bytes]:
     """Canonical codes of all n-point substructure classes of one sample."""
     if isinstance(entry, str):
         entry = catalogue.get_entry(entry)
-    return _codes(entry, _checked_model(entry, size, n, budget), n)
+    return _codes(entry, _sample(entry, size, _checked_points(entry, size, n, budget)), n)

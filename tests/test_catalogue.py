@@ -58,7 +58,7 @@ def test_sampler_pins_cover_the_sweep():
 @pytest.mark.parametrize("entry_id", sorted(SAMPLER_PINS))
 def test_samplers_match_their_pins(entry_id):
     parts = []
-    for size in range(1, 12 if entry_id == "tree_c" else 24):
+    for size in _pinned_sizes(entry_id):
         try:
             code = structure_encoding(sample_model(entry_id, size))
         except ParameterError as exc:
@@ -237,6 +237,23 @@ def test_universal_tree_realizes_every_small_shape():
                 is_isomorphic(induced_substructure(model, combo), target)
                 for combo in itertools.combinations(range(model.size), n)
             ), f"shape {shape} missing at n={n}"
+
+
+def _pinned_sizes(entry_id):
+    return range(1, 12 if entry_id == "tree_c" else 24)
+
+
+@pytest.mark.parametrize("entry_id", default_sweep_ids())
+def test_points_declare_the_sample_size(entry_id):
+    """profile() checks its budgets on entry.points(size) before it builds
+    the sample, so the declaration must be the built size."""
+    entry = get_entry(entry_id)
+    for size in _pinned_sizes(entry_id):
+        try:
+            model = entry.sampler(size)
+        except ParameterError:
+            continue
+        assert entry.points(size) == model.size, size
 
 
 def test_sample_model_matches_entry_sampler():

@@ -17,7 +17,7 @@ from oligoprofile.catalogue import (
     list_entry_ids,
     sample_model,
 )
-from oligoprofile.errors import ParameterError, ResourceError
+from oligoprofile.errors import InternalInvariantError, ParameterError, ResourceError
 from oligoprofile.growth import compositions_count, fibonacci, local_order_count, tree_count
 from oligoprofile import profiles
 from oligoprofile.profiles import ProfileSequence, class_codes, profile
@@ -156,7 +156,9 @@ def _swapping_entry(labels):
         rel = labels[size]
         return FiniteStructure.build(sig, size, {rel: {(e,) for e in range(size)}})
 
-    return CatalogueEntry("swap", sampler, None, lambda n: 3, _identity_keys, _prefix_steps, "test")
+    return CatalogueEntry(
+        "swap", sampler, lambda size: size, None, lambda n: 3, _identity_keys, _prefix_steps, "test"
+    )
 
 
 def test_a_proven_entry_is_counted_once_at_its_base():
@@ -392,13 +394,6 @@ def test_keys_are_sound_past_the_brute_gate(entry_id, size, n):
         assert code == canonical_form(induced_substructure(model, latest[k])), k
 
 
-# The sizes of the samples built before the refusal. A sampler has at
-# least size points, so C(size, n) refuses before any sample is built;
-# tree_c's leaf count exceeds its size, so only the exact check on its
-# built samples refuses it.
-_SAMPLED_BEFORE_REFUSAL = {"tree_c": list(range(1, 11))}
-
-
 @pytest.mark.parametrize(
     "entry_id, n_max, message",
     [
@@ -408,6 +403,8 @@ _SAMPLED_BEFORE_REFUSAL = {"tree_c": list(range(1, 11))}
     ],
 )
 def test_over_budget_profile_fails_before_counting(monkeypatch, entry_id, n_max, message):
+    """Every n is checked on the points its sample declares, tree_c's leaf
+    count included, so no sample is built and nothing is counted."""
     calls = []
     built = []
 
@@ -426,7 +423,19 @@ def test_over_budget_profile_fails_before_counting(monkeypatch, entry_id, n_max,
         profile(dataclasses.replace(entry, sampler=recorded), n_max)
     assert str(info.value) == message
     assert calls == []
-    assert built == _SAMPLED_BEFORE_REFUSAL.get(entry_id, [])
+    assert built == []
+
+
+def test_a_wrong_point_declaration_is_an_internal_error():
+    """tree_c's sampler(4) has 5 leaves; an entry declaring 4 is refused
+    when that sample is built, before it is counted."""
+    entry = dataclasses.replace(get_entry("tree_c"), points=lambda size: size)
+    assert profile(entry, 3).values == (1, 1, 1)
+    message = "tree_c: sampler(4) built 5 points, declared 4"
+    for call in (lambda: profile(entry, 4), lambda: class_codes(entry, 4, 2)):
+        with pytest.raises(InternalInvariantError) as info:
+            call()
+        assert str(info.value) == message
 
 
 def test_a_huge_n_max_is_refused_at_its_first_over_budget_n():
