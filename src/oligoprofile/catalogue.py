@@ -115,7 +115,7 @@ from typing import Callable
 
 from .errors import ParameterError
 from .growth import compositions_count, local_order_count, tree_count
-from .structures import FiniteStructure, Signature, signature
+from .structures import FiniteStructure, Signature, evaluated_tuples, signature
 
 # step(state, last, e): the state of a prefix extended by e; key(state): the
 # dedup key of a whole subset's state. See above.
@@ -182,6 +182,7 @@ def _fixed(entry_id: str, least: int, *predicates: Predicate) -> Family:
 def _separation(size: int) -> Formulas:
     # c[x][y][z] = C(x, y, z); the S formula of the module docstring by lookups
     rng = range(_at_least("separation", 1, size))
+    evaluated_tuples(SIG_SEPARATION, size)  # the evaluator's cap, before the size**3 table
     c = [[[_cyc(x, y, z) for z in rng] for y in rng] for x in rng]
 
     def sep(x: int, y: int, z: int, t: int) -> bool:
@@ -200,7 +201,10 @@ def _local_order(size: int) -> Formulas:
 
 
 def _universal_leaf_count(s: int) -> int:
-    return 1 if s <= 1 else _universal_leaf_count(s - 1) + _universal_leaf_count(s // 2)
+    counts = [1, 1]  # U_1 for every s <= 1, then U_t = join(U_{t-1}, U_{t//2})
+    for t in range(2, s + 1):
+        counts.append(counts[t - 1] + counts[t // 2])
+    return counts[max(s, 1)]
 
 
 def _universal_tree_depths(s: int) -> list[list[int]]:
@@ -246,7 +250,9 @@ def _tree(param: int) -> Formulas:
     with itself is the leaf, below every proper meet, so it gets infinite
     depth and repeated coordinates need no special case.
     """
-    d: list[list[float]] = _universal_tree_depths(_at_least("tree_c", 1, param))
+    leaves = _universal_leaf_count(_at_least("tree_c", 1, param))
+    evaluated_tuples(SIG_TREE, leaves)  # the evaluator's cap, before the leaves**2 depths
+    d: list[list[float]] = _universal_tree_depths(param)
     for i, row in enumerate(d):
         row[i] = math.inf
     return len(d), (lambda x, y, z: d[y][z] > d[x][y] == d[x][z],)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 
@@ -95,12 +96,20 @@ def _json_text(payload) -> str:
     return "".join(out)
 
 
+def _finite(text: str) -> float:
+    # NaN, Infinity, -Infinity and numbers such as 1e400 are not JSON values
+    value = float(text)
+    if not math.isfinite(value):
+        raise ParameterError(f"invalid JSON input: non-finite number {text}")
+    return value
+
+
 def _load_json(path: str) -> dict:
     # ValueError covers bad syntax, bytes that are not UTF-8 and integers
     # past the interpreter's digit limit
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, parse_float=_finite, parse_constant=_finite)
         except (ValueError, RecursionError) as exc:
             raise ParameterError(f"invalid JSON input: {exc}") from None
 
@@ -218,7 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--budget", type=int, default=DEFAULT_BUDGET,
-        help="largest C(sample size, n) a profile count may have",
+        help="largest C(sample points, n) a profile count may have",
     )
     common.add_argument("--out", default=None, help="write output to this file instead of stdout")
 

@@ -394,10 +394,9 @@ def emit_invariant_relation(component: GlueComponent) -> FiniteStructure:
     sets are unchanged under reversing (and, for cycles, rotating) the
     arrangement, so equal components emit equal structures. Sampling
     evaluates n**3 or n**4 tuples for n elements, which is refused past
-    structures.MAX_EVALUATED_TUPLES before the sample is built: the
-    separation family tabulates its n**3 cyclic triples before the
-    evaluator's own check. The largest accepted line (125 elements) and
-    circle (37) take 0.7 s and 0.9 s on a 2-core x86-64 VM.
+    structures.MAX_EVALUATED_TUPLES before the sample is built, with a
+    message that names the component. The largest accepted line (125
+    elements) and circle (37) take 0.7 s and 0.9 s on a 2-core x86-64 VM.
     """
     n = len(component.arrangement)
     entry, arity = ("betweenness", 3) if component.kind == "linear" else ("separation", 4)

@@ -21,7 +21,8 @@ literal encoding.
 Every budget is checked before any sample is built: the entry declares
 each sample's points, and C(points, n) is checked for each n as its size
 is computed. Then one sample per n is built, checked against its
-declaration, counted and dropped.
+declaration, counted and dropped; the tuples the samples evaluate are
+summed and refused past structures.MAX_EVALUATED_TUPLES.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import math
 from dataclasses import dataclass
 
 # catalogue.get_entry is looked up per call, so a wrapped one is honoured
-from . import catalogue
+from . import catalogue, structures
 from .errors import InternalInvariantError, ParameterError, ResourceError
 from .structures import canonical_form, induced_substructure, structure_encoding
 
@@ -155,8 +156,18 @@ def profile(entry, n_max: int, budget: int = DEFAULT_BUDGET) -> ProfileSequence:
     for n in range(1, n_max + 1):
         size = entry.saturation_rule(n)
         plan.append((size, _checked_points(entry, size, n, budget)))
-    values = tuple(len(_codes(entry, _sample(entry, *step), n)) for n, step in enumerate(plan, 1))
-    return ProfileSequence(entry.entry_id, values, tuple(size for size, _ in plan))
+    values, evaluated = [], 0
+    for n, (size, points) in enumerate(plan, 1):
+        model = _sample(entry, size, points)
+        evaluated += structures.evaluated_tuples(model.signature, points)
+        if evaluated > structures.MAX_EVALUATED_TUPLES:
+            raise ResourceError(
+                f"{entry.entry_id}: samples for n=1..{n} evaluate {evaluated} tuples,"
+                f" over the cap of {structures.MAX_EVALUATED_TUPLES}"
+            )
+        values.append(len(_codes(entry, model, n)))
+        del model  # dropped before the next sample is built
+    return ProfileSequence(entry.entry_id, tuple(values), tuple(size for size, _ in plan))
 
 
 def class_codes(entry, size: int, n: int, budget: int = DEFAULT_BUDGET) -> frozenset[bytes]:

@@ -89,6 +89,19 @@ def signature(*relations: tuple[str, int]) -> Signature:
     return Signature(tuple(relations))
 
 
+def evaluated_tuples(sig: Signature, size: int) -> int:
+    """The tuples FiniteStructure._evaluated evaluates on size points,
+    summed over the relations; past MAX_EVALUATED_TUPLES it raises
+    ResourceError instead."""
+    total = sum(size**arity for _, arity in sig.relations)
+    if total > MAX_EVALUATED_TUPLES:
+        raise ResourceError(
+            f"sample of {size} points: {total} tuples to evaluate,"
+            f" over the cap of {MAX_EVALUATED_TUPLES}"
+        )
+    return total
+
+
 @dataclass(frozen=True)
 class FiniteStructure:
     """Immutable finite structure over domain {0..size-1}.
@@ -141,12 +154,7 @@ class FiniteStructure:
         where formulas[i] holds, evaluated on every tuple, repeated
         coordinates included. Refused past MAX_EVALUATED_TUPLES before any
         tuple is evaluated."""
-        total = sum(size**arity for _, arity in sig.relations)
-        if total > MAX_EVALUATED_TUPLES:
-            raise ResourceError(
-                f"sample of {size} points: {total} tuples to evaluate,"
-                f" over the cap of {MAX_EVALUATED_TUPLES}"
-            )
+        evaluated_tuples(sig, size)
         rng = range(size)
         rels = tuple(
             frozenset(

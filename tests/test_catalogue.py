@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given
@@ -17,7 +18,7 @@ from oligoprofile.catalogue import (
     list_entry_ids,
     sample_model,
 )
-from oligoprofile.errors import ParameterError
+from oligoprofile.errors import ParameterError, ResourceError
 from oligoprofile.growth import fibonacci, tree_count
 from oligoprofile.structures import induced_substructure, is_isomorphic, structure_encoding
 
@@ -254,6 +255,24 @@ def test_points_declare_the_sample_size(entry_id):
         except ParameterError:
             continue
         assert entry.points(size) == model.size, size
+
+
+@pytest.mark.parametrize(
+    "entry_id, size, message",
+    [
+        ("separation", 200, "sample of 200 points: 1600000000 tuples to evaluate"),
+        ("separation", 1000, "sample of 1000 points: 1000000000000 tuples to evaluate"),
+        ("tree_c", 60, "sample of 10399 points: 1124539551199 tuples to evaluate"),
+    ],
+)
+def test_oversized_samples_are_refused_before_any_table(entry_id, size, message):
+    """The evaluator's cap is checked on the declared points before the
+    family tabulates separation's cyclic triples or tree_c's depths."""
+    start = time.perf_counter()
+    with pytest.raises(ResourceError) as info:
+        sample_model(entry_id, size)
+    assert time.perf_counter() - start < 0.1
+    assert str(info.value) == message + ", over the cap of 2000000"
 
 
 def test_sample_model_matches_entry_sampler():

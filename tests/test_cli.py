@@ -535,6 +535,13 @@ def test_nonpositive_budget_exits_one_and_jobs_is_ignored(capsys, tmp_path, monk
             ["glue", "--in"],
             '{"fragments": [{"id": true, "elements": [1, 2]}, {"id": null, "elements": [2, 3]}]}',
         ),
+        # NaN, Infinity and numbers past float range are not JSON values
+        (["glue", "--in"], '{"fragments": [{"id": "a", "elements": [Infinity, 2]}]}'),
+        (["glue", "--in"], '{"fragments": [{"id": "a", "elements": [1e400, 2]}]}'),
+        (["glue", "--in"], '{"fragments": [{"id": "a", "elements": [-Infinity, 2]}]}'),
+        (["glue", "--in"], '{"fragments": [{"id": "a", "elements": [NaN, 2]}]}'),
+        (["growth", "--file"], '{"values": [NaN]}'),
+        (["linearize", "--in"], '{"size": 2, "leq": [], "x": -1e400}'),
     ],
 )
 def test_infinite_json_number_exits_one(capsys, tmp_path, argv, payload):
@@ -543,3 +550,12 @@ def test_infinite_json_number_exits_one(capsys, tmp_path, argv, payload):
     code, out, err = run_cli(capsys, *argv, str(src))
     assert code == 1 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
+    assert err.count("\n") == 1
+
+
+def test_finite_json_floats_still_glue(capsys, tmp_path):
+    src = tmp_path / "input.json"
+    src.write_text('{"fragments": [{"id": "a", "elements": [4.5, 2]}]}')
+    code, out, err = run_cli(capsys, "glue", "--in", str(src))
+    assert code == 0 and err == ""
+    assert json.loads(out)["components"][0]["arrangement"] == [2, 4.5]

@@ -19,7 +19,7 @@ from oligoprofile.catalogue import (
 )
 from oligoprofile.errors import InternalInvariantError, ParameterError, ResourceError
 from oligoprofile.growth import compositions_count, fibonacci, local_order_count, tree_count
-from oligoprofile import profiles
+from oligoprofile import profiles, structures
 from oligoprofile.profiles import ProfileSequence, class_codes, profile
 from oligoprofile.structures import (
     FiniteStructure,
@@ -436,6 +436,46 @@ def test_a_wrong_point_declaration_is_an_internal_error():
         with pytest.raises(InternalInvariantError) as info:
             call()
         assert str(info.value) == message
+
+
+def test_the_samples_of_one_profile_share_the_tuple_cap(monkeypatch):
+    """Each sample is built, then its tuples join the call's total, which
+    is refused past the cap before that n is counted: fibered_order:1
+    evaluates n**2 pairs at n, 1 + 4 + ... + 49 = 140 > 100 at n = 7."""
+    chain = get_entry("fibered_order:1")
+    built = []
+
+    def recorded(size):
+        built.append(size)
+        return chain.sampler(size)
+
+    monkeypatch.setattr(structures, "MAX_EVALUATED_TUPLES", 100)
+    entry = dataclasses.replace(chain, sampler=recorded)
+    assert profile(entry, 6).values == (1,) * 6
+    built.clear()
+    with pytest.raises(ResourceError) as info:
+        profile(entry, 7)
+    assert str(info.value) == (
+        "fibered_order:1: samples for n=1..7 evaluate 140 tuples, over the cap of 100"
+    )
+    assert built == list(range(1, 8))
+    # the budget refuses before any sample, and the cap on one sample
+    # before the total it would also pass (1 + 4 > 3)
+    built.clear()
+    with pytest.raises(ResourceError) as info:
+        profile(entry, 7, budget=0)
+    assert str(info.value) == "fibered_order:1: 1 subsets of size 1 exceed budget 0"
+    assert built == []
+    monkeypatch.setattr(structures, "MAX_EVALUATED_TUPLES", 3)
+    with pytest.raises(ResourceError) as info:
+        profile(entry, 2)
+    assert str(info.value) == "sample of 2 points: 4 tuples to evaluate, over the cap of 3"
+
+
+def test_the_largest_in_budget_profile_fits_the_tuple_cap():
+    """separation --n-max 11 evaluates 1,182,203 tuples over its samples,
+    5**4 + 7**4 + ... + 25**4, inside the cap; n = 12 is over budget."""
+    assert profile("separation", 11).values == (1,) * 11
 
 
 def test_a_huge_n_max_is_refused_at_its_first_over_budget_n():

@@ -263,6 +263,29 @@ def test_non_isomorphic_same_counts():
     assert canonical_form(a) != canonical_form(b)
 
 
+def _undirected(size, edges):
+    return FiniteStructure.build(SIG_EDGE, size, {"edge": edges | {(b, a) for a, b in edges}})
+
+
+_HEXAGON = _undirected(6, {(i, (i + 1) % 6) for i in range(6)})
+
+
+@pytest.mark.parametrize(
+    "other, expected",
+    [
+        (_undirected(6, {(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)}), False),
+        (_HEXAGON.relabel([0, 3, 1, 4, 2, 5]), True),
+    ],
+    ids=["two-triangles", "relabelled"],
+)
+def test_is_isomorphic_backtracks_where_refinement_cannot_split(other, expected):
+    """Both sides are 2-regular, so refinement leaves one cell and the
+    search decides: it rejects partial maps that send an edge to a
+    non-edge, or back, and undoes them."""
+    assert is_isomorphic(_HEXAGON, other) == expected
+    assert (canonical_form(_HEXAGON) == canonical_form(other)) == expected
+
+
 @pytest.mark.parametrize(
     "model, k, probe",
     [
