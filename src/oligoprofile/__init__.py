@@ -24,7 +24,6 @@ from .errors import (
     OligoError,
     ParameterError,
     ResourceError,
-    SignatureMismatchError,
 )
 from .glueing import (
     GlueComponent,
@@ -38,11 +37,9 @@ from .growth import (
     GrowthReport,
     compositions_count,
     constants_table,
-    fibonacci,
     growth_estimate,
     local_order_count,
     lower_bound_check,
-    ratio_table,
     tree_count,
 )
 from .posets import (
@@ -64,7 +61,6 @@ from .structures import (
     Signature,
     canonical_form,
     induced_substructure,
-    is_isomorphic,
     signature,
     structure_encoding,
 )
@@ -97,7 +93,6 @@ __all__ = [
     "ProfileSequence",
     "ResourceError",
     "Signature",
-    "SignatureMismatchError",
     "WitnessFamily",
     "age_predictor",
     "antichain_width",
@@ -112,19 +107,16 @@ __all__ = [
     "default_sweep_ids",
     "emit_invariant_relation",
     "exhaustive_posets",
-    "fibonacci",
     "get_entry",
     "glue",
     "growth_estimate",
     "induced_substructure",
-    "is_isomorphic",
     "linearize",
     "list_entry_ids",
     "local_order_count",
     "lower_bound_check",
     "profile",
     "random_poset",
-    "ratio_table",
     "sample_model",
     "signature",
     "structure_encoding",

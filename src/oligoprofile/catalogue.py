@@ -141,9 +141,9 @@ SIG_TREE = signature(("branch", 3))
 class CatalogueEntry:
     """One structure family: sampler, predictor, saturation and dedup data.
 
-    sampler(size) returns a FiniteStructure of points(size) points: the
-    requested size except for tree_c, where the parameter indexes a
-    universal tree and the domain is its leaf set (documented there).
+    sampler(size) returns a FiniteStructure on signature with points(size)
+    points: the requested size except for tree_c, whose parameter indexes a
+    universal tree and whose domain is its leaf set (documented there).
     predictor(n) gives the expected number of n-point classes in closed
     form. subset_key_factory(model) and subset_step_factory(model) return
     the key and the prefix step of the module docstring. saturation_proof
@@ -152,6 +152,7 @@ class CatalogueEntry:
 
     entry_id: str
     sampler: Callable[[int], FiniteStructure]
+    signature: Signature
     points: Callable[[int], int]
     predictor: Callable[[int], int]
     saturation_rule: Callable[[int], int]
@@ -361,6 +362,7 @@ def _fibered_entry(k: int) -> CatalogueEntry:
     return CatalogueEntry(
         entry_id=f"fibered_order:{k}",
         sampler=_sampler(SIG_FIBERED, family),
+        signature=SIG_FIBERED,
         points=lambda size: size,
         predictor=lambda n, _k=k: compositions_count(n, _k),
         saturation_rule=lambda n, _k=k: _k * n,
@@ -372,7 +374,7 @@ def _fibered_entry(k: int) -> CatalogueEntry:
 
 def _reduct_entry(entry_id: str, sig: Signature, family: Family) -> CatalogueEntry:
     return CatalogueEntry(
-        entry_id, _sampler(sig, family), lambda size: size, lambda n: 1, _rule_desk,
+        entry_id, _sampler(sig, family), sig, lambda size: size, lambda n: 1, _rule_desk,
         _identity_key_factory, _const_step_factory, "reducts",
     )
 
@@ -384,12 +386,13 @@ _BASE_ENTRIES = {
     "circular": _reduct_entry("circular", SIG_CIRCULAR, _fixed("circular", 1, _cyc)),
     "separation": _reduct_entry("separation", SIG_SEPARATION, _separation),
     "local_order": CatalogueEntry(
-        "local_order", _sampler(SIG_TOURNAMENT, _local_order), lambda size: size, local_order_count,
-        _rule_desk, _any_model(_out_degree_key), _out_degree_step_factory, "local_order",
+        "local_order", _sampler(SIG_TOURNAMENT, _local_order), SIG_TOURNAMENT,
+        lambda size: size, local_order_count, _rule_desk, _any_model(_out_degree_key),
+        _out_degree_step_factory, "local_order",
     ),
     "tree_c": CatalogueEntry(
-        "tree_c", _sampler(SIG_TREE, _tree), _universal_leaf_count, tree_count, lambda n: n,
-        _any_model(_tree_key), _tree_step_factory, "tree_c",
+        "tree_c", _sampler(SIG_TREE, _tree), SIG_TREE, _universal_leaf_count, tree_count,
+        lambda n: n, _any_model(_tree_key), _tree_step_factory, "tree_c",
     ),
 }
 

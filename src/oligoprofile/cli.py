@@ -122,6 +122,8 @@ def _cmd_catalogue_list(args) -> str:
 
 
 def _cmd_profile(args) -> str:
+    if args.budget < 1:
+        raise ParameterError(f"budget must be > 0, got {args.budget}")
     seq = profile(args.entry, args.n_max, budget=args.budget)
     if args.fmt == "json":
         return _json_text(seq.to_json_dict())
@@ -225,10 +227,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--jobs", type=int, help="accepted and ignored: every command runs in one process"
     )
-    common.add_argument(
-        "--budget", type=int, default=DEFAULT_BUDGET,
-        help="largest C(sample points, n) a profile count may have",
-    )
     common.add_argument("--out", default=None, help="write output to this file instead of stdout")
 
     parser = argparse.ArgumentParser(
@@ -244,6 +242,10 @@ def _build_parser() -> argparse.ArgumentParser:
     prof.add_argument("entry")
     prof.add_argument("--n-max", type=int, required=True)
     prof.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
+    prof.add_argument(
+        "--budget", type=int, default=DEFAULT_BUDGET,
+        help="largest C(sample points, n) a profile count may have",
+    )
 
     gro = sub.add_parser("growth", parents=[common], help="nth roots and ratios of a counting sequence")
     gro.add_argument("entry", nargs="?", default=None)
@@ -255,15 +257,12 @@ def _build_parser() -> argparse.ArgumentParser:
     wit.add_argument("construction", choices=construction_ids())
     wit.add_argument("--n", type=int, required=True)
     wit.add_argument("--max-part", type=int, default=None)
-    wit.add_argument("--format", dest="fmt", choices=("json",), default="json")
 
     lin = sub.add_parser("linearize", parents=[common], help="collapse a poset to ordered antichain classes")
     lin.add_argument("--in", dest="in_path", required=True)
-    lin.add_argument("--format", dest="fmt", choices=("json",), default="json")
 
     glu = sub.add_parser("glue", parents=[common], help="assemble order fragments into components")
     glu.add_argument("--in", dest="in_path", required=True)
-    glu.add_argument("--format", dest="fmt", choices=("json",), default="json")
 
     con = sub.add_parser("constants", parents=[common], help="print the named growth constants")
     con.add_argument("--format", dest="fmt", choices=("table", "json"), default="table")
@@ -280,20 +279,15 @@ def main(argv=None) -> int:
         print("error: growth needs exactly one of <entry> or --file", file=sys.stderr)
         return 2
     try:
-        if args.budget < 1:
-            raise ParameterError(f"budget must be > 0, got {args.budget}")
         text = _HANDLERS[args.command](args)
-    except OligoError as exc:
+        if args.out is not None:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            return 0
+    except (OligoError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    sys.stdout.write(text)
     return 0
 
 

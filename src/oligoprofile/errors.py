@@ -14,10 +14,6 @@ class InvalidSubsetError(OligoError):
     """Subset passed to an induced-substructure operation is malformed."""
 
 
-class SignatureMismatchError(OligoError):
-    """Two structures were compared across different signatures."""
-
-
 class ParameterError(OligoError):
     """Bad parameter for a catalogue entry, sampler or constructor."""
 

@@ -1,9 +1,9 @@
 """Growth diagnostics for profile sequences.
 
 Exact integer sequences (binary tree counts, bounded compositions, local
-order necklaces, Fibonacci) plus float-level estimators for the exponential
-growth rate of a sequence, and the table of named constants the package
-reproduces empirically.
+order necklaces), float-level estimators for the exponential growth rate
+of a sequence, which `growth --format csv` prints gnuplot-ready, and the
+table of named constants the package reproduces empirically.
 """
 
 from __future__ import annotations
@@ -35,16 +35,6 @@ def tree_count(n: int) -> int:
             total += h * (h + 1) // 2
         t.append(total)
     return t[n]
-
-
-def fibonacci(n: int) -> int:
-    """F_1 = F_2 = 1, F_n = F_{n-1} + F_{n-2}."""
-    if n < 1:
-        raise DomainError(f"fibonacci needs n >= 1, got {n}")
-    a, b = 1, 1
-    for _ in range(n - 1):
-        a, b = b, a + b
-    return a
 
 
 def compositions_count(n: int, max_part: int) -> int:
@@ -197,14 +187,3 @@ CONSTANTS: tuple[NamedConstant, ...] = (
 
 def constants_table() -> tuple[NamedConstant, ...]:
     return CONSTANTS
-
-
-def ratio_table(values) -> list[tuple[int, float]]:
-    """Gnuplot-ready (n, ratio) rows: ratio at n is values[n]/values[n-1]."""
-    vals = [int(v) for v in values]
-    if any(v <= 0 for v in vals):
-        raise DomainError("ratio_table needs strictly positive values")
-    try:
-        return [(i + 2, b / a) for i, (a, b) in enumerate(zip(vals, vals[1:]))]
-    except OverflowError:
-        raise DomainError("a ratio of the values exceeds float range") from None

@@ -18,11 +18,11 @@ representative subset per key, canonical codes of the representatives are
 what gets counted. Within one count, canonical codes are memoised by
 literal encoding.
 
-Every budget is checked before any sample is built: the entry declares
-each sample's points, and C(points, n) is checked for each n as its size
-is computed. Then one sample per n is built, checked against its
-declaration, counted and dropped; the tuples the samples evaluate are
-summed and refused past structures.MAX_EVALUATED_TUPLES.
+Every limit is checked before any sample is built: the entry declares its
+signature and each sample's points, C(points, n) is checked for each n as
+its size is computed, and the samples' tuples are refused past
+structures.MAX_EVALUATED_TUPLES, each and in sum. Then one sample per n is
+built, checked against its declaration, counted and dropped.
 """
 
 from __future__ import annotations
@@ -145,8 +145,8 @@ def profile(entry, n_max: int, budget: int = DEFAULT_BUDGET) -> ProfileSequence:
     the sample of saturation_rule(n) points.
 
     Accepts an entry object or a stable identifier string. budget bounds
-    C(sample points, n) for every count, checked on each n's declared
-    points as its size is computed, before any sample is built.
+    C(sample points, n) for every count; it and the tuple cap are checked
+    on the declared points before any sample is built.
     """
     if isinstance(entry, str):
         entry = catalogue.get_entry(entry)
@@ -156,18 +156,19 @@ def profile(entry, n_max: int, budget: int = DEFAULT_BUDGET) -> ProfileSequence:
     for n in range(1, n_max + 1):
         size = entry.saturation_rule(n)
         plan.append((size, _checked_points(entry, size, n, budget)))
-    values, evaluated = [], 0
-    for n, (size, points) in enumerate(plan, 1):
-        model = _sample(entry, size, points)
-        evaluated += structures.evaluated_tuples(model.signature, points)
+    evaluated = 0
+    for n, (_, points) in enumerate(plan, 1):
+        evaluated += structures.evaluated_tuples(entry.signature, points)
         if evaluated > structures.MAX_EVALUATED_TUPLES:
             raise ResourceError(
                 f"{entry.entry_id}: samples for n=1..{n} evaluate {evaluated} tuples,"
                 f" over the cap of {structures.MAX_EVALUATED_TUPLES}"
             )
-        values.append(len(_codes(entry, model, n)))
-        del model  # dropped before the next sample is built
-    return ProfileSequence(entry.entry_id, tuple(values), tuple(size for size, _ in plan))
+    # each sample is dropped once counted, before the next is built
+    values = tuple(
+        len(_codes(entry, _sample(entry, size, points), n)) for n, (size, points) in enumerate(plan, 1)
+    )
+    return ProfileSequence(entry.entry_id, values, tuple(size for size, _ in plan))
 
 
 def class_codes(entry, size: int, n: int, budget: int = DEFAULT_BUDGET) -> frozenset[bytes]:

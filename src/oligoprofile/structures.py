@@ -1,4 +1,4 @@
-"""Finite relational structures and exact isomorphism machinery.
+"""Finite relational structures, their encodings and canonical forms.
 
 A structure is a finite domain {0..size-1} plus one tuple set per relation
 symbol. Everything downstream (catalogue samplers, profile counting, witness
@@ -10,8 +10,7 @@ small and exact:
     structure (length-prefixed varints, tuples in sorted order),
   * canonical_form: the minimum encoding over a refinement-pruned set of
     relabellings; two structures get the same code iff they are isomorphic,
-  * is_isomorphic: direct backtracking search, deliberately independent of
-    canonical_form so the two paths can cross-check each other in tests.
+    which the tests check against independent searches (tests/oracles.py).
 
 Canonicalisation strategy: refine an ordered partition of the points to
 its coarsest equitable refinement, incrementally (McKay 1981; Paige &
@@ -44,7 +43,7 @@ from heapq import heappop, heappush
 from itertools import chain, compress, product, starmap
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import InvalidSubsetError, ParameterError, ResourceError, SignatureMismatchError
+from .errors import InvalidSubsetError, ParameterError, ResourceError
 
 CanonicalCode = bytes
 
@@ -448,61 +447,3 @@ def canonical_form(s: FiniteStructure) -> CanonicalCode:
     search = None  # break search's self-reference, so inc and co are freed now, not by the gc
     assert best is not None
     return best[1]
-
-
-def _same_signature(a: FiniteStructure, b: FiniteStructure) -> None:
-    if a.signature != b.signature:
-        raise SignatureMismatchError(
-            f"signatures differ: {a.signature.relations} vs {b.signature.relations}"
-        )
-
-
-def is_isomorphic(a: FiniteStructure, b: FiniteStructure) -> bool:
-    """Backtracking isomorphism test (independent of canonical_form).
-
-    Vertices are matched in an order chosen by refinement colours; a partial
-    map is rejected as soon as a fully mapped tuple of either side fails to
-    correspond. Raises SignatureMismatchError on different signatures.
-    """
-    _same_signature(a, b)
-    if a.size != b.size:
-        return False
-    if any(len(ta) != len(tb) for ta, tb in zip(a.relations, b.relations)):
-        return False
-    size = a.size
-    if size == 0:
-        return True
-    inc_a, co_a = _incidence(size, a.relations)
-    inc_b, co_b = _incidence(size, b.relations)
-    col_a = _refine(inc_a, co_a, [0] * size, range(size))
-    col_b = _refine(inc_b, co_b, [0] * size, range(size))
-    if sorted(col_a) != sorted(col_b):
-        return False
-
-    order = sorted(range(size), key=lambda v: (col_a[v], v))
-    fwd: dict[int, int] = {}
-    rev: dict[int, int] = {}
-
-    def consistent(v: int, w: int) -> bool:
-        for incs, known, rels in ((inc_a[v], fwd, b.relations), (inc_b[w], rev, a.relations)):
-            for ridx, _, t in incs:
-                if all(x in known for x in t) and tuple(known[x] for x in t) not in rels[ridx]:
-                    return False
-        return True
-
-    def extend(i: int) -> bool:
-        if i == size:
-            return True
-        v = order[i]
-        for w in range(size):
-            if w in rev or col_b[w] != col_a[v]:
-                continue
-            fwd[v] = w
-            rev[w] = v
-            if consistent(v, w) and extend(i + 1):
-                return True
-            del fwd[v]
-            del rev[w]
-        return False
-
-    return extend(0)

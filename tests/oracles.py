@@ -14,10 +14,12 @@ import math
 
 from oligoprofile import glueing
 from oligoprofile.catalogue import SIG_TOURNAMENT, _model_tree_depths
-from oligoprofile.errors import ParameterError
+from oligoprofile.errors import DomainError, ParameterError
 from oligoprofile.structures import (
     FiniteStructure,
     Signature,
+    _incidence,
+    _refine,
     canonical_form,
     induced_substructure,
     structure_encoding,
@@ -60,6 +62,68 @@ def brute_isomorphic(a: FiniteStructure, b: FiniteStructure) -> bool:
         a.relabel(perm).relations == b.relations
         for perm in itertools.permutations(range(a.size))
     )
+
+
+def is_isomorphic(a: FiniteStructure, b: FiniteStructure) -> bool:
+    """Backtracking isomorphism test, independent of canonical_form's search.
+
+    Vertices are matched in an order chosen by refinement colours; a partial
+    map is rejected as soon as a fully mapped tuple of either side fails to
+    correspond. Raises ValueError on different signatures.
+    """
+    if a.signature != b.signature:
+        raise ValueError(f"signatures differ: {a.signature.relations} vs {b.signature.relations}")
+    if a.size != b.size:
+        return False
+    if any(len(ta) != len(tb) for ta, tb in zip(a.relations, b.relations)):
+        return False
+    size = a.size
+    if size == 0:
+        return True
+    inc_a, co_a = _incidence(size, a.relations)
+    inc_b, co_b = _incidence(size, b.relations)
+    col_a = _refine(inc_a, co_a, [0] * size, range(size))
+    col_b = _refine(inc_b, co_b, [0] * size, range(size))
+    if sorted(col_a) != sorted(col_b):
+        return False
+
+    order = sorted(range(size), key=lambda v: (col_a[v], v))
+    fwd: dict[int, int] = {}
+    rev: dict[int, int] = {}
+
+    def consistent(v: int, w: int) -> bool:
+        for incs, known, rels in ((inc_a[v], fwd, b.relations), (inc_b[w], rev, a.relations)):
+            for ridx, _, t in incs:
+                if all(x in known for x in t) and tuple(known[x] for x in t) not in rels[ridx]:
+                    return False
+        return True
+
+    def extend(i: int) -> bool:
+        if i == size:
+            return True
+        v = order[i]
+        for w in range(size):
+            if w in rev or col_b[w] != col_a[v]:
+                continue
+            fwd[v] = w
+            rev[w] = v
+            if consistent(v, w) and extend(i + 1):
+                return True
+            del fwd[v]
+            del rev[w]
+        return False
+
+    return extend(0)
+
+
+def fibonacci(n: int) -> int:
+    """F_1 = F_2 = 1, F_n = F_{n-1} + F_{n-2}."""
+    if n < 1:
+        raise DomainError(f"fibonacci needs n >= 1, got {n}")
+    a, b = 1, 1
+    for _ in range(n - 1):
+        a, b = b, a + b
+    return a
 
 
 def restrict(model: FiniteStructure, subset) -> FiniteStructure:

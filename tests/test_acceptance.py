@@ -22,7 +22,7 @@ from oligoprofile.glueing import (
     sample_circular_fragments,
     sample_linear_fragments,
 )
-from oligoprofile.growth import GOLDEN_RATIO, fibonacci, growth_estimate, tree_count
+from oligoprofile.growth import GOLDEN_RATIO, growth_estimate, tree_count
 from oligoprofile.posets import (
     antichain_width,
     exhaustive_posets,
@@ -38,7 +38,7 @@ from oligoprofile.witnesses import (
     verify_pairwise_nonisomorphic,
 )
 
-from oracles import brute_tree_count, subset_classes
+from oracles import brute_tree_count, fibonacci, subset_classes
 
 FIVE_REDUCTS = ("pure_set", "dlo", "betweenness", "circular", "separation")
 

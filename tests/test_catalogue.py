@@ -19,12 +19,14 @@ from oligoprofile.catalogue import (
     sample_model,
 )
 from oligoprofile.errors import ParameterError, ResourceError
-from oligoprofile.growth import fibonacci, tree_count
-from oligoprofile.structures import induced_substructure, is_isomorphic, structure_encoding
+from oligoprofile.growth import tree_count
+from oligoprofile.structures import induced_substructure, structure_encoding
 
 from oracles import (
     branch_tuples,
     brute_compositions,
+    fibonacci,
+    is_isomorphic,
     is_locally_transitive,
     revalidated,
     separation_tuples,

@@ -14,10 +14,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oligoprofile.cli import _json_text, main
-from oligoprofile.growth import fibonacci
 from oligoprofile.posets import random_poset
 
-from oracles import odd_divisor_necklace_count
+from oracles import fibonacci, odd_divisor_necklace_count
 
 
 def run_cli(capsys, *argv):
@@ -292,9 +291,14 @@ def test_growth_csv_header(capsys):
     assert out.splitlines()[0] == "n,value,nth_root,ratio"
 
 
-def test_growth_missing_file_exits_one(capsys):
+def test_growth_missing_file_exits_one(capsys, tmp_path):
     code, _, err = run_cli(capsys, "growth", "--file", "/no/such/file.json")
     assert code == 1 and err.startswith("error:")
+    # an --out file that cannot be opened fails the same way, with no traceback
+    for target in (tmp_path / "no-such-dir" / "x.txt", tmp_path):
+        code, out, err = run_cli(capsys, "catalogue-list", "--out", str(target))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_growth_bad_json_exits_one(capsys, tmp_path):
@@ -484,11 +488,16 @@ def test_budget_failure_exits_one(capsys):
             ["fibered_order:2000", "--n-max", "1"],
             "sample of 2000 points: 4000000 tuples to evaluate, over the cap of 2000000",
         ),
+        (
+            ["fibered_order:1", "--n-max", "1414"],
+            "fibered_order:1: samples for n=1..182 evaluate 2026115 tuples, over the cap of 2000000",
+        ),
     ],
 )
 def test_oversized_profile_exits_one_at_once(capsys, argv, message):
-    """A huge --n-max stops at its first over-budget n, and a sample past
-    the evaluator's cap is refused before it is built."""
+    """A huge --n-max stops at its first over-budget n, and samples past
+    the evaluator's cap, one or all together, are refused before any is
+    built."""
     start = time.perf_counter()
     assert run_cli(capsys, "profile", *argv) == (1, "", f"error: {message}\n")
     assert time.perf_counter() - start < 1
@@ -510,7 +519,14 @@ def test_nonpositive_budget_exits_one_and_jobs_is_ignored(capsys, tmp_path, monk
     monkeypatch.chdir(tmp_path)
     (tmp_path / "poset.json").write_text('{"size": 2, "leq": [[0, 1]]}')
     (tmp_path / "fragments.json").write_text('{"fragments": [{"id": "a", "elements": [1, 2]}]}')
-    assert run_cli(capsys, *argv, "--budget", "0") == (1, "", "error: budget must be > 0, got 0\n")
+    if argv[0] == "profile":
+        assert run_cli(capsys, *argv, "--budget", "0") == (1, "", "error: budget must be > 0, got 0\n")
+    else:
+        # only profile reads --budget; on the others it is an unknown option
+        assert run_cli(capsys, *argv, "--budget", "1")[:2] == (2, "")
+    if argv[0] in ("witness", "linearize", "glue"):
+        # their only output is JSON, so they take no --format
+        assert run_cli(capsys, *argv, "--format", "json")[:2] == (2, "")
     code, out, err = run_cli(capsys, *argv)
     assert code == 0 and err == ""
     for jobs in ("0", "-3", "2"):

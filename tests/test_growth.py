@@ -12,15 +12,13 @@ from oligoprofile.growth import (
     GrowthReport,
     compositions_count,
     constants_table,
-    fibonacci,
     growth_estimate,
     local_order_count,
     lower_bound_check,
-    ratio_table,
     tree_count,
 )
 
-from oracles import brute_tree_count, odd_divisor_necklace_count
+from oracles import brute_tree_count, fibonacci, odd_divisor_necklace_count
 
 
 def test_tree_count_first_values():
@@ -159,15 +157,6 @@ def test_constants_table_entries():
     assert by_key["tree_sqrt_base"].value == pytest.approx(1.576)
     assert by_key["local_order_ceiling"].value == 2.0
     assert all(c.note for c in table)
-
-
-def test_ratio_table_indexing():
-    assert ratio_table([1, 2, 6]) == [(2, 2.0), (3, 3.0)]
-    with pytest.raises(DomainError, match="ratio_table needs strictly positive values"):
-        ratio_table([0, 1])
-    assert ratio_table([10**399, 10**400]) == [(2, 10.0)]
-    with pytest.raises(DomainError, match="a ratio of the values exceeds float range"):
-        ratio_table([1, 10**400])
 
 
 @pytest.mark.parametrize(

@@ -18,7 +18,7 @@ from oligoprofile.catalogue import (
     sample_model,
 )
 from oligoprofile.errors import InternalInvariantError, ParameterError, ResourceError
-from oligoprofile.growth import compositions_count, fibonacci, local_order_count, tree_count
+from oligoprofile.growth import compositions_count, local_order_count, tree_count
 from oligoprofile import profiles, structures
 from oligoprofile.profiles import ProfileSequence, class_codes, profile
 from oligoprofile.structures import (
@@ -32,6 +32,7 @@ from oligoprofile.structures import (
 from oracles import (
     brute_compositions,
     compositions_count_table,
+    fibonacci,
     gap_necklace_key,
     locally_transitive_count,
     odd_divisor_necklace_count,
@@ -157,7 +158,7 @@ def _swapping_entry(labels):
         return FiniteStructure.build(sig, size, {rel: {(e,) for e in range(size)}})
 
     return CatalogueEntry(
-        "swap", sampler, lambda size: size, None, lambda n: 3, _identity_keys, _prefix_steps, "test"
+        "swap", sampler, sig, lambda size: size, None, lambda n: 3, _identity_keys, _prefix_steps, "test"
     )
 
 
@@ -439,9 +440,11 @@ def test_a_wrong_point_declaration_is_an_internal_error():
 
 
 def test_the_samples_of_one_profile_share_the_tuple_cap(monkeypatch):
-    """Each sample is built, then its tuples join the call's total, which
-    is refused past the cap before that n is counted: fibered_order:1
-    evaluates n**2 pairs at n, 1 + 4 + ... + 49 = 140 > 100 at n = 7."""
+    """The tuples of every sample, summed from the declared signature and
+    points, are refused past the cap before any sample is built:
+    fibered_order:1 evaluates n**2 pairs at n, 1 + 4 + ... + 182**2 =
+    2,026,115 over the cap at n = 182, and 1 + 4 + ... + 49 = 140 over a
+    cap of 100 at n = 7."""
     chain = get_entry("fibered_order:1")
     built = []
 
@@ -449,8 +452,14 @@ def test_the_samples_of_one_profile_share_the_tuple_cap(monkeypatch):
         built.append(size)
         return chain.sampler(size)
 
-    monkeypatch.setattr(structures, "MAX_EVALUATED_TUPLES", 100)
     entry = dataclasses.replace(chain, sampler=recorded)
+    with pytest.raises(ResourceError) as info:
+        profile(entry, 1414)
+    assert str(info.value) == (
+        "fibered_order:1: samples for n=1..182 evaluate 2026115 tuples, over the cap of 2000000"
+    )
+    assert built == []
+    monkeypatch.setattr(structures, "MAX_EVALUATED_TUPLES", 100)
     assert profile(entry, 6).values == (1,) * 6
     built.clear()
     with pytest.raises(ResourceError) as info:
@@ -458,7 +467,7 @@ def test_the_samples_of_one_profile_share_the_tuple_cap(monkeypatch):
     assert str(info.value) == (
         "fibered_order:1: samples for n=1..7 evaluate 140 tuples, over the cap of 100"
     )
-    assert built == list(range(1, 8))
+    assert built == []
     # the budget refuses before any sample, and the cap on one sample
     # before the total it would also pass (1 + 4 > 3)
     built.clear()
@@ -470,6 +479,7 @@ def test_the_samples_of_one_profile_share_the_tuple_cap(monkeypatch):
     with pytest.raises(ResourceError) as info:
         profile(entry, 2)
     assert str(info.value) == "sample of 2 points: 4 tuples to evaluate, over the cap of 3"
+    assert built == []
 
 
 def test_the_largest_in_budget_profile_fits_the_tuple_cap():

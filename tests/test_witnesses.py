@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oligoprofile.errors import ParameterError, ResourceError
-from oligoprofile.growth import fibonacci
 from oligoprofile.structures import canonical_form, induced_substructure
 from oligoprofile.witnesses import (
     CollisionReport,
@@ -25,7 +24,7 @@ from oligoprofile.witnesses import (
     verify_pairwise_nonisomorphic,
 )
 
-from oracles import brute_compositions, recursive_compositions, revalidated, subset_classes
+from oracles import brute_compositions, fibonacci, recursive_compositions, revalidated, subset_classes
 
 
 def test_compositions_listing_matches_brute():
