@@ -53,7 +53,6 @@ from .posets import (
 )
 from .profiles import (
     ProfileSequence,
-    class_codes,
     profile,
 )
 from .structures import (
@@ -99,7 +98,6 @@ __all__ = [
     "antichain_witness",
     "binary_pattern_witness",
     "canonical_form",
-    "class_codes",
     "classify_overlap",
     "composition_witness",
     "compositions_count",

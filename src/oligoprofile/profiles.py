@@ -1,8 +1,8 @@
 """Profile enumeration: count substructure classes of sampled models.
 
 profile(entry, n_max) computes, for each n up to n_max, the number of
-distinct canonical codes among the induced substructures on all n-subsets
-of a finite model sampled at the entry's saturation size (the base). Every
+isomorphism classes among the induced substructures on all n-subsets of a
+finite model sampled at the entry's saturation size (the base). Every
 catalogue entry's saturation rule is proven (catalogue, "Saturation
 proofs"), so each n is counted once, at the base; the recheck against a
 larger sample runs in the tests.
@@ -13,10 +13,14 @@ catalogue) to the first prefix that reached it, and only that prefix is
 extended; the last level maps the entry's key of each extension's state to
 the first subset that reached it.
 
-Counting never trusts the dedup key alone: keys only pick one
-representative subset per key, canonical codes of the representatives are
-what gets counted. Within one count, canonical codes are memoised by
-literal encoding.
+Counting never trusts the dedup key alone. Keys pick one representative
+subset per key, and the representatives' classes are counted: equal
+literal encodings are one structure, kept once (tree_c's representatives
+repeat literals); degree profiles (structures.degree_profile, an
+isomorphism invariant) separate the rest, and a structure whose profile no
+other shares is a class of its own; only structures that tie on a profile
+are canonicalised, and their distinct codes are counted. So the classes
+are exactly the canonical-code classes of the representatives.
 
 Every limit is checked before any sample is built: the entry declares its
 signature and each sample's points, C(points, n) is checked for each n as
@@ -35,7 +39,12 @@ from dataclasses import dataclass
 # catalogue.get_entry is looked up per call, so a wrapped one is honoured
 from . import catalogue, structures
 from .errors import InternalInvariantError, ParameterError, ResourceError
-from .structures import canonical_form, induced_substructure, structure_encoding
+from .structures import (
+    canonical_form,
+    induced_substructure,
+    isomorphism_classes,
+    structure_encoding,
+)
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -129,15 +138,14 @@ def _representatives(entry, model, n: int) -> dict:
     return level
 
 
-def _codes(entry, model, n: int) -> frozenset[bytes]:
-    """Canonical codes of the representatives, memoised by literal encoding."""
-    canon: dict[bytes, bytes] = {}
+def _class_count(entry, model, n: int) -> int:
+    """Classes among the representatives: one structure per literal
+    encoding, separated by degree profile, canonicalised only in ties."""
+    literal: dict = {}
     for subset in _representatives(entry, model, n).values():
         sub = induced_substructure(model, subset)
-        lit = structure_encoding(sub)
-        if lit not in canon:
-            canon[lit] = canonical_form(sub)
-    return frozenset(canon.values())
+        literal.setdefault(structure_encoding(sub), sub)
+    return len(isomorphism_classes(list(literal.values()), canonical_form))
 
 
 def profile(entry, n_max: int, budget: int = DEFAULT_BUDGET) -> ProfileSequence:
@@ -166,13 +174,7 @@ def profile(entry, n_max: int, budget: int = DEFAULT_BUDGET) -> ProfileSequence:
             )
     # each sample is dropped once counted, before the next is built
     values = tuple(
-        len(_codes(entry, _sample(entry, size, points), n)) for n, (size, points) in enumerate(plan, 1)
+        _class_count(entry, _sample(entry, size, points), n) for n, (size, points) in enumerate(plan, 1)
     )
     return ProfileSequence(entry.entry_id, values, tuple(size for size, _ in plan))
 
-
-def class_codes(entry, size: int, n: int, budget: int = DEFAULT_BUDGET) -> frozenset[bytes]:
-    """Canonical codes of all n-point substructure classes of one sample."""
-    if isinstance(entry, str):
-        entry = catalogue.get_entry(entry)
-    return _codes(entry, _sample(entry, size, _checked_points(entry, size, n, budget)), n)

@@ -10,7 +10,11 @@ small and exact:
     structure (length-prefixed varints, tuples in sorted order),
   * canonical_form: the minimum encoding over a refinement-pruned set of
     relabellings; two structures get the same code iff they are isomorphic,
-    which the tests check against independent searches (tests/oracles.py).
+    which the tests check against independent searches (tests/oracles.py),
+  * degree_profile: a cheap isomorphism invariant, the sorted per-point
+    counts of tuples by relation and position. isomorphism_classes groups
+    structures by it and runs canonical_form only inside ties (the
+    invariant-before-labelling step of McKay & Piperno 2014).
 
 Canonicalisation strategy: refine an ordered partition of the points to
 its coarsest equitable refinement, incrementally (McKay 1981; Paige &
@@ -38,9 +42,11 @@ and the minimum is unchanged:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import chain, compress, product, starmap
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import InvalidSubsetError, ParameterError, ResourceError
@@ -301,6 +307,58 @@ def structure_encoding(s: FiniteStructure) -> bytes:
     arities = tuple(a for _, a in s.signature.relations)
     rel_tuples = tuple(tuple(tuples) for tuples in s.relations)
     return _encode_labelled(s.size, arities, rel_tuples, None)
+
+
+def degree_profile(s: FiniteStructure) -> tuple:
+    """An isomorphism invariant: the signature, the size, and the sorted
+    rows that count, for each point x, the tuples of each relation holding
+    x at each position.
+
+    Invariance: a relabelling pi maps the tuples of each relation
+    bijectively onto the tuples of the same relation in the image, and a
+    tuple holds x at position p iff its image holds pi(x) there. So pi(x)'s
+    row in the image is x's row, the rows are permuted, and their sorted
+    list is unchanged. Isomorphic structures therefore have equal profiles,
+    and structures with different profiles are not isomorphic; the
+    converse fails (a 6-cycle and two triangles share a profile).
+    """
+    columns = [
+        Counter(map(itemgetter(p), tuples))
+        for (_, arity), tuples in zip(s.signature.relations, s.relations)
+        for p in range(arity)
+    ]
+    points = range(s.size)
+    rows = sorted(zip(*(map(column.__getitem__, points) for column in columns)))
+    return s.signature, s.size, tuple(rows)
+
+
+def isomorphism_classes(
+    items: Sequence[FiniteStructure], code: Callable[[FiniteStructure], CanonicalCode]
+) -> list[list[int]]:
+    """The positions of items grouped by isomorphism type, each class in
+    ascending order.
+
+    Items are grouped by degree_profile first, and a group of one is a
+    class. code runs only on the items of a group of two or more and splits
+    that group by its codes. Items with different profiles are not
+    isomorphic, so for items of one signature the classes are exactly the
+    groups of equal canonical_form codes. Callers pass canonical_form as
+    bound in their own module, so a wrapper set on that binding sees every
+    call.
+    """
+    by_profile: dict[tuple, list[int]] = {}
+    for i, s in enumerate(items):
+        by_profile.setdefault(degree_profile(s), []).append(i)
+    classes: list[list[int]] = []
+    for group in by_profile.values():
+        if len(group) == 1:
+            classes.append(group)
+            continue
+        by_code: dict[CanonicalCode, list[int]] = {}
+        for i in group:
+            by_code.setdefault(code(items[i]), []).append(i)
+        classes.extend(by_code.values())
+    return classes
 
 
 _Incidences = list[list[tuple[int, int, tuple[int, ...]]]]

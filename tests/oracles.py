@@ -12,7 +12,7 @@ import functools
 import itertools
 import math
 
-from oligoprofile import glueing
+from oligoprofile import catalogue, glueing, profiles
 from oligoprofile.catalogue import SIG_TOURNAMENT, _model_tree_depths
 from oligoprofile.errors import DomainError, ParameterError
 from oligoprofile.structures import (
@@ -296,6 +296,23 @@ def subset_classes(model: FiniteStructure, n: int, canon=canonical_form) -> int:
             for combo in itertools.combinations(range(model.size), n)
         }
     )
+
+
+def class_codes(entry, size: int, n: int, budget: int = profiles.DEFAULT_BUDGET) -> frozenset[bytes]:
+    """Canonical codes of the n-point classes of one sample, unscreened:
+    every key representative of the profile engine is canonicalised,
+    memoised by literal encoding, with no degree-profile screen. Takes the
+    entry or its id, and refuses as profile() does before building."""
+    if isinstance(entry, str):
+        entry = catalogue.get_entry(entry)
+    model = profiles._sample(entry, size, profiles._checked_points(entry, size, n, budget))
+    codes: dict[bytes, bytes] = {}
+    for subset in profiles._representatives(entry, model, n).values():
+        sub = induced_substructure(model, subset)
+        lit = structure_encoding(sub)
+        if lit not in codes:
+            codes[lit] = canonical_form(sub)
+    return frozenset(codes.values())
 
 
 @functools.lru_cache(maxsize=None)

@@ -20,7 +20,7 @@ from oligoprofile.catalogue import (
 from oligoprofile.errors import InternalInvariantError, ParameterError, ResourceError
 from oligoprofile.growth import compositions_count, local_order_count, tree_count
 from oligoprofile import profiles, structures
-from oligoprofile.profiles import ProfileSequence, class_codes, profile
+from oligoprofile.profiles import ProfileSequence, profile
 from oligoprofile.structures import (
     FiniteStructure,
     canonical_form,
@@ -31,6 +31,7 @@ from oligoprofile.structures import (
 
 from oracles import (
     brute_compositions,
+    class_codes,
     compositions_count_table,
     fibonacci,
     gap_necklace_key,
@@ -191,7 +192,23 @@ def test_proven_saturation_survives_the_recheck(entry_id):
     assert f"  {entry.saturation_proof}: " in catalogue.__doc__
     for n in range(1, _PINNED_N.get(entry_id, 8) + 1):
         base = entry.saturation_rule(n)
-        assert class_codes(entry, base, n) == class_codes(entry, base + 2, n), n
+        assert _base_codes(entry_id, n) == class_codes(entry, base + 2, n), n
+
+
+@functools.lru_cache(maxsize=None)
+def _base_codes(entry_id, n):
+    entry = get_entry(entry_id)
+    return class_codes(entry, entry.saturation_rule(n), n)
+
+
+@pytest.mark.parametrize("entry_id", default_sweep_ids())
+def test_screened_profile_counts_the_unscreened_codes(entry_id):
+    """profile() canonicalises only the representatives that tie on a
+    degree profile; at every n up to the entry's pinned n_max it counts as
+    many classes as the unscreened reference finds codes at the base."""
+    n_max = _PINNED_N.get(entry_id, 8)
+    expected = tuple(len(_base_codes(entry_id, n)) for n in range(1, n_max + 1))
+    assert profile(entry_id, n_max).values == expected
 
 
 def test_the_recheck_sweeps_every_entry():

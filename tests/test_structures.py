@@ -23,7 +23,9 @@ from oligoprofile.structures import (
     _refine,
     Signature,
     canonical_form,
+    degree_profile,
     induced_substructure,
+    isomorphism_classes,
     signature,
     structure_encoding,
 )
@@ -361,6 +363,58 @@ def test_canonical_form_invariant_on_symmetric_corpus(family):
             perm = list(range(s.size))
             rng.shuffle(perm)
             assert canonical_form(s.relabel(perm)) == code
+
+
+@pytest.mark.parametrize("family", SYMMETRIC_FAMILIES)
+def test_degree_profile_invariant_on_symmetric_corpus(family):
+    rng = random.Random(f"degree profile {family}")
+    for s in symmetric_corpus(family):
+        prof = degree_profile(s)
+        assert prof[:2] == (s.signature, s.size)
+        for _ in range(6):
+            perm = list(range(s.size))
+            rng.shuffle(perm)
+            assert degree_profile(s.relabel(perm)) == prof
+
+
+@given(structure_with_permutation())
+def test_degree_profile_is_relabel_invariant(pair):
+    s, perm = pair
+    assert degree_profile(s) == degree_profile(s.relabel(perm))
+
+
+def _graph(n, edges):
+    return FiniteStructure.build(SIG_EDGE, n, {"edge": {p for a, b in edges for p in ((a, b), (b, a))}})
+
+
+def test_a_profile_tie_that_is_no_isomorphism_gives_two_classes():
+    """The 6-cycle and two triangles are both 2-regular on six points, so
+    their profiles tie; canonical codes split the tie, a relabelled 6-cycle
+    joins the first class, and the 6-path, alone on its profile, is never
+    canonicalised."""
+    hexagon = _graph(6, [(i, (i + 1) % 6) for i in range(6)])
+    triangles = _graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+    path = _graph(6, [(i, i + 1) for i in range(5)])
+    assert degree_profile(hexagon) == degree_profile(triangles)
+    assert degree_profile(path) != degree_profile(hexagon)
+    canonicalised = []
+
+    def code(s):
+        canonicalised.append(s)
+        return canonical_form(s)
+
+    pool = [hexagon, triangles, hexagon.relabel([2, 4, 0, 1, 5, 3]), path]
+    assert isomorphism_classes(pool, code) == [[0, 2], [1], [3]]
+    assert canonicalised == pool[:3]
+
+
+@given(st.lists(structure_with_permutation(), min_size=1, max_size=6))
+def test_isomorphism_classes_are_the_canonical_code_classes(pairs):
+    pool = [s for s, _ in pairs] + [s.relabel(perm) for s, perm in pairs]
+    by_code = {}
+    for i, s in enumerate(pool):
+        by_code.setdefault(canonical_form(s), []).append(i)
+    assert sorted(isomorphism_classes(pool, canonical_form)) == sorted(by_code.values())
 
 
 def test_canonical_partition_matches_brute_on_symmetric_corpus():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oligoprofile.errors import ParameterError, ResourceError
-from oligoprofile.structures import canonical_form, induced_substructure
+from oligoprofile.structures import canonical_form, degree_profile, induced_substructure
 from oligoprofile.witnesses import (
     CollisionReport,
     WitnessFamily,
@@ -161,6 +161,51 @@ def test_collision_report_names_the_exact_pair():
     assert report.pairs == ((2, len(fam.members)),)
     assert not report.is_empty
     assert report.to_json_dict()["collisions"] == [[2, len(fam.members)]]
+
+
+def _with_copies(fam, positions, rng):
+    """fam with a randomly relabelled copy of each listed member appended."""
+    copies = []
+    for pos in positions:
+        perm = list(range(fam.members[pos].size))
+        rng.shuffle(perm)
+        copies.append(fam.members[pos].relabel(perm))
+    return WitnessFamily(
+        fam.construction_id, fam.n, fam.scaffold, fam.members + tuple(copies),
+        fam.indices + tuple(fam.indices[pos] for pos in positions), fam.index_decoder,
+    )
+
+
+@pytest.mark.parametrize("construction", construction_ids())
+def test_relabelled_copies_report_exactly_the_injected_pairs(construction):
+    rng = random.Random(construction)
+    fam = build_family(construction, 6)
+    total = len(fam.members)
+    a, b = rng.sample(range(total), 2)
+    report = verify_pairwise_nonisomorphic(_with_copies(fam, [a, b, a], rng))
+    assert report.pairs == tuple(sorted([(a, total), (a, total + 2), (total, total + 2), (b, total + 1)]))
+
+
+def _pairs_by_canonical_code(members):
+    by_code = {}
+    for i, member in enumerate(members):
+        by_code.setdefault(canonical_form(member), []).append(i)
+    return tuple(sorted(p for group in by_code.values() for p in itertools.combinations(group, 2)))
+
+
+@pytest.mark.parametrize("construction", construction_ids())
+def test_screened_verification_equals_grouping_by_canonical_codes(construction):
+    """Every member has a degree profile of its own, so verification
+    canonicalises nothing, and it reports what grouping every member by
+    canonical code reports, with and without an injected copy."""
+    rng = random.Random(f"screen {construction}")
+    for n in range(1, 9):
+        fam = build_family(construction, n)
+        assert len({degree_profile(m) for m in fam.members}) == len(fam.members), n
+        assert verify_pairwise_nonisomorphic(fam).pairs == _pairs_by_canonical_code(fam.members) == ()
+        rigged = _with_copies(fam, [len(fam.members) - 1], rng)
+        expected = _pairs_by_canonical_code(rigged.members)
+        assert verify_pairwise_nonisomorphic(rigged).pairs == expected == ((len(fam.members) - 1, len(fam.members)),)
 
 
 def test_binary_pattern_scaffold_age_is_exactly_the_family():
