@@ -19,6 +19,21 @@ appear only at the edges: the public constructor, from_json_dict, the
 leq view and JSON. Every invariant the construction promises (a
 transitive before relation, a well-defined quotient that is a poset, at
 most size rounds) is still checked and raises InternalInvariantError.
+
+The quadratic work is one boolean matrix product, computed word-parallel
+on CPython integers (Arlazarov, Dinic, Kronrod and Faradzev, 1970). The n
+rows are packed into one integer at a byte-aligned stride of (n + 7) // 8
+bytes. For each column c, the rows that hold c are each spread to n ones
+by (cs << n) - cs and select row c of the right factor, repeated by bytes
+repetition: n passes over an n * stride bit integer, about n**3 / w word
+operations for w-bit words, where a loop over pairs takes n**2 or more
+interpreter steps. The product gives triangle_step's non-maximal
+incomparables (V x strict-pred) and _first_intransitive's escaping rows
+(R x R outside R), the check behind the before relation, every poset
+built from masks and exhaustive_posets. _quotient checks well-definedness
+by rows and columns agreeing across each class, outside it, which its
+docstring proves equivalent to every block between two classes being
+all or nothing.
 """
 
 from __future__ import annotations
@@ -36,8 +51,9 @@ from .structures import FiniteStructure, canonical_form
 
 Pair = tuple[int, int]
 
-# Largest poset a JSON payload may declare: an antichain of this size
-# already takes seconds and hundreds of MB to linearize.
+# Largest poset a JSON payload may declare: the linearize JSON of an
+# antichain of this size lists over a million pairs, some 50 MB of text
+# built in about 0.7 GB.
 _MAX_JSON_POSET_SIZE = 1024
 
 _BIT_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -58,13 +74,61 @@ def _transpose(succ: list[int]) -> list[int]:
     return [int("".join(col)[::-1], 2) for col in zip(*rows)][::-1]
 
 
+def _pack(rows: Sequence[int]) -> int:
+    """The n rows as one integer at a stride of (n + 7) // 8 bytes."""
+    data = b"".join(map(int.to_bytes, rows, repeat(len(rows) + 7 >> 3), repeat("little")))
+    return int.from_bytes(data, "little")
+
+
+def _unpack(packed: int, n: int) -> list[int]:
+    """The n rows of an integer packed at a stride of (n + 7) // 8 bytes."""
+    width = n + 7 >> 3
+    data = packed.to_bytes(n * width, "little")
+    return [int.from_bytes(data[i : i + width], "little") for i in range(0, n * width, width)]
+
+
+def _product(left: Sequence[int], right: Sequence[int]) -> int:
+    """The boolean product of two relations on range(n), packed at a
+    stride of (n + 7) // 8 bytes: row r is the union of right[c] over the
+    bits c of left[r].
+
+    One pass per column c: the rows of left that hold c, each spread to n
+    ones by (cs << n) - cs, select row c of right repeated once per row.
+    A column that no row holds, or whose right row is empty, is skipped,
+    and row c is repeated only up to the last row that holds c.
+    """
+    n = len(right)
+    width = n + 7 >> 3
+    packed = _pack(left)
+    ones = int.from_bytes(b"\x01".ljust(width, b"\x00") * n, "little")
+    held = reduce(or_, left, 0)
+    out = 0
+    for c, row in enumerate(right):
+        if row and held >> c & 1:
+            cs = packed >> c & ones
+            rows = cs.bit_length() // (8 * width) + 1
+            out |= (cs << n) - cs & int.from_bytes(row.to_bytes(width, "little") * rows, "little")
+    return out
+
+
 def _first_intransitive(succ: Sequence[int]) -> Pair | None:
     """The least (a, b) with a <= b whose successors escape those of a,
-    or None when the relation is transitive."""
-    for a, m in enumerate(succ):
-        if reduce(or_, map(succ.__getitem__, _bits(m)), 0) & ~m:
-            return a, next(b for b in _bits(m) if succ[b] & ~m)
-    return None
+    or None when the relation is transitive.
+
+    Row a escapes when the product succ x succ holds a bit outside
+    succ[a]; the least such a is the lowest escaping bit's row, and one
+    scan of row a finds b. A full row cannot escape and a's own bit adds
+    only succ[a], so neither enters the product.
+    """
+    n = len(succ)
+    full = (1 << n) - 1
+    left = [0 if m == full else m & ~(1 << a) for a, m in enumerate(succ)]
+    escape = _product(left, succ) & ~_pack(succ)
+    if not escape:
+        return None
+    a = ((escape & -escape).bit_length() - 1) // (8 * (n + 7 >> 3))
+    m = succ[a]
+    return a, next(b for b in _bits(m) if succ[b] & ~m)
 
 
 def _pairs(succ: Sequence[int]) -> frozenset[Pair]:
@@ -187,27 +251,51 @@ def max_incomparability(p: FinitePoset) -> int:
 
 
 def antichain_width(p: FinitePoset) -> int:
-    """Maximum antichain size, as size minus a maximum chain matching."""
+    """Maximum antichain size, as size minus a maximum chain matching.
+
+    Each element is matched to a strict successor: first greedily, the
+    elements with fewest successors first, then by augmenting paths from
+    each element left unmatched, searched over the strict successor
+    masks, lowest unseen successor first.
+    """
     n = p.size
-    adj = [list(_bits(m & ~(1 << a))) for a, m in enumerate(p.succ)]
+    strict = [m ^ 1 << a for a, m in enumerate(p.succ)]
     match_right = [-1] * n
+    free = (1 << n) - 1
+    unmatched = []
+    for a in sorted(range(n), key=[m.bit_count() for m in strict].__getitem__):
+        m = strict[a] & free
+        if m:
+            low = m & -m
+            free ^= low
+            match_right[low.bit_length() - 1] = a
+        else:
+            unmatched.append(a)
+    matched = n - len(unmatched)
+    # a search that fails leaves the matching as it was, so what it saw
+    # stays fruitless until an augmentation
     seen = 0
-
-    def augment(a: int) -> bool:
-        nonlocal seen
-        for b in adj[a]:
-            if seen >> b & 1:
+    for root in unmatched:
+        # depth-first: path[i] reaches path[i + 1] through successor via[i]
+        path, via = [root], []
+        while path:
+            fresh = strict[path[-1]] & ~seen
+            if not fresh:
+                path.pop()
+                if via:
+                    via.pop()
                 continue
-            seen |= 1 << b
-            if match_right[b] == -1 or augment(match_right[b]):
-                match_right[b] = a
-                return True
-        return False
-
-    matched = 0
-    for a in range(n):
-        seen = 0
-        matched += augment(a)
+            low = fresh & -fresh
+            seen |= low
+            b = low.bit_length() - 1
+            via.append(b)
+            if match_right[b] == -1:
+                for a, b in zip(path, via):
+                    match_right[b] = a
+                matched += 1
+                seen = 0
+                break
+            path.append(match_right[b])
     return n - matched
 
 
@@ -215,15 +303,14 @@ def triangle_step(p: FinitePoset) -> tuple[int, ...]:
     """The before relation as successor masks: bit b of row a is set when
     a <= b or b is maximal among the elements incomparable to a.
 
-    b is maximal in V(a) when succ[b] meets V(a) in b alone. Transitivity
-    of the output holds for every poset; a violation means the
-    implementation is broken, not the input.
+    b in V(a) is not maximal when it is strictly below some c in V(a):
+    row a of the product V x strict-pred. Transitivity of the output
+    holds for every poset; a violation means the implementation is
+    broken, not the input.
     """
-    before = list(p.succ)
-    for a, incs in enumerate(_incomparable_masks(p)):
-        for b in _bits(incs):
-            if p.succ[b] & incs == 1 << b:
-                before[a] |= 1 << b
+    incs = _incomparable_masks(p)
+    below = _unpack(_product(incs, [m ^ 1 << c for c, m in enumerate(p.pred)]), p.size)
+    before = [up | v & ~m for up, v, m in zip(p.succ, incs, below)]
     broken = _first_intransitive(before)
     if broken:
         raise InternalInvariantError(f"before relation not transitive through {broken}")
@@ -269,45 +356,62 @@ def _quotient(after: Sequence[int]) -> tuple[FinitePoset, list[list[int]]]:
     after[a] has bit b set when a is before b.
 
     Each class is led by its least member and holds the later elements
-    mutually before-related with it. Class C is below class D when some member of C is before
-    some member of D; that is well defined when the members of C share
-    one cover outside C, a union of whole classes: one mask comparison
-    per element. Raises InternalInvariantError when the induced relation
-    depends on the choice of representatives or fails to be a poset.
+    mutually before-related with it. Class C is below class D when some
+    member of C is before some member of D. That is well defined when
+    every block C x D, C != D, is constant: all of it before-related or
+    none of it. The quotient's row C is then the leader's row read at the
+    leaders' columns, one compress per row.
+
+    The check: across each class, the members' rows agree outside the
+    class, and so do their columns. This holds exactly when every block
+    is constant. If it holds, take c, c' in C and d, d' in D: c is before
+    d iff c' is before d (the rows of C agree at d, outside C) iff c' is
+    before d' (the columns of D agree at c', outside D). Conversely,
+    every element outside C lies in another class, and constant blocks
+    make the rows of C, and the columns of C, agree there. The per-class
+    form "the members of C share one row outside C, and it is a union of
+    whole classes" also holds for every C exactly when every block is
+    constant, and it first fails at the least C with a mixed block. The
+    error names that C and the least D whose block with it is mixed.
+    Raises InternalInvariantError when the order depends on the choice of
+    representatives, or when the quotient is not a poset.
     """
     n = len(after)
     before = _transpose(after)
     unassigned = (1 << n) - 1
+    leaders = 0
     groups: list[list[int]] = []
     masks: list[int] = []
-    cls = [0] * n
-    for a in range(n):
-        if not unassigned >> a & 1:
-            continue
-        mask = (after[a] & before[a] & unassigned) | 1 << a
-        unassigned &= ~mask
-        members = list(_bits(mask))
-        for b in members:
-            cls[b] = len(groups)
-        groups.append(members)
+    mixed = False
+    while unassigned:
+        low = unassigned & -unassigned
+        a = low.bit_length() - 1
+        row, col = after[a], before[a]
+        mask = row & col & unassigned | low
+        unassigned ^= mask
+        leaders |= low
         masks.append(mask)
-    qsucc = []
-    for ca, members in enumerate(groups):
-        inside = masks[ca]
-        out = after[members[0]] & ~inside
-        above = set(map(cls.__getitem__, _bits(out)))
-        if reduce(or_, map(masks.__getitem__, above), 0) != out or any(
-            after[a] & ~inside != out for a in members
-        ):
-            reach = reduce(or_, map(after.__getitem__, members)) & ~inside
-            cb = next(
-                cb for cb, mask in enumerate(masks)
-                if mask & reach and any(mask & ~after[a] for a in members)
-            )
-            raise InternalInvariantError(
-                f"quotient order ill-defined on classes {ca}, {cb}"
-            )
-        qsucc.append(reduce(or_, (1 << cb for cb in above), 1 << ca))
+        if mask == low:
+            groups.append([a])
+            continue
+        members = list(_bits(mask))
+        groups.append(members)
+        mixed = mixed or any((after[b] ^ row | before[b] ^ col) & ~mask for b in members)
+    if mixed:
+        ca, cb = next(
+            (ca, cb)
+            for ca, group in enumerate(groups)
+            for cb, mask in enumerate(masks)
+            if cb != ca
+            and any(after[a] & mask for a in group)
+            and any(mask & ~after[a] for a in group)
+        )
+        raise InternalInvariantError(f"quotient order ill-defined on classes {ca}, {cb}")
+    keep = bin(leaders)[:1:-1].encode().translate(_BIT_DIGITS)
+    qsucc = [
+        int(bytes(compress(bin(after[a] | 1 << a)[:1:-1].encode(), keep))[::-1], 2)
+        for a in _bits(leaders)
+    ]
     try:
         quotient = FinitePoset._from_masks(qsucc)
     except DomainError as exc:

@@ -102,10 +102,6 @@ class CollisionReport:
     n: int
     pairs: tuple[tuple[int, int], ...]
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.pairs
-
     def to_json_dict(self) -> dict:
         return {
             "construction": self.construction_id,

@@ -450,6 +450,25 @@ def brute_max_antichain(p) -> int:
     return best
 
 
+def kuhn_width(p) -> int:
+    """Size minus a maximum matching of each element to a strict
+    successor, by plain augmenting paths from every element over pair
+    lookups: Dilworth's width, polynomially, for posets past brute search."""
+    succs = [[b for b in range(p.size) if b != a and (a, b) in p.leq] for a in range(p.size)]
+    match = [-1] * p.size
+
+    def augment(a: int, seen: set) -> bool:
+        for b in succs[a]:
+            if b not in seen:
+                seen.add(b)
+                if match[b] == -1 or augment(match[b], seen):
+                    match[b] = a
+                    return True
+        return False
+
+    return p.size - sum(augment(a, set()) for a in range(p.size))
+
+
 def brute_compositions(n: int, max_part: int) -> list[tuple[int, ...]]:
     """Every ordered way to write n as parts in 1..max_part."""
     if n == 0:
@@ -534,6 +553,25 @@ def pair_quotient(size: int, tri) -> tuple[frozenset, list[list[int]]]:
         if ca != cb and any((a, b) not in tri for a in groups[ca] for b in groups[cb]):
             return None, groups
     return frozenset(qleq), groups
+
+
+def brute_first_intransitive(size: int, rel) -> tuple[int, int] | None:
+    """The least (a, b) in rel with some (b, c) in rel and (a, c) not,
+    by pair lookups; None when rel is transitive."""
+    for a, b in itertools.product(range(size), repeat=2):
+        if (a, b) in rel and any((b, c) in rel and (a, c) not in rel for c in range(size)):
+            return a, b
+    return None
+
+
+def brute_mixed_block(tri, groups: list[list[int]]) -> tuple[int, int] | None:
+    """The least pair of distinct classes (C, D) where some but not all
+    of C x D lies in tri, by pair lookups."""
+    for ca, cb in itertools.permutations(range(len(groups)), 2):
+        hits = {(a, b) in tri for a in groups[ca] for b in groups[cb]}
+        if hits == {True, False}:
+            return ca, cb
+    return None
 
 
 def brute_normalize_circular(seq):

@@ -134,7 +134,7 @@ def test_criterion_5_witness_counts():
             if len(family.members) != expected[cid](n):
                 problems.append(f"{cid}({n}): {len(family.members)} members")
             report = verify_pairwise_nonisomorphic(family)
-            if not report.is_empty:
+            if report.pairs:
                 problems.append(f"{cid}({n}): collisions {report.pairs}")
             for member, index in zip(family.members, family.indices):
                 if family.index_decoder(member) != index:

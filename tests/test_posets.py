@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from oligoprofile.errors import DomainError, InternalInvariantError, ParameterError
 from oligoprofile.posets import (
     FinitePoset,
+    _first_intransitive,
     _pairs,
     _quotient,
     antichain_width,
@@ -23,7 +24,10 @@ from oligoprofile.posets import (
 )
 
 from oracles import (
+    brute_first_intransitive,
     brute_max_antichain,
+    brute_mixed_block,
+    kuhn_width,
     pair_incomparables,
     pair_is_chain,
     pair_max_incomparability,
@@ -260,6 +264,81 @@ def test_quotient_rejects_broken_before_relations():
         _quotient([0b011, 0b110, 0b100])
 
 
+def check_kernel_on_relation(size, rows):
+    """_first_intransitive and _quotient on any relation given as masks,
+    against the pair oracles: the least broken pair, the least mixed block
+    of an ill-defined quotient, and the quotient order otherwise."""
+    rel = frozenset((a, b) for a in range(size) for b in range(size) if rows[a] >> b & 1)
+    assert _first_intransitive(rows) == brute_first_intransitive(size, rel)
+    qleq, groups = pair_quotient(size, rel)
+    if qleq is None:
+        with pytest.raises(InternalInvariantError) as info:
+            _quotient(rows)
+        ca, cb = brute_mixed_block(rel, groups)
+        assert str(info.value) == f"quotient order ill-defined on classes {ca}, {cb}"
+        return
+    broken = brute_first_intransitive(len(groups), qleq)
+    if broken is not None:
+        with pytest.raises(InternalInvariantError) as info:
+            _quotient(rows)
+        assert str(info.value) == f"quotient is not a poset: transitivity fails through {broken}"
+        return
+    quotient, got_groups = _quotient(rows)
+    assert got_groups == groups
+    assert quotient.leq == qleq
+
+
+def test_kernel_matches_pair_oracles_on_every_small_relation():
+    for size in range(1, 4):
+        for bits in range(1 << size * size):
+            rows = [bits >> size * a & (1 << size) - 1 for a in range(size)]
+            check_kernel_on_relation(size, rows)
+
+
+@given(
+    st.integers(min_value=1, max_value=12).flatmap(
+        lambda size: st.lists(
+            st.integers(min_value=0, max_value=(1 << size) - 1), min_size=size, max_size=size
+        )
+    ),
+    st.booleans(),
+    st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_kernel_matches_pair_oracles_on_random_relations(rows, closed, diagonal):
+    size = len(rows)
+    if closed:
+        # Warshall's closure, so well-defined quotients come up too
+        for k in range(size):
+            for a in range(size):
+                if rows[a] >> k & 1:
+                    rows[a] |= rows[k]
+    rows = [m | 1 << a if diagonal else m & ~(1 << a) for a, m in enumerate(rows)]
+    check_kernel_on_relation(size, rows)
+
+
+# sha256 of json.dumps of the linearize JSON of random_poset(size,
+# max_width=size, seed) for seeds 0, 1 and 2, in order: row strides of
+# one byte and a bit over, and of eight bytes either side of a word
+LINEARIZE_STRIDE_SHA256 = {
+    7: "988babe90896b36f56bea60d317ad8045b71f09f6ab9f23509bd8299da7f9405",
+    8: "f949af1d82466a7fbee57d6b173cc50e610b92e6ce352806b74d93b7cf2b27cd",
+    9: "8fa2f3726ba24428ab727fc41ed829ce8c242537624205b4dbfae48c5cf494d5",
+    63: "445a5aa9058b815bd384e4e5f46a3287a7633397c8b780f9e974144268cf97ac",
+    64: "afe9a9d4d5cbc4abb6712f5273b0ccce763958e55617e91863bfa5616520e07a",
+    65: "eeb67400f94a56518fa0657be97c31000f57c6ad4b8ec8bdccbff9d1ff570dca",
+    200: "2dd1087f9bfb08299f0c1251a62a10593c51d101b6a62d50a65b92687a5deec2",
+}
+
+
+@pytest.mark.parametrize("size", sorted(LINEARIZE_STRIDE_SHA256))
+def test_linearize_json_is_pinned_across_row_strides(size):
+    payload = json.dumps(
+        [linearize(random_poset(size, max_width=size, seed=s)).to_json_dict() for s in range(3)]
+    )
+    assert hashlib.sha256(payload.encode()).hexdigest() == LINEARIZE_STRIDE_SHA256[size]
+
+
 def test_width_examples():
     assert antichain_width(chain(5)) == 1
     assert antichain_width(antichain(5)) == 5
@@ -271,6 +350,15 @@ def test_width_examples():
 def test_width_matches_brute_search(size, seed):
     p = random_poset(size, max_width=size, seed=seed)
     assert antichain_width(p) == brute_max_antichain(p)
+
+
+def test_width_matches_plain_matching_on_sparse_posets():
+    """Sparse posets up to 40 points, past brute search, where the greedy
+    matching leaves augmenting paths to find."""
+    for seed in range(400):
+        size = 10 + seed % 31
+        p = random_poset(size, max_width=size, seed=seed, edge_probability=0.02 + seed % 5 * 0.03)
+        assert antichain_width(p) == kuhn_width(p)
 
 
 def test_triangle_step_on_zigzag():

@@ -142,7 +142,7 @@ def test_build_family_dispatch_and_max_part():
 def test_no_collisions_in_real_families(construction):
     fam = build_family(construction, 6)
     report = verify_pairwise_nonisomorphic(fam)
-    assert report.is_empty
+    assert report.pairs == ()
     assert report.construction_id == construction
     assert report.n == 6
 
@@ -159,7 +159,7 @@ def test_collision_report_names_the_exact_pair():
     )
     report = verify_pairwise_nonisomorphic(rigged)
     assert report.pairs == ((2, len(fam.members)),)
-    assert not report.is_empty
+    assert report.pairs
     assert report.to_json_dict()["collisions"] == [[2, len(fam.members)]]
 
 
