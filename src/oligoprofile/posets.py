@@ -20,20 +20,18 @@ leq view and JSON. Every invariant the construction promises (a
 transitive before relation, a well-defined quotient that is a poset, at
 most size rounds) is still checked and raises InternalInvariantError.
 
-The quadratic work is one boolean matrix product, computed word-parallel
-on CPython integers (Arlazarov, Dinic, Kronrod and Faradzev, 1970). The n
-rows are packed into one integer at a byte-aligned stride of (n + 7) // 8
-bytes. For each column c, the rows that hold c are each spread to n ones
-by (cs << n) - cs and select row c of the right factor, repeated by bytes
-repetition: n passes over an n * stride bit integer, about n**3 / w word
-operations for w-bit words, where a loop over pairs takes n**2 or more
-interpreter steps. The product gives triangle_step's non-maximal
-incomparables (V x strict-pred) and _first_intransitive's escaping rows
-(R x R outside R), the check behind the before relation, every poset
-built from masks and exhaustive_posets. _quotient checks well-definedness
-by rows and columns agreeing across each class, outside it, which its
-docstring proves equivalent to every block between two classes being
-all or nothing.
+The quadratic work is boolean relation products, one row union at a
+time: row r of left x right is reduce(or_, compress(right, digits)) on
+the 0/1 digit bytes of left[r], so picking the rows and joining them run
+at C speed, one word-parallel OR per picked row. The union gives
+triangle_step's non-maximal incomparables (V x strict-pred, its empty
+right rows left out), _first_intransitive's escaping rows (least row
+first, full rows left out), the check behind the before relation, every
+poset built from masks and exhaustive_posets, and random_poset's
+transitive closure. _quotient checks well-definedness by rows and
+columns agreeing across each class, outside it, which its docstring
+proves equivalent to every block between two classes being all or
+nothing.
 """
 
 from __future__ import annotations
@@ -59,10 +57,15 @@ _MAX_JSON_POSET_SIZE = 1024
 _BIT_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
+def _digits(mask: int) -> bytes:
+    """The binary digits of mask, least significant first, as 0/1 bytes."""
+    return bin(mask)[:1:-1].encode().translate(_BIT_DIGITS)
+
+
 def _bits(mask: int) -> Iterator[int]:
     """Indices of the set bits of mask, ascending, read at C speed from
     its binary digits."""
-    digits = bin(mask)[:1:-1].encode().translate(_BIT_DIGITS)
+    digits = _digits(mask)
     return compress(range(len(digits)), digits)
 
 
@@ -74,61 +77,28 @@ def _transpose(succ: list[int]) -> list[int]:
     return [int("".join(col)[::-1], 2) for col in zip(*rows)][::-1]
 
 
-def _pack(rows: Sequence[int]) -> int:
-    """The n rows as one integer at a stride of (n + 7) // 8 bytes."""
-    data = b"".join(map(int.to_bytes, rows, repeat(len(rows) + 7 >> 3), repeat("little")))
-    return int.from_bytes(data, "little")
-
-
-def _unpack(packed: int, n: int) -> list[int]:
-    """The n rows of an integer packed at a stride of (n + 7) // 8 bytes."""
-    width = n + 7 >> 3
-    data = packed.to_bytes(n * width, "little")
-    return [int.from_bytes(data[i : i + width], "little") for i in range(0, n * width, width)]
-
-
-def _product(left: Sequence[int], right: Sequence[int]) -> int:
-    """The boolean product of two relations on range(n), packed at a
-    stride of (n + 7) // 8 bytes: row r is the union of right[c] over the
-    bits c of left[r].
-
-    One pass per column c: the rows of left that hold c, each spread to n
-    ones by (cs << n) - cs, select row c of right repeated once per row.
-    A column that no row holds, or whose right row is empty, is skipped,
-    and row c is repeated only up to the last row that holds c.
-    """
-    n = len(right)
-    width = n + 7 >> 3
-    packed = _pack(left)
-    ones = int.from_bytes(b"\x01".ljust(width, b"\x00") * n, "little")
-    held = reduce(or_, left, 0)
-    out = 0
-    for c, row in enumerate(right):
-        if row and held >> c & 1:
-            cs = packed >> c & ones
-            rows = cs.bit_length() // (8 * width) + 1
-            out |= (cs << n) - cs & int.from_bytes(row.to_bytes(width, "little") * rows, "little")
-    return out
+def _product(row: int, right: Sequence[int]) -> int:
+    """One row of a boolean relation product: the union of right[c] over
+    the bits c of the left row. compress picks the rows off the row's 0/1
+    digit bytes and reduce joins them, both at C speed: one pass over the
+    digits and one OR per bit."""
+    return reduce(or_, compress(right, _digits(row)), 0)
 
 
 def _first_intransitive(succ: Sequence[int]) -> Pair | None:
     """The least (a, b) with a <= b whose successors escape those of a,
     or None when the relation is transitive.
 
-    Row a escapes when the product succ x succ holds a bit outside
-    succ[a]; the least such a is the lowest escaping bit's row, and one
-    scan of row a finds b. A full row cannot escape and a's own bit adds
-    only succ[a], so neither enters the product.
+    Row a escapes when the union of succ[b] over the bits b of succ[a]
+    holds a bit outside succ[a]. Rows are tried least first, so the first
+    escaping row is the least, and one scan of it finds b. A full row
+    cannot escape and is not joined.
     """
-    n = len(succ)
-    full = (1 << n) - 1
-    left = [0 if m == full else m & ~(1 << a) for a, m in enumerate(succ)]
-    escape = _product(left, succ) & ~_pack(succ)
-    if not escape:
-        return None
-    a = ((escape & -escape).bit_length() - 1) // (8 * (n + 7 >> 3))
-    m = succ[a]
-    return a, next(b for b in _bits(m) if succ[b] & ~m)
+    full = (1 << len(succ)) - 1
+    for a, m in enumerate(succ):
+        if m != full and _product(m, succ) & ~m:
+            return a, next(b for b in _bits(m) if succ[b] & ~m)
+    return None
 
 
 def _pairs(succ: Sequence[int]) -> frozenset[Pair]:
@@ -199,10 +169,6 @@ class FinitePoset:
         if type(a) is not int or not 0 <= a < self.size:
             raise DomainError(f"{a!r} is not an element of a poset of size {self.size}")
         return a
-
-    def less(self, a: int, b: int) -> bool:
-        a, b = self._element(a), self._element(b)
-        return a != b and self.succ[a] >> b & 1 == 1
 
     def incomparable(self, a: int, b: int) -> bool:
         return self.incomparable_mask(a) >> self._element(b) & 1 == 1
@@ -304,13 +270,14 @@ def triangle_step(p: FinitePoset) -> tuple[int, ...]:
     a <= b or b is maximal among the elements incomparable to a.
 
     b in V(a) is not maximal when it is strictly below some c in V(a):
-    row a of the product V x strict-pred. Transitivity of the output
-    holds for every poset; a violation means the implementation is
-    broken, not the input.
+    row a of the product V x strict-pred, where the minimal elements'
+    empty rows are left out. Transitivity of the output holds for every
+    poset; a violation means the implementation is broken, not the input.
     """
     incs = _incomparable_masks(p)
-    below = _unpack(_product(incs, [m ^ 1 << c for c, m in enumerate(p.pred)]), p.size)
-    before = [up | v & ~m for up, v, m in zip(p.succ, incs, below)]
+    strict = [m ^ 1 << c for c, m in enumerate(p.pred)]
+    held = reduce(or_, (1 << c for c, m in enumerate(strict) if m), 0)
+    before = [up | v & ~_product(v & held, strict) for up, v in zip(p.succ, incs)]
     broken = _first_intransitive(before)
     if broken:
         raise InternalInvariantError(f"before relation not transitive through {broken}")
@@ -407,7 +374,7 @@ def _quotient(after: Sequence[int]) -> tuple[FinitePoset, list[list[int]]]:
             and any(mask & ~after[a] for a in group)
         )
         raise InternalInvariantError(f"quotient order ill-defined on classes {ca}, {cb}")
-    keep = bin(leaders)[:1:-1].encode().translate(_BIT_DIGITS)
+    keep = _digits(leaders)
     qsucc = [
         int(bytes(compress(bin(after[a] | 1 << a)[:1:-1].encode(), keep))[::-1], 2)
         for a in _bits(leaders)
@@ -474,10 +441,9 @@ def random_poset(
             for j in range(i + 1, size):
                 if rng.random() < prob:
                     succ[layout[i]] |= 1 << layout[j]
-        for i in reversed(range(size)):
-            a = layout[i]
-            for b in _bits(succ[a]):
-                succ[a] |= succ[b]
+        # successors come later in the layout, so they are closed first
+        for a in reversed(layout):
+            succ[a] |= _product(succ[a], succ)
         poset = FinitePoset._from_masks([m | 1 << a for a, m in enumerate(succ)])
         if antichain_width(poset) <= max_width:
             return poset

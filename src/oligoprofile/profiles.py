@@ -23,10 +23,13 @@ are canonicalised, and their distinct codes are counted. So the classes
 are exactly the canonical-code classes of the representatives.
 
 Every limit is checked before any sample is built: the entry declares its
-signature and each sample's points, C(points, n) is checked for each n as
-its size is computed, and the samples' tuples are refused past
-structures.MAX_EVALUATED_TUPLES, each and in sum. Then one sample per n is
-built, checked against its declaration, counted and dropped.
+signature and each sample's points, and for n = 1, 2, ... in turn
+C(points, n) is checked against the budget and the running total of the
+samples' tuples against structures.MAX_EVALUATED_TUPLES, stopping at the
+first n that fails either. A sample over the cap on its own joins no total
+and ends no scan: it is refused once every later n has passed the budget.
+Then one sample per n is built, checked against its declaration, counted
+and dropped.
 """
 
 from __future__ import annotations
@@ -161,17 +164,25 @@ def profile(entry, n_max: int, budget: int = DEFAULT_BUDGET) -> ProfileSequence:
     if n_max < 1:
         raise ParameterError(f"n_max must be >= 1, got {n_max}")
     plan = []
+    evaluated = 0
+    oversized = None
     for n in range(1, n_max + 1):
         size = entry.saturation_rule(n)
-        plan.append((size, _checked_points(entry, size, n, budget)))
-    evaluated = 0
-    for n, (_, points) in enumerate(plan, 1):
-        evaluated += structures.evaluated_tuples(entry.signature, points)
+        points = _checked_points(entry, size, n, budget)
+        plan.append((size, points))
+        try:
+            evaluated += structures.evaluated_tuples(entry.signature, points)
+        except ResourceError as exc:
+            # named after the budget of every later n, so it ends no scan
+            oversized = oversized or exc
+            continue
         if evaluated > structures.MAX_EVALUATED_TUPLES:
-            raise ResourceError(
+            raise oversized or ResourceError(
                 f"{entry.entry_id}: samples for n=1..{n} evaluate {evaluated} tuples,"
                 f" over the cap of {structures.MAX_EVALUATED_TUPLES}"
             )
+    if oversized:
+        raise oversized
     # each sample is dropped once counted, before the next is built
     values = tuple(
         _class_count(entry, _sample(entry, size, points), n) for n, (size, points) in enumerate(plan, 1)

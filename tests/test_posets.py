@@ -92,7 +92,7 @@ def test_validation_rejects_broken_relations():
 def test_constructor_reads_an_iterator_of_pairs_once():
     p = FinitePoset(2, (q for q in [(0, 0), (1, 1), (0, 1)]))
     assert p == FinitePoset(2, [(0, 0), (1, 1), (0, 1)])
-    assert p.less(0, 1)
+    assert (0, 1) in p.leq
     with pytest.raises(DomainError, match="bad pair"):
         FinitePoset(2, (q for q in [(0, 0), (1, 1), (0, 2)]))
 
@@ -110,7 +110,7 @@ def test_order_checks_name_the_least_broken_pair():
 def test_json_load_closes_reflexively():
     p = FinitePoset.from_json_dict({"size": 3, "leq": [[0, 1]]})
     assert (0, 0) in p.leq and (2, 2) in p.leq
-    assert p.less(0, 1)
+    assert (0, 1) in p.leq
 
 
 def test_json_load_rejects_infinite_size():
@@ -145,10 +145,6 @@ def test_incomparability_helpers():
 
 
 NON_ELEMENT_QUERIES = [
-    ("less", (-1, 0), -1),
-    ("less", (0, -1), -1),
-    ("less", (5, 0), 5),
-    ("less", (3, 3), 3),
     ("incomparable", (0, 3), 3),
     ("incomparable", (-1, 1), -1),
     ("incomparable_mask", (7,), 7),
@@ -207,7 +203,6 @@ def test_pairs_made_on_the_test_side_round_trip():
         assert kernel_built.leq == frozenset(pairs)
         assert p.to_json_dict() == {"size": size, "leq": sorted([a, b] for a, b in pairs if a != b)}
         for a, b in itertools.product(range(size), repeat=2):
-            assert p.less(a, b) == (a != b and (a, b) in pairs)
             assert p.incomparable(a, b) == (a != b and (a, b) not in pairs and (b, a) not in pairs)
 
 
@@ -318,8 +313,9 @@ def test_kernel_matches_pair_oracles_on_random_relations(rows, closed, diagonal)
 
 
 # sha256 of json.dumps of the linearize JSON of random_poset(size,
-# max_width=size, seed) for seeds 0, 1 and 2, in order: row strides of
-# one byte and a bit over, and of eight bytes either side of a word
+# max_width=size, seed) for seeds 0, 1 and 2, in order: masks of fewer,
+# exactly and more bits than a byte and than a 64-bit word, and a
+# 200-point poset whose masks span several words
 LINEARIZE_STRIDE_SHA256 = {
     7: "988babe90896b36f56bea60d317ad8045b71f09f6ab9f23509bd8299da7f9405",
     8: "f949af1d82466a7fbee57d6b173cc50e610b92e6ce352806b74d93b7cf2b27cd",
@@ -337,6 +333,29 @@ def test_linearize_json_is_pinned_across_row_strides(size):
         [linearize(random_poset(size, max_width=size, seed=s)).to_json_dict() for s in range(3)]
     )
     assert hashlib.sha256(payload.encode()).hexdigest() == LINEARIZE_STRIDE_SHA256[size]
+
+
+def test_transitivity_check_on_a_1024_point_chain():
+    """Every row but the full one is joined over up to 1023 rows; with
+    (0, 1023) gone, row 0 escapes first, through 1."""
+    n = 1024
+    succ = [(1 << n) - (1 << a) for a in range(n)]
+    assert _first_intransitive(succ) is None
+    succ[0] ^= 1 << n - 1
+    assert _first_intransitive(succ) == (0, 1)
+
+
+def test_linearize_collapses_1024_point_antichains_in_one_round():
+    n = 1024
+    result = linearize(FinitePoset._from_masks([1 << a for a in range(n)]))
+    assert result.classes == (tuple(range(n)),)
+    assert len(result.trace) == 1
+    # two stacked antichains of 512: every lower point below every upper one
+    upper = (1 << n) - (1 << n // 2)
+    stacked = [1 << a | upper for a in range(n // 2)] + [1 << a for a in range(n // 2, n)]
+    result = linearize(FinitePoset._from_masks(stacked))
+    assert result.classes == (tuple(range(n // 2)), tuple(range(n // 2, n)))
+    assert len(result.trace) == 1
 
 
 def test_width_examples():

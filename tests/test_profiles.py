@@ -521,6 +521,36 @@ def test_a_huge_n_max_is_refused_at_its_first_over_budget_n():
     assert len(rules) <= 12
 
 
+def test_a_huge_budget_is_refused_at_the_first_n_over_the_tuple_cap():
+    """Each n's tuples join the running total as its size is computed, so
+    with the budget out of reach dlo stops at n = 113, where its samples'
+    pairs, 5**2 + 7**2 + ... + 229**2 = 2,027,785, pass the cap, and
+    computes no size beyond it."""
+    entry = get_entry("dlo")
+    rules = []
+
+    def rule(n):
+        rules.append(n)
+        return entry.saturation_rule(n)
+
+    with pytest.raises(ResourceError) as info:
+        profile(dataclasses.replace(entry, saturation_rule=rule), 3000, budget=10**4000)
+    assert str(info.value) == (
+        "dlo: samples for n=1..113 evaluate 2027785 tuples, over the cap of 2000000"
+    )
+    assert max(rules) == 113
+
+
+def test_the_first_failing_n_names_the_refusal():
+    """Limits are checked n by n, so the tuple total that first fails at
+    n = 13 is named, not the budget that would first fail at n = 21."""
+    with pytest.raises(ResourceError) as info:
+        profile("separation", 30, budget=10**12)
+    assert str(info.value) == (
+        "separation: samples for n=1..13 evaluate 2420925 tuples, over the cap of 2000000"
+    )
+
+
 def test_profile_sequence_validation():
     with pytest.raises(ParameterError):
         ProfileSequence("x", (1, 2), (3,))

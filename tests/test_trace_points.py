@@ -40,6 +40,8 @@ def test_the_tracer_wraps_every_patch_point_and_restores_it():
         ("oligoprofile.witnesses", "induced_substructure"),
         ("oligoprofile.witnesses", "canonical_form"),
         ("oligoprofile.catalogue", "get_entry"),
+        ("oligoprofile.posets", "linearize"),
+        ("oligoprofile.posets", "triangle_step"),
         ("oligoprofile.cli", "main"),
     } <= patched
     after = _bindings()
