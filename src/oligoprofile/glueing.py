@@ -35,7 +35,6 @@ from .errors import (
     ParameterError,
     ResourceError,
 )
-from . import structures
 from .structures import FiniteStructure
 
 Element = Hashable
@@ -393,19 +392,14 @@ def emit_invariant_relation(component: GlueComponent) -> FiniteStructure:
     circular ones the separation structure of their cycle; both tuple
     sets are unchanged under reversing (and, for cycles, rotating) the
     arrangement, so equal components emit equal structures. Sampling
-    evaluates n**3 or n**4 tuples for n elements, which is refused past
-    structures.MAX_EVALUATED_TUPLES before the sample is built, with a
-    message that names the component. The largest accepted line (125
-    elements) and circle (37) take 0.7 s and 0.9 s on a 2-core x86-64 VM.
+    evaluates n**3 or n**4 tuples for n elements; past the tuple cap of
+    structures.evaluated_tuples the sampler refuses before it evaluates any
+    table or tuple (ResourceError, "sample of N points: ..."). The largest
+    accepted line (125 elements) and circle (37) take 0.7 s and 0.9 s on a
+    2-core x86-64 VM.
     """
-    n = len(component.arrangement)
-    entry, arity = ("betweenness", 3) if component.kind == "linear" else ("separation", 4)
-    if n**arity > structures.MAX_EVALUATED_TUPLES:
-        raise ResourceError(
-            f"emit: {n**arity} tuples to evaluate for a {component.kind} component"
-            f" of {n} elements, over the cap of {structures.MAX_EVALUATED_TUPLES}"
-        )
-    return sample_model(entry, n)
+    entry = "betweenness" if component.kind == "linear" else "separation"
+    return sample_model(entry, len(component.arrangement))
 
 
 def fragments_to_json_dict(fragments: Sequence[OrderFragment]) -> dict:

@@ -54,6 +54,9 @@ Pair = tuple[int, int]
 # built in about 0.7 GB.
 _MAX_JSON_POSET_SIZE = 1024
 
+# Draws random_poset makes before it refuses a width it cannot reach.
+_MAX_ATTEMPTS = 1000
+
 _BIT_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
@@ -177,9 +180,6 @@ class FinitePoset:
         """Bit mask of the elements incomparable to a."""
         a = self._element(a)
         return ((1 << self.size) - 1) & ~(self.succ[a] | self.pred[a])
-
-    def incomparables(self, a: int) -> tuple[int, ...]:
-        return tuple(_bits(self.incomparable_mask(a)))
 
     def is_chain(self) -> bool:
         full = (1 << self.size) - 1
@@ -423,7 +423,6 @@ def random_poset(
     max_width: int,
     seed: int,
     edge_probability: float | None = None,
-    max_attempts: int = 1000,
 ) -> FinitePoset:
     """Random order: edges by probability on a shuffled layout, closed
     transitively, resampled until the width is at most max_width."""
@@ -432,7 +431,7 @@ def random_poset(
     if max_width < 1:
         raise ParameterError(f"max_width must be >= 1, got {max_width}")
     rng = random.Random(seed)
-    for _ in range(max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         prob = edge_probability if edge_probability is not None else rng.uniform(0.2, 0.7)
         layout = list(range(size))
         rng.shuffle(layout)
@@ -448,7 +447,7 @@ def random_poset(
         if antichain_width(poset) <= max_width:
             return poset
     raise ParameterError(
-        f"no poset of size {size} and width <= {max_width} in {max_attempts} attempts"
+        f"no poset of size {size} and width <= {max_width} in {_MAX_ATTEMPTS} attempts"
     )
 
 

@@ -23,13 +23,13 @@ are canonicalised, and their distinct codes are counted. So the classes
 are exactly the canonical-code classes of the representatives.
 
 Every limit is checked before any sample is built: the entry declares its
-signature and each sample's points, and for n = 1, 2, ... in turn
-C(points, n) is checked against the budget and the running total of the
-samples' tuples against structures.MAX_EVALUATED_TUPLES, stopping at the
-first n that fails either. A sample over the cap on its own joins no total
-and ends no scan: it is refused once every later n has passed the budget.
-Then one sample per n is built, checked against its declaration, counted
-and dropped.
+signature and each sample's points, and for n = 1, 2, ... in turn three
+checks run, and the first to fail is raised: C(points, n) against the
+budget, that n's sample against structures.MAX_EVALUATED_TUPLES on its
+own (structures.evaluated_tuples, "sample of N points: ..."), and the
+running total of the samples' tuples against the same cap. So the scan
+stops at the least n that fails any limit. Then one sample per n is
+built, checked against its declaration, counted and dropped.
 """
 
 from __future__ import annotations
@@ -81,21 +81,6 @@ class ProfileSequence:
             "values": list(self.values),
             "saturated_at": list(self.saturated_at),
         }
-
-    @classmethod
-    def from_json_dict(cls, data) -> "ProfileSequence":
-        try:
-            entry_id, values, sat = data["entry"], data["values"], data["saturated_at"]
-        except (KeyError, TypeError) as exc:
-            raise ParameterError(f"malformed profile JSON: {exc}") from None
-        if type(entry_id) is not str or any(
-            type(seq) is not list or any(type(x) is not int for x in seq) for seq in (values, sat)
-        ):
-            raise ParameterError(
-                "malformed profile JSON: entry must be a string, and values and"
-                " saturated_at lists of integers"
-            )
-        return cls(entry_id, tuple(values), tuple(sat))
 
 
 def _checked_points(entry, size: int, n: int, budget: int) -> int:
@@ -165,24 +150,16 @@ def profile(entry, n_max: int, budget: int = DEFAULT_BUDGET) -> ProfileSequence:
         raise ParameterError(f"n_max must be >= 1, got {n_max}")
     plan = []
     evaluated = 0
-    oversized = None
     for n in range(1, n_max + 1):
         size = entry.saturation_rule(n)
         points = _checked_points(entry, size, n, budget)
         plan.append((size, points))
-        try:
-            evaluated += structures.evaluated_tuples(entry.signature, points)
-        except ResourceError as exc:
-            # named after the budget of every later n, so it ends no scan
-            oversized = oversized or exc
-            continue
+        evaluated += structures.evaluated_tuples(entry.signature, points)
         if evaluated > structures.MAX_EVALUATED_TUPLES:
-            raise oversized or ResourceError(
+            raise ResourceError(
                 f"{entry.entry_id}: samples for n=1..{n} evaluate {evaluated} tuples,"
                 f" over the cap of {structures.MAX_EVALUATED_TUPLES}"
             )
-    if oversized:
-        raise oversized
     # each sample is dropped once counted, before the next is built
     values = tuple(
         _class_count(entry, _sample(entry, size, points), n) for n, (size, points) in enumerate(plan, 1)

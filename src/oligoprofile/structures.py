@@ -86,9 +86,6 @@ class Signature:
                 return i
         raise ParameterError(f"no relation named {name!r} in signature")
 
-    def arity(self, name: str) -> int:
-        return self.relations[self.index(name)][1]
-
 
 def signature(*relations: tuple[str, int]) -> Signature:
     return Signature(tuple(relations))

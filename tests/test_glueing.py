@@ -212,8 +212,7 @@ def test_emission_one_element_past_the_cap_is_refused(kind, n, count):
     with pytest.raises(ResourceError) as info:
         emit_invariant_relation(component)
     assert str(info.value) == (
-        f"emit: {count} tuples to evaluate for a {kind} component of {n} elements,"
-        " over the cap of 2000000"
+        f"sample of {n} points: {count} tuples to evaluate, over the cap of 2000000"
     )
 
 
@@ -227,10 +226,10 @@ def test_emission_cap_counts_evaluated_tuples(monkeypatch):
     assert emit_invariant_relation(circle) == sample_model("separation", 3)
     monkeypatch.setattr(structures, "MAX_EVALUATED_TUPLES", 80)
     assert emit_invariant_relation(line) == sample_model("betweenness", 4)
-    with pytest.raises(ResourceError, match="^emit: 81 tuples"):
+    with pytest.raises(ResourceError, match="^sample of 3 points: 81 tuples"):
         emit_invariant_relation(circle)
     monkeypatch.setattr(structures, "MAX_EVALUATED_TUPLES", 63)
-    with pytest.raises(ResourceError, match="^emit: 64 tuples"):
+    with pytest.raises(ResourceError, match="^sample of 4 points: 64 tuples"):
         emit_invariant_relation(line)
 
 

@@ -138,7 +138,7 @@ def test_incomparability_helpers():
     p = N_POSET
     assert p.incomparable(0, 1)
     assert not p.incomparable(0, 2)
-    assert p.incomparables(0) == (1, 3)
+    assert p.incomparable_mask(0) == 0b1010
     assert max_incomparability(p) == 2
     assert chain(4).is_chain()
     assert not p.is_chain()
@@ -148,8 +148,8 @@ NON_ELEMENT_QUERIES = [
     ("incomparable", (0, 3), 3),
     ("incomparable", (-1, 1), -1),
     ("incomparable_mask", (7,), 7),
-    ("incomparables", (-1,), -1),
-    ("incomparables", (True,), True),
+    ("incomparable_mask", (-1,), -1),
+    ("incomparable_mask", (True,), True),
 ]
 
 
@@ -220,7 +220,7 @@ def test_mask_kernel_matches_pair_oracles():
     seeded posets up to 40."""
     for p in _oracle_corpus():
         for a in range(p.size):
-            assert p.incomparables(a) == pair_incomparables(p, a)
+            assert p.incomparable_mask(a) == sum(1 << b for b in pair_incomparables(p, a))
         assert p.is_chain() == pair_is_chain(p)
         assert max_incomparability(p) == pair_max_incomparability(p)
         before = triangle_step(p)
@@ -500,5 +500,6 @@ def test_random_poset_validation():
         random_poset(0, max_width=2, seed=1)
     with pytest.raises(ParameterError):
         random_poset(5, max_width=0, seed=1)
-    with pytest.raises(ParameterError):
-        random_poset(30, max_width=1, seed=1, edge_probability=0.0, max_attempts=5)
+    with pytest.raises(ParameterError) as info:
+        random_poset(4, max_width=1, seed=1, edge_probability=0.0)
+    assert str(info.value) == "no poset of size 4 and width <= 1 in 1000 attempts"

@@ -417,7 +417,7 @@ def test_keys_are_sound_past_the_brute_gate(entry_id, size, n):
     [
         ("tree_c", 10, "tree_c: 30045015 subsets of size 10 exceed budget 10000000"),
         ("local_order", 12, "local_order: 17383860 subsets of size 12 exceed budget 10000000"),
-        ("fibered_order:2500", 2, "fibered_order:2500: 12497500 subsets of size 2 exceed budget 10000000"),
+        ("fibered_order:2500", 2, "sample of 2500 points: 6250000 tuples to evaluate, over the cap of 2000000"),
     ],
 )
 def test_over_budget_profile_fails_before_counting(monkeypatch, entry_id, n_max, message):
@@ -541,6 +541,25 @@ def test_a_huge_budget_is_refused_at_the_first_n_over_the_tuple_cap():
     assert max(rules) == 113
 
 
+def test_a_sample_over_the_tuple_cap_on_its_own_ends_the_scan_at_its_n():
+    """fibered_order:2500's n = 1 sample alone evaluates 2500**2 pairs, so
+    with the budget out of reach the scan stops there and computes no
+    size beyond it."""
+    entry = get_entry("fibered_order:2500")
+    rules = []
+
+    def rule(n):
+        rules.append(n)
+        return entry.saturation_rule(n)
+
+    with pytest.raises(ResourceError) as info:
+        profile(dataclasses.replace(entry, saturation_rule=rule), 3000, budget=10**40000)
+    assert str(info.value) == (
+        "sample of 2500 points: 6250000 tuples to evaluate, over the cap of 2000000"
+    )
+    assert max(rules) == 1
+
+
 def test_the_first_failing_n_names_the_refusal():
     """Limits are checked n by n, so the tuple total that first fails at
     n = 13 is named, not the budget that would first fail at n = 21."""
@@ -561,23 +580,6 @@ def test_profile_sequence_validation():
 def test_profile_sequence_csv_layout():
     seq = ProfileSequence("dlo", (1, 1), (5, 7))
     assert seq.to_csv() == "n,f_n,saturated_at\n1,1,5\n2,1,7\n"
-
-
-def test_profile_sequence_json_round_trip():
-    seq = profile("tree_c", 4)
-    assert ProfileSequence.from_json_dict(seq.to_json_dict()) == seq
-
-
-@pytest.mark.parametrize(
-    "data",
-    [
-        {"entry": 5, "values": [True, "2"], "saturated_at": [2.7, "3"]},
-        {"values": []},
-    ],
-)
-def test_profile_sequence_json_rejects_malformed(data):
-    with pytest.raises(ParameterError, match="malformed profile JSON"):
-        ProfileSequence.from_json_dict(data)
 
 
 @settings(deadline=None)

@@ -85,7 +85,7 @@ def test_signature_lookup():
     sig = signature(("a", 1), ("b", 3))
     assert sig.names == ("a", "b")
     assert sig.index("b") == 1
-    assert sig.arity("b") == 3
+    assert sig.relations[sig.index("b")] == ("b", 3)
     with pytest.raises(ParameterError):
         sig.index("c")
 
@@ -110,8 +110,8 @@ def test_evaluated_holds_exactly_where_the_formulas_do():
     formulas = (lambda x, y: x < y, lambda x: x == 2, lambda x, y, z: x == y == z)
     s = FiniteStructure._evaluated(sig, 4, formulas)
     literal = {
-        name: [t for t in itertools.product(range(4), repeat=sig.arity(name)) if holds(*t)]
-        for name, holds in zip(sig.names, formulas)
+        name: [t for t in itertools.product(range(4), repeat=arity) if holds(*t)]
+        for (name, arity), holds in zip(sig.relations, formulas)
     }
     assert s == FiniteStructure.build(sig, 4, literal)
     assert FiniteStructure(s.signature, s.size, s.relations) == s
