@@ -63,6 +63,27 @@ of R has a right subtree it has one at that depth containing it, and the
 embedding keeps the raw depths. So the first prefix per state is its
 lex-least, and each key's representative is its lex-least subset.
 
+tree_c keys a subset by the unordered shape of the binary tree its leaves
+span, read off the state. Take leaves i..j in left-to-right order; their
+meet v is the highest of their consecutive meets, so its depth is the
+least of the depths between them. That least depth is unique in the
+range: two would be meets at v splitting the leaves between them three
+ways, and v has two children. So the range splits there into the leaves
+below v's two children; the key is () for a leaf and the sorted pair of
+the two sides' keys for a range. Equal keys give isomorphic substructures:
+an n-point substructure is fixed by the shape its leaves span (Saturation
+proofs, tree_c). Isomorphic substructures give equal keys: a set S of two
+or more of the leaves is the set below a node of the spanned tree iff
+C(x;y,z) for all y, z in S and x outside it. If S is the set below v,
+meets within S lie at or below v, and x meets every leaf of S at one node
+above v. Otherwise S is part of the leaves below its meet v, with leaves
+below both children of v; a leaf x below v outside S lies below one child
+with some z of S, and some y of S lies below the other, so d(y,z) =
+d(x,y) and C(x;y,z) fails. So C alone fixes the nodes of the spanned tree
+and which lie below which, and an isomorphism keeps them: one key per
+class. The key is a function of the state, so each key's representative
+is still its lex-least subset.
+
 local_order keys the least rotation (it starts at a minimum) of the cyclic
 out-degree sequence: point i of a subset beats the next d_i subset points
 round the circle, so the sequence fixes the induced tournament; one key per
@@ -301,13 +322,21 @@ def _out_degree_key(state: object) -> object:
 
 
 def _tree_key(state: object) -> object:
-    # Consecutive meet depths determine every pairwise meet depth for leaves
-    # in left-to-right order (range minima), and the induced relation only
-    # compares depths, so the dense rank pattern is enough. A reversed
-    # pattern is the mirror image, hence isomorphic; keep the smaller.
-    rank = {d: r for r, d in enumerate(sorted(set(state)))}
-    pat = tuple(rank[d] for d in state)
-    return min(pat, pat[::-1])
+    # The unordered shape of the tree the leaves span (see the module
+    # docstring): a leaf is (), a node its two children in sorted order.
+    # Built left to right, as a Cartesian tree of the depths: the spine
+    # holds the open nodes (depth, left child), and a depth closes every
+    # deeper one. No two are equal, so this is the split at the least depth;
+    # the depth -1, above the root, closes them all.
+    spine: list[tuple[int, tuple]] = []
+    cur: tuple = ()
+    for d in state + (-1,):
+        while spine and spine[-1][0] > d:
+            left = spine.pop()[1]
+            cur = (left, cur) if left <= cur else (cur, left)
+        spine.append((d, cur))
+        cur = ()
+    return spine[0][1]
 
 
 def _tree_step_factory(model: FiniteStructure) -> SubsetStep:

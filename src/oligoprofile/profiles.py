@@ -15,12 +15,12 @@ the first subset that reached it.
 
 Counting never trusts the dedup key alone. Keys pick one representative
 subset per key, and the representatives' classes are counted: equal
-literal encodings are one structure, kept once (tree_c's representatives
-repeat literals); degree profiles (structures.degree_profile, an
-isomorphism invariant) separate the rest, and a structure whose profile no
-other shares is a class of its own; only structures that tie on a profile
-are canonicalised, and their distinct codes are counted. So the classes
-are exactly the canonical-code classes of the representatives.
+literal encodings are one structure, kept once; degree profiles
+(structures.degree_profile, an isomorphism invariant) separate the rest,
+and a structure whose profile no other shares is a class of its own; only
+structures that tie on a profile are canonicalised, and their distinct
+codes are counted. So the classes are exactly the canonical-code classes
+of the representatives.
 
 Every limit is checked before any sample is built: the entry declares its
 signature and each sample's points, and for n = 1, 2, ... in turn three

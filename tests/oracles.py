@@ -237,10 +237,12 @@ def subset_key(entry_id: str, model: FiniteStructure):
 
     These are the keys the engine read from the prefix-step state, computed
     with no state. One-point subsets fall out of the general formulas (an
-    out-degree of 0, an empty depth pattern) instead of a special case. The
+    out-degree of 0, a leaf's shape) instead of a special case. The
     local_order key is the least rotation of the out-degrees in circular
     order, each counted over all pairs of the subset; gap_necklace_key is
-    the key it replaced.
+    the key it replaced. The tree_c key is the unordered shape of the
+    leaves' tree, split at the least pairwise meet depth, not at the
+    consecutive depths the engine reads.
     """
     if entry_id in ("pure_set", "dlo", "betweenness", "circular", "separation"):
         return lambda subset: ()
@@ -264,13 +266,18 @@ def subset_key(entry_id: str, model: FiniteStructure):
     if entry_id == "tree_c":
         md = _model_tree_depths(model)
 
-        def pattern(subset):
-            depths = [md[subset[i]][subset[i + 1]] for i in range(len(subset) - 1)]
-            rank = {d: r for r, d in enumerate(sorted(set(depths)))}
-            pat = tuple(rank[d] for d in depths)
-            return min(pat, pat[::-1])
+        def shape(subset):
+            # split at the least pairwise meet depth: the leaves meeting the
+            # first one deeper, and the rest
+            if len(subset) == 1:
+                return ()
+            low = min(md[a][b] for a, b in itertools.combinations(subset, 2))
+            head = subset[0]
+            near = [x for x in subset if x == head or md[head][x] > low]
+            far = [x for x in subset if x not in near]
+            return tuple(sorted((shape(near), shape(far))))
 
-        return pattern
+        return shape
     raise ParameterError(f"no oracle key for {entry_id!r}")
 
 

@@ -86,12 +86,22 @@ def test_tree_profile_follows_shape_counts():
     assert seq.saturated_at == (1, 2, 3, 4, 5, 6)
 
 
-def test_tree_profile_reaches_nine_leaves_under_the_default_budget():
-    """n=9 counts C(23, 9) = 817,190 subsets at the base only."""
+def test_tree_profile_reaches_nine_leaves_under_the_default_budget(monkeypatch):
+    """n=9 counts C(23, 9) = 817,190 subsets at the base only. Every
+    representative is alone on its degree profile, so the screen separates
+    them all and canonical_form never runs."""
+    calls = []
+
+    def counted(sub):
+        calls.append(sub)
+        return canonical_form(sub)
+
+    monkeypatch.setattr(profiles, "canonical_form", counted)
     seq = profile("tree_c", 9)
     assert seq.values == tuple(tree_count(n) for n in range(1, 10))
     assert seq.values[-1] == 46
     assert seq.saturated_at == tuple(range(1, 10))
+    assert calls == []
 
 
 def test_local_order_profile_matches_tournament_search():
@@ -376,16 +386,27 @@ def test_out_degree_keys_merge_equal_gap_necklaces():
                 assert seen.setdefault(gaps(subset), k) == k, (size, subset)
 
 
-@pytest.mark.parametrize("n", range(1, 9))
-def test_local_order_keys_are_complete(n):
-    """One representative per class at base and base+2: no two keys share
-    a canonical code, and the keys number the necklace closed form."""
-    entry = get_entry("local_order")
+def _one_key_per_class(entry_id, n, classes):
+    """At base and base+2 no two keys share a canonical code, and the keys
+    number the classes."""
+    entry = get_entry(entry_id)
     for size in (entry.saturation_rule(n), entry.saturation_rule(n) + 2):
         model = sample_model(entry, size)
         reps = profiles._representatives(entry, model, n)
         codes = {canonical_form(induced_substructure(model, s)) for s in reps.values()}
-        assert len(reps) == len(codes) == odd_divisor_necklace_count(n), size
+        assert len(reps) == len(codes) == classes, size
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_local_order_keys_are_complete(n):
+    """One representative per class: the keys number the necklace closed form."""
+    _one_key_per_class("local_order", n, odd_divisor_necklace_count(n))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_tree_keys_are_complete(n):
+    """One representative per class: the keys number the leaf-tree shapes."""
+    _one_key_per_class("tree_c", n, tree_count(n))
 
 
 @pytest.mark.parametrize(
@@ -401,12 +422,10 @@ def test_keys_are_sound_past_the_brute_gate(entry_id, size, n):
     for subset, k in _state_keys(entry, model, n):
         first.setdefault(k, subset)
         latest[k] = subset
-    assert len(first) > 1
+    # one key per class: a finer key fails here, not just in the benchmark
+    assert len(first) == {"local_order": 10, "tree_c": 11, "fibered_order:3": 24}[entry_id]
     # each key's representative is its lex-least subset, in the same order
     assert list(profiles._representatives(entry, model, n).items()) == list(first.items())
-    if entry_id == "local_order":
-        # one key per class: a finer key fails here, not just in the benchmark
-        assert len(first) == 10
     for k, subset in first.items():
         code = canonical_form(induced_substructure(model, subset))
         assert code == canonical_form(induced_substructure(model, latest[k])), k
