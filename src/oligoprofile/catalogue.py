@@ -7,11 +7,13 @@ subsets (see below). Entry identifiers are stable strings used by the CLI:
 pure_set, dlo, betweenness, circular, separation, local_order,
 fibered_order:k, tree_c.
 
-Entries are formulas. A family declares its signature and, for a requested
-size, the number of points and one predicate per relation; every sampler is
-FiniteStructure._evaluated on that declaration, which evaluates each
-predicate literally on every tuple over range(points), repeated coordinates
-included. Degenerate tuples therefore land in the tuple set whenever the
+Entries are formulas. An entry declares a signature, points(size), the
+sample's point count and the only check of the size, and family(size), one
+predicate per relation. The one sampler (_entry) runs points, prices the
+tuples (structures.evaluated_tuples) before the family tabulates anything,
+then runs the family and FiniteStructure._evaluated, which evaluates each
+predicate literally on every tuple over range(points), repeated
+coordinates included. Degenerate tuples land in the tuple set whenever the
 formula says so, and no entry has sampling code of its own. The derived
 ternary/quaternary relations over a chain x0 < x1 < ... are:
 
@@ -117,10 +119,10 @@ tests recheck the rule on a sample two sizes larger.
   is the age of the dense local order S(2) (Lachlan 1984, homogeneous
   tournaments). The tournament depends only on the cyclic order of the 2n
   points and their antipodes; number the slots of that order 0..2n-1, so
-  that slot s+n holds the antipode of slot s. On the circulant of N = 2m+1 points (a
-  circle of length N, half-circle m+1/2) put slot s < n at s if it holds a
-  point and at s+1/2 if an antipode. Slot s+n then falls at s+m+1/2 or at
-  the integer s+m+1, in [s+m+1/2, s+m+1]. Both halves increase, every
+  that slot s+n holds the antipode of slot s. On the circulant of N = 2m+1
+  points (a circle of length N, half-circle m+1/2) put slot s < n at s if it
+  holds a point and at s+1/2 if an antipode. Slot s+n then falls at s+m+1/2
+  or at the integer s+m+1, in [s+m+1/2, s+m+1]. Both halves increase, every
   point sits on an integer, and the halves do not overlap or wrap when
   m >= n. So the circulant on 2n+1 points, and hence on 2n+3, realises
   every n-point local order.
@@ -142,11 +144,11 @@ from .structures import FiniteStructure, Signature, evaluated_tuples, signature
 # dedup key of a whole subset's state. See above.
 SubsetStep = Callable[[object, int | None, int], object]
 SubsetKey = Callable[[object], object]
-# A family maps a requested size to its point count and one predicate per
-# relation, raising ParameterError for a size it does not take.
+# points(size) is a sample's point count, raising ParameterError for a size
+# the entry does not take; family(size) is one predicate per relation.
+Points = Callable[[int], int]
 Predicate = Callable[..., bool]
-Formulas = tuple[int, tuple[Predicate, ...]]
-Family = Callable[[int], Formulas]
+Family = Callable[[int], tuple[Predicate, ...]]
 
 SIG_SET = Signature(())
 SIG_ORDER = signature(("leq", 2))
@@ -163,8 +165,9 @@ class CatalogueEntry:
     """One structure family: sampler, predictor, saturation and dedup data.
 
     sampler(size) returns a FiniteStructure on signature with points(size)
-    points: the requested size except for tree_c, whose parameter indexes a
-    universal tree and whose domain is its leaf set (documented there).
+    points, and points also checks the size: the requested size except for
+    tree_c, whose parameter indexes a universal tree and whose domain is
+    its leaf set (documented there).
     predictor(n) gives the expected number of n-point classes in closed
     form. subset_key_factory(model) and subset_step_factory(model) return
     the key and the prefix step of the module docstring. saturation_proof
@@ -174,7 +177,7 @@ class CatalogueEntry:
     entry_id: str
     sampler: Callable[[int], FiniteStructure]
     signature: Signature
-    points: Callable[[int], int]
+    points: Points
     predictor: Callable[[int], int]
     saturation_rule: Callable[[int], int]
     subset_key_factory: Callable[[FiniteStructure], SubsetKey]
@@ -182,9 +185,18 @@ class CatalogueEntry:
     saturation_proof: str
 
 
-def _at_least(entry_id: str, least: int, size: int) -> int:
-    if size < least:
-        raise ParameterError(f"{entry_id} needs size >= {least}, got {size}")
+def _at_least(entry_id: str, least: int) -> Points:
+    def points(size: int) -> int:
+        if size < least:
+            raise ParameterError(f"{entry_id} needs size >= {least}, got {size}")
+        return size
+
+    return points
+
+
+def _odd_points(size: int) -> int:
+    if size < 3 or size % 2 == 0:
+        raise ParameterError(f"local_order needs an odd size >= 3, got {size}")
     return size
 
 
@@ -196,15 +208,9 @@ def _cyc(x: int, y: int, z: int) -> bool:
     return x <= y <= z or z <= x <= y or y <= z <= x
 
 
-def _fixed(entry_id: str, least: int, *predicates: Predicate) -> Family:
-    """A family whose predicates do not depend on the size."""
-    return lambda size: (_at_least(entry_id, least, size), predicates)
-
-
-def _separation(size: int) -> Formulas:
+def _separation(size: int) -> tuple[Predicate, ...]:
     # c[x][y][z] = C(x, y, z); the S formula of the module docstring by lookups
-    rng = range(_at_least("separation", 1, size))
-    evaluated_tuples(SIG_SEPARATION, size)  # the evaluator's cap, before the size**3 table
+    rng = range(size)
     c = [[[_cyc(x, y, z) for z in rng] for y in rng] for x in rng]
 
     def sep(x: int, y: int, z: int, t: int) -> bool:
@@ -212,21 +218,19 @@ def _separation(size: int) -> Formulas:
             c[t][z][y] and c[z][y][x] and c[y][x][t] and c[x][t][z]
         )
 
-    return size, (sep,)
+    return (sep,)
 
 
-def _local_order(size: int) -> Formulas:
-    if size < 3 or size % 2 == 0:
-        raise ParameterError(f"local_order needs an odd size >= 3, got {size}")
+def _local_order(size: int) -> tuple[Predicate, ...]:
     half = (size - 1) // 2
-    return size, (lambda x, y: 1 <= (y - x) % size <= half,)
+    return (lambda x, y: 1 <= (y - x) % size <= half,)
 
 
-def _universal_leaf_count(s: int) -> int:
-    counts = [1, 1]  # U_1 for every s <= 1, then U_t = join(U_{t-1}, U_{t//2})
-    for t in range(2, s + 1):
+def _tree_points(param: int) -> int:
+    counts = [0, 1]  # leaves of U_t at t: U_1 is a leaf, U_t = join(U_{t-1}, U_{t//2})
+    for t in range(2, _at_least("tree_c", 1)(param) + 1):
         counts.append(counts[t - 1] + counts[t // 2])
-    return counts[max(s, 1)]
+    return counts[param]
 
 
 def _universal_tree_depths(s: int) -> list[list[int]]:
@@ -240,7 +244,7 @@ def _universal_tree_depths(s: int) -> list[list[int]]:
     Leaves are indexed left to right; matrix entry [i][j] is the depth of
     the lowest common ancestor (root depth 0).
     """
-    n = _universal_leaf_count(s)
+    n = _tree_points(s)
     md = [[0] * n for _ in range(n)]
 
     def fill(width: int, off: int, depth: int) -> int:
@@ -259,7 +263,7 @@ def _universal_tree_depths(s: int) -> list[list[int]]:
     return md
 
 
-def _tree(param: int) -> Formulas:
+def _tree(param: int) -> tuple[Predicate, ...]:
     """Leaves of the universal tree U_param with the branching relation.
 
     The domain size is the leaf count of U_param (1, 2, 3, 5, 7, 10, 13,
@@ -272,12 +276,10 @@ def _tree(param: int) -> Formulas:
     with itself is the leaf, below every proper meet, so it gets infinite
     depth and repeated coordinates need no special case.
     """
-    leaves = _universal_leaf_count(_at_least("tree_c", 1, param))
-    evaluated_tuples(SIG_TREE, leaves)  # the evaluator's cap, before the leaves**2 depths
     d: list[list[float]] = _universal_tree_depths(param)
     for i, row in enumerate(d):
         row[i] = math.inf
-    return len(d), (lambda x, y, z: d[y][z] > d[x][y] == d[x][z],)
+    return (lambda x, y, z: d[y][z] > d[x][y] == d[x][z],)
 
 
 def _any_model(f: Callable) -> Callable[[FiniteStructure], Callable]:
@@ -351,12 +353,8 @@ def _tree_step_factory(model: FiniteStructure) -> SubsetStep:
 
 def _model_tree_depths(model: FiniteStructure) -> list[list[int]]:
     size = model.size
-    param = next(s for s in range(1, 64) if _universal_leaf_count(s) == size)
+    param = next(s for s in range(1, 64) if _tree_points(s) == size)
     return _universal_tree_depths(param)
-
-
-def _rule_desk(n: int) -> int:
-    return 2 * n + 3
 
 
 ENTRY_IDS = (
@@ -371,14 +369,20 @@ ENTRY_IDS = (
 )
 
 
-def _sampler(sig: Signature, family: Family) -> Callable[[int], FiniteStructure]:
-    return lambda size: FiniteStructure._evaluated(sig, *family(size))
+def _entry(entry_id: str, family: Family, sig: Signature, points: Points, *rest) -> CatalogueEntry:
+    """The entry with fields as given and the family in the sampler's place."""
+
+    def sampler(size: int) -> FiniteStructure:
+        count = points(size)
+        evaluated_tuples(sig, count)
+        return FiniteStructure._evaluated(sig, count, family(size))
+
+    return CatalogueEntry(entry_id, sampler, sig, points, *rest)
 
 
 def _fibered_entry(k: int) -> CatalogueEntry:
     if k < 1:
         raise ParameterError(f"fibered_order block size must be >= 1, got {k}")
-    family = _fixed(f"fibered_order:{k}", 1, lambda a, b: a // k <= b // k)
 
     def step(state: object, last: int | None, e: int) -> object:
         # State: the block run lengths (see the module docstring).
@@ -388,40 +392,33 @@ def _fibered_entry(k: int) -> CatalogueEntry:
             return state[:-1] + (state[-1] + 1,)
         return state + (1,)
 
-    return CatalogueEntry(
-        entry_id=f"fibered_order:{k}",
-        sampler=_sampler(SIG_FIBERED, family),
-        signature=SIG_FIBERED,
-        points=lambda size: size,
-        predictor=lambda n, _k=k: compositions_count(n, _k),
-        saturation_rule=lambda n, _k=k: _k * n,
-        subset_key_factory=_identity_key_factory,
-        subset_step_factory=_any_model(step),
-        saturation_proof="fibered_order",
+    return _entry(
+        f"fibered_order:{k}", lambda size: (lambda a, b: a // k <= b // k,), SIG_FIBERED,
+        _at_least(f"fibered_order:{k}", 1), lambda n: compositions_count(n, k), lambda n: k * n,
+        _identity_key_factory, _any_model(step), "fibered_order",
     )
 
 
-def _reduct_entry(entry_id: str, sig: Signature, family: Family) -> CatalogueEntry:
-    return CatalogueEntry(
-        entry_id, _sampler(sig, family), sig, lambda size: size, lambda n: 1, _rule_desk,
+def _reduct_entry(entry_id: str, sig: Signature, least: int, family: Family) -> CatalogueEntry:
+    return _entry(
+        entry_id, family, sig, _at_least(entry_id, least), lambda n: 1, lambda n: 2 * n + 3,
         _identity_key_factory, _const_step_factory, "reducts",
     )
 
 
 _BASE_ENTRIES = {
-    "pure_set": _reduct_entry("pure_set", SIG_SET, _fixed("pure_set", 0)),
-    "dlo": _reduct_entry("dlo", SIG_ORDER, _fixed("dlo", 1, le)),
-    "betweenness": _reduct_entry("betweenness", SIG_BETWEENNESS, _fixed("betweenness", 1, _btw)),
-    "circular": _reduct_entry("circular", SIG_CIRCULAR, _fixed("circular", 1, _cyc)),
-    "separation": _reduct_entry("separation", SIG_SEPARATION, _separation),
-    "local_order": CatalogueEntry(
-        "local_order", _sampler(SIG_TOURNAMENT, _local_order), SIG_TOURNAMENT,
-        lambda size: size, local_order_count, _rule_desk, _any_model(_out_degree_key),
-        _out_degree_step_factory, "local_order",
+    "pure_set": _reduct_entry("pure_set", SIG_SET, 0, lambda size: ()),
+    "dlo": _reduct_entry("dlo", SIG_ORDER, 1, lambda size: (le,)),
+    "betweenness": _reduct_entry("betweenness", SIG_BETWEENNESS, 1, lambda size: (_btw,)),
+    "circular": _reduct_entry("circular", SIG_CIRCULAR, 1, lambda size: (_cyc,)),
+    "separation": _reduct_entry("separation", SIG_SEPARATION, 1, _separation),
+    "local_order": _entry(
+        "local_order", _local_order, SIG_TOURNAMENT, _odd_points, local_order_count,
+        lambda n: 2 * n + 3, _any_model(_out_degree_key), _out_degree_step_factory, "local_order",
     ),
-    "tree_c": CatalogueEntry(
-        "tree_c", _sampler(SIG_TREE, _tree), SIG_TREE, _universal_leaf_count, tree_count,
-        lambda n: n, _any_model(_tree_key), _tree_step_factory, "tree_c",
+    "tree_c": _entry(
+        "tree_c", _tree, SIG_TREE, _tree_points, tree_count, lambda n: n, _any_model(_tree_key),
+        _tree_step_factory, "tree_c",
     ),
 }
 

@@ -142,7 +142,7 @@ def _growth_values(args) -> list[int]:
             values = payload["values"]
         except (KeyError, TypeError) as exc:
             raise ParameterError(f"malformed sequence file: {exc}") from None
-        if not isinstance(values, list) or any(type(v) is not int for v in values):
+        if not isinstance(values, list):
             raise ParameterError("malformed sequence file: values must be a list of integers")
         return values
     entry = get_entry(args.entry)

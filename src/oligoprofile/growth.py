@@ -116,7 +116,9 @@ def _nth_root(v: int, n: int) -> float:
 
 
 def growth_estimate(values: list[int] | tuple[int, ...]) -> GrowthReport:
-    vals = tuple(int(v) for v in values)
+    vals = tuple(values)
+    if any(type(v) is not int for v in vals):
+        raise DomainError("growth_estimate needs int values, and a bool is not one")
     if len(vals) < 3:
         raise DomainError(f"growth_estimate needs at least 3 values, got {len(vals)}")
     if any(v <= 0 for v in vals):

@@ -34,8 +34,6 @@ built, checked against its declaration, counted and dropped.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -68,12 +66,8 @@ class ProfileSequence:
             raise ParameterError(f"profile values must be >= 1, got {self.values}")
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["n", "f_n", "saturated_at"])
-        for i, (v, s) in enumerate(zip(self.values, self.saturated_at)):
-            writer.writerow([i + 1, v, s])
-        return buf.getvalue()
+        rows = zip(range(1, len(self.values) + 1), self.values, self.saturated_at)
+        return "n,f_n,saturated_at\n" + "".join(f"{n},{v},{s}\n" for n, v, s in rows)
 
     def to_json_dict(self) -> dict:
         return {

@@ -4,12 +4,15 @@ import hashlib
 import itertools
 import random
 import time
+from operator import le
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oligoprofile import catalogue
 from oligoprofile.catalogue import (
+    SIG_ORDER,
     SIG_TREE,
     _model_tree_depths,
     age_predictor,
@@ -275,6 +278,54 @@ def test_oversized_samples_are_refused_before_any_table(entry_id, size, message)
         sample_model(entry_id, size)
     assert time.perf_counter() - start < 0.1
     assert str(info.value) == message + ", over the cap of 2000000"
+
+
+@pytest.mark.parametrize(
+    "size, error, message",
+    [
+        (0, ParameterError, "dlo needs size >= 1, got 0"),
+        (-2000, ParameterError, "dlo needs size >= 1, got -2000"),
+        # 1415**2 = 2,002,225 pairs, the least order sample over the cap
+        (1415, ResourceError, "sample of 1415 points: 2002225 tuples to evaluate, over the cap of 2000000"),
+    ],
+)
+def test_the_sampler_checks_and_prices_before_the_family(size, error, message):
+    """Every entry's sampler runs points, then prices the tuples, and only
+    then its family: a refused size is never handed to the family."""
+    calls = []
+
+    def family(size):
+        calls.append(size)
+        return (le,)
+
+    entry = catalogue._entry("dlo", family, SIG_ORDER, catalogue._at_least("dlo", 1), *[None] * 5)
+    with pytest.raises(error) as info:
+        entry.sampler(size)
+    assert str(info.value) == message
+    assert calls == []
+    assert entry.sampler(3) == sample_model("dlo", 3)
+    assert calls == [3]
+
+
+@pytest.mark.parametrize(
+    "entry_id, size, message",
+    [
+        ("dlo", -2000, "dlo needs size >= 1, got -2000"),
+        ("pure_set", -1, "pure_set needs size >= 0, got -1"),
+        ("fibered_order:2", 0, "fibered_order:2 needs size >= 1, got 0"),
+        ("local_order", 4, "local_order needs an odd size >= 3, got 4"),
+        ("local_order", 1, "local_order needs an odd size >= 3, got 1"),
+        ("tree_c", 0, "tree_c needs size >= 1, got 0"),
+    ],
+)
+def test_points_check_the_size(entry_id, size, message):
+    """points is the one check of a size: it refuses what the sampler
+    refuses, with the sampler's message."""
+    entry = get_entry(entry_id)
+    for call in (entry.points, entry.sampler):
+        with pytest.raises(ParameterError) as info:
+            call(size)
+        assert str(info.value) == message
 
 
 def test_sample_model_matches_entry_sampler():

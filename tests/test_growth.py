@@ -89,6 +89,13 @@ def test_growth_estimate_input_validation():
         growth_estimate([1, 0, 2])
 
 
+@pytest.mark.parametrize("values", [[1, 2.9, 7], [1, "2", 3], [True, True, True]])
+def test_growth_estimate_refuses_terms_that_are_not_ints(values):
+    """Terms are not coerced: a float, a string or a bool is refused."""
+    with pytest.raises(DomainError, match="int values"):
+        growth_estimate(values)
+
+
 def test_growth_estimate_past_float_range():
     """Representable terms keep their floats; larger ones take logarithms;
     a root or ratio no float can hold is a domain error."""
