@@ -15,7 +15,7 @@ import argparse
 import sys
 from collections import Counter
 
-from oligoprofile import linearize, random_poset
+from oligoprofile import OligoError, linearize, random_poset
 from oligoprofile.posets import max_incomparability
 
 
@@ -55,7 +55,11 @@ def main() -> int:
 
     rounds_seen = Counter()
     for i in range(args.count):
-        p = random_poset(args.size, args.width, seed=args.seed + i)
+        try:
+            p = random_poset(args.size, args.width, seed=args.seed + i)
+        except OligoError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         rounds_seen[check_one(p)] += 1
     print(f"{args.count} posets of size {args.size}, width <= {args.width}: all checks passed")
     for rounds in sorted(rounds_seen):

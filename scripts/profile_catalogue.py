@@ -8,7 +8,7 @@ import argparse
 import sys
 import time
 
-from oligoprofile import age_predictor, default_sweep_ids, profile
+from oligoprofile import OligoError, age_predictor, default_sweep_ids, profile
 
 
 def main() -> int:
@@ -22,7 +22,11 @@ def main() -> int:
     status = 0
     for entry_id in entries:
         t0 = time.time()
-        seq = profile(entry_id, args.n_max)
+        try:
+            seq = profile(entry_id, args.n_max)
+        except OligoError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         elapsed = time.time() - t0
         predicted = [age_predictor(entry_id, n) for n in range(1, args.n_max + 1)]
         agree = all(p == v for p, v in zip(predicted, seq.values))

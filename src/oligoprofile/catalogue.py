@@ -37,7 +37,7 @@ e) is the state of the prefix extended by a point e above its last point
 prefix reached per state is extended. So the first prefix with a state must
 reach by extension every key a later one reaches. The key of a whole
 n-subset's state is hashable, and equal keys induce equal canonical codes;
-the first subset per key is canonicalised and counted by its code. The
+profile counts the isomorphism classes of the first subset per key. The
 order reducts induce one literal structure on every sorted subset (their
 formulas only compare arguments), so their state is constant; they and
 fibered_order:k take the state as the key.

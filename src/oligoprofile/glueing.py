@@ -22,6 +22,7 @@ reading direction, in linear time.
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass
 from math import gcd
@@ -407,7 +408,12 @@ def fragments_to_json_dict(fragments: Sequence[OrderFragment]) -> dict:
 
 
 def fragments_from_json_dict(payload: dict) -> tuple[OrderFragment, ...]:
+    """The fragments of a decoded JSON payload. Python equates 1, 1.0 and
+    true (and 0, 0.0 and false), which JSON keeps apart, so two such values
+    anywhere in the payload are refused before the fragment holding the
+    second is built."""
     out = []
+    numbers: dict = {}  # number -> the first JSON value equal to it
     try:
         for row in payload["fragments"]:
             fragment_id, elements = row["id"], row["elements"]
@@ -415,6 +421,14 @@ def fragments_from_json_dict(payload: dict) -> tuple[OrderFragment, ...]:
                 raise TypeError(f"fragment id {fragment_id!r} is not a string")
             if not isinstance(elements, list):
                 raise TypeError(f"fragment {fragment_id!r} elements are not a list")
+            for x in elements:
+                if isinstance(x, (int, float)):
+                    first = numbers.setdefault(x, x)
+                    if type(first) is not type(x):
+                        raise ParameterError(
+                            f"elements {json.dumps(first)} and {json.dumps(x)} are distinct JSON"
+                            " values that Python holds equal"
+                        )
             out.append(OrderFragment(fragment_id=fragment_id, elements=tuple(elements)))
     except (KeyError, TypeError) as exc:
         raise ParameterError(f"malformed fragments payload: {exc}") from None

@@ -14,13 +14,13 @@ extended; the last level maps the entry's key of each extension's state to
 the first subset that reached it.
 
 Counting never trusts the dedup key alone. Keys pick one representative
-subset per key, and the representatives' classes are counted: equal
-literal encodings are one structure, kept once; degree profiles
-(structures.degree_profile, an isomorphism invariant) separate the rest,
-and a structure whose profile no other shares is a class of its own; only
-structures that tie on a profile are canonicalised, and their distinct
-codes are counted. So the classes are exactly the canonical-code classes
-of the representatives.
+subset per key, and the representatives' classes are counted by
+structures.isomorphism_classes: degree profiles (an isomorphism invariant)
+separate them, and a structure whose profile no other shares is a class of
+its own; only structures that tie on a profile are canonicalised, and
+their distinct codes are counted. So the classes are exactly the
+canonical-code classes of the representatives, and literally equal
+representatives, being isomorphic, fall into one class.
 
 Every limit is checked before any sample is built: the entry declares its
 signature and each sample's points, and for n = 1, 2, ... in turn three
@@ -44,7 +44,7 @@ from .structures import (
     canonical_form,
     induced_substructure,
     isomorphism_classes,
-    structure_encoding,
+    structure_encoding,  # unused here: perfbench/layers.py patches this binding
 )
 
 DEFAULT_BUDGET = 10_000_000
@@ -121,13 +121,10 @@ def _representatives(entry, model, n: int) -> dict:
 
 
 def _class_count(entry, model, n: int) -> int:
-    """Classes among the representatives: one structure per literal
-    encoding, separated by degree profile, canonicalised only in ties."""
-    literal: dict = {}
-    for subset in _representatives(entry, model, n).values():
-        sub = induced_substructure(model, subset)
-        literal.setdefault(structure_encoding(sub), sub)
-    return len(isomorphism_classes(list(literal.values()), canonical_form))
+    """Classes among the representatives: separated by degree profile,
+    canonicalised only in ties."""
+    subs = [induced_substructure(model, s) for s in _representatives(entry, model, n).values()]
+    return len(isomorphism_classes(subs, canonical_form))
 
 
 def profile(entry, n_max: int, budget: int = DEFAULT_BUDGET) -> ProfileSequence:

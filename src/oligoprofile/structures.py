@@ -438,8 +438,6 @@ def canonical_form(s: FiniteStructure) -> CanonicalCode:
     size = s.size
     arities = tuple(a for _, a in s.signature.relations)
     rel_tuples = tuple(tuple(tuples) for tuples in s.relations)
-    if size <= 1:
-        return _encode_labelled(size, arities, rel_tuples, None)
     inc, co = _incidence(size, rel_tuples)
     # (labelling, code) of the first leaf and of the least one so far
     first: tuple[list[int], bytes] | None = None

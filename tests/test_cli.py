@@ -558,6 +558,16 @@ def test_nonpositive_budget_exits_one_and_jobs_is_ignored(capsys, tmp_path, monk
         (["glue", "--in"], '{"fragments": [{"id": "a", "elements": [NaN, 2]}]}'),
         (["growth", "--file"], '{"values": [NaN]}'),
         (["linearize", "--in"], '{"size": 2, "leq": [], "x": -1e400}'),
+        # elements JSON keeps apart but Python holds equal (1, 1.0 and true)
+        (
+            ["glue", "--in"],
+            '{"fragments": [{"id": "a", "elements": [1, 2, 3]}, {"id": "b", "elements": [3, 4, true]}]}',
+        ),
+        (
+            ["glue", "--in"],
+            '{"fragments": [{"id": "a", "elements": [1, 2]}, {"id": "b", "elements": [1.0, 3]}]}',
+        ),
+        (["glue", "--in"], '{"fragments": [{"id": "a", "elements": [1, true, 3]}]}'),
     ],
 )
 def test_infinite_json_number_exits_one(capsys, tmp_path, argv, payload):
@@ -570,8 +580,20 @@ def test_infinite_json_number_exits_one(capsys, tmp_path, argv, payload):
 
 
 def test_finite_json_floats_still_glue(capsys, tmp_path):
+    """Finite floats, true, and numbers no two of which Python holds equal
+    glue; two that Python holds equal are refused, both named."""
     src = tmp_path / "input.json"
-    src.write_text('{"fragments": [{"id": "a", "elements": [4.5, 2]}]}')
-    code, out, err = run_cli(capsys, "glue", "--in", str(src))
-    assert code == 0 and err == ""
-    assert json.loads(out)["components"][0]["arrangement"] == [2, 4.5]
+    for windows, arrangement in (
+        ([[4.5, 2]], [2, 4.5]),
+        ([[True, 2, 3], [3, 4]], [4, 3, 2, True]),
+        ([[1.5, 1, 2], [2, 3]], [1.5, 1, 2, 3]),
+    ):
+        src.write_text(json.dumps({"fragments": [{"id": str(i), "elements": w} for i, w in enumerate(windows)]}))
+        code, out, err = run_cli(capsys, "glue", "--in", str(src))
+        assert code == 0 and err == ""
+        glued = json.loads(out)["components"][0]["arrangement"]
+        assert glued == arrangement and list(map(type, glued)) == list(map(type, arrangement))
+    src.write_text('{"fragments": [{"id": "a", "elements": [0, 2]}, {"id": "b", "elements": [2, false]}]}')
+    assert run_cli(capsys, "glue", "--in", str(src)) == (
+        1, "", "error: elements 0 and false are distinct JSON values that Python holds equal\n"
+    )

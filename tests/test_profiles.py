@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -174,18 +175,24 @@ def _swapping_entry(labels):
 
 
 def test_a_proven_entry_is_counted_once_at_its_base():
-    sizes = []
+    """Every subset is its own representative, so the representatives
+    repeat one literal structure, C(3, 1) and C(5, 3) times, and the
+    degree-profile screen alone makes them one class."""
     swap = _swapping_entry({3: "a", 5: "b", 7: "b"})
+    for base, n_max in ((3, 1), (5, 3)):
+        sizes = []
 
-    def sampler(size):
-        sizes.append(size)
-        return swap.sampler(size)
+        def sampler(size):
+            sizes.append(size)
+            return swap.sampler(size)
 
-    entry = dataclasses.replace(swap, sampler=sampler)
-    seq = profile(entry, 1)
-    assert seq.values == (1,)
-    assert seq.saturated_at == (3,)
-    assert sizes == [3]
+        entry = dataclasses.replace(swap, sampler=sampler, saturation_rule=lambda n: base)
+        seq = profile(entry, n_max)
+        assert seq.values == (1,) * n_max
+        assert seq.saturated_at == (base,) * n_max
+        assert sizes == [base] * n_max
+        reps = profiles._representatives(entry, swap.sampler(base), n_max)
+        assert len(reps) == math.comb(base, n_max)
 
 
 # n_max of each entry's profile stdout pin in test_cli

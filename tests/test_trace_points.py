@@ -4,6 +4,10 @@ The tracer wraps public names as they are bound in the modules that call
 them, so a binding that a refactor drops would fail only traced benchmark
 runs, and a call routed around a binding would drop out of the traced
 counts. These tests enter and leave the tracer as the benchmark does.
+
+profile encodes no structure, so the traced encode count is 0 on every
+profile run; profiles still binds structure_encoding only because the
+tracer patches that name, and a traced run would fail without it.
 """
 
 import importlib.util
@@ -35,7 +39,7 @@ def test_the_tracer_wraps_every_patch_point_and_restores_it():
     patched = {key for key, value in inside.items() if value is not before.get(key)}
     assert {
         ("oligoprofile.profiles", "induced_substructure"),
-        ("oligoprofile.profiles", "structure_encoding"),
+        ("oligoprofile.profiles", "structure_encoding"),  # bound for the tracer alone
         ("oligoprofile.profiles", "canonical_form"),
         ("oligoprofile.witnesses", "induced_substructure"),
         ("oligoprofile.witnesses", "canonical_form"),
@@ -49,22 +53,27 @@ def test_the_tracer_wraps_every_patch_point_and_restores_it():
     assert all(after[key] is before[key] for key in before)
 
 
-def _traced_leaves(layers, call):
+def _traced(layers, call):
+    """The spans of one call, the first one the call's own."""
     tracer = layers.Tracer()
     with layers.installed(tracer):
         idx = tracer.open("test")
         call()
         tracer.close(idx)
-    leaves = tracer.spans[idx].leaves
-    return {name: calls for name, (calls, _) in leaves.items() if name.startswith("structures.")}
+    return tracer.spans[idx:]
+
+
+def _structure_calls(span):
+    return {name: calls for name, (calls, _) in span.leaves.items() if name.startswith("structures.")}
 
 
 def test_screened_canonicalisation_goes_through_the_traced_bindings():
     """Only ties on a degree profile are canonicalised, and the tracer
     counts exactly those calls: a relabelled copy of one member makes one
     tie of two members, and local_order's 42 representatives up to n = 8,
-    each induced and encoded once, first tie at n = 6, in 4, 4 and 13
-    tournaments at n = 6, 7 and 8."""
+    each induced once and never encoded, first tie at n = 6, in 4, 4 and
+    13 tournaments at n = 6, 7 and 8. The per-layer report of those spans
+    computes, with no encode call."""
     layers = _layers()
     fam = binary_pattern_witness(4)
     copy = fam.members[5].relabel([3, 2, 1, 0])
@@ -72,7 +81,8 @@ def test_screened_canonicalisation_goes_through_the_traced_bindings():
         fam.construction_id, fam.n, fam.scaffold, fam.members + (copy,),
         fam.indices + ((9, 9, 9, 9),), fam.index_decoder,
     )
-    leaves = _traced_leaves(layers, lambda: witnesses.verify_pairwise_nonisomorphic(rigged))
-    assert leaves == {"structures.canonical": 2}
-    leaves = _traced_leaves(layers, lambda: profiles.profile("local_order", 8))
-    assert leaves == {"structures.induce": 42, "structures.encode": 42, "structures.canonical": 21}
+    spans = _traced(layers, lambda: witnesses.verify_pairwise_nonisomorphic(rigged))
+    assert _structure_calls(spans[0]) == {"structures.canonical": 2}
+    spans = _traced(layers, lambda: profiles.profile("local_order", 8))
+    assert _structure_calls(spans[0]) == {"structures.induce": 42, "structures.canonical": 21}
+    assert layers.layer_metrics(spans)["structures.encode_calls"] == 0
