@@ -9,7 +9,12 @@ be diffed byte for byte.
 JSON output is exactly the bytes of ``json.dumps(payload, indent=2)``
 plus a newline. ``_json_text`` lays out dicts and lists itself and
 leaves every scalar, and every flat int row or int matrix, to the C
-encoder, which ``indent`` would otherwise switch off.
+encoder, which ``indent`` would otherwise switch off. A list that
+starts like a row or matrix is encoded compactly once; deleting its
+digits and minus signs, then every ", ", leaves "[]" for an int row
+and "[" + "[]" * len(list) + "]" for an int matrix. Anything else in
+the text (a quote, a dot, a letter, a brace or a nested bracket) stays,
+so no other list passes, and the list is laid out item by item.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import re
 import sys
 
 from .catalogue import age_predictor, get_entry, list_entry_ids
@@ -34,9 +38,7 @@ def _real(x: float) -> float:
 
 
 _encode = json.JSONEncoder().encode
-_ROW = r"\[-?\d+(?:, -?\d+)*\]"
-_INT_ROW = re.compile(_ROW)
-_INT_MATRIX = re.compile(rf"\[(?:{_ROW}|\[\])(?:, (?:{_ROW}|\[\]))*\]")
+_DIGITS = str.maketrans("", "", "-0123456789")
 
 
 def _key(key) -> str:
@@ -50,6 +52,9 @@ def _key(key) -> str:
 
 def _emit(value, indent: str, out: list[str]) -> None:
     """Append the indent=2 text of value, opened at this indent, to out."""
+    if type(value) is int:
+        out.append(int.__repr__(value))
+        return
     if isinstance(value, str) or not isinstance(value, (list, tuple, dict)):
         out.append(_encode(value))
         return
@@ -73,10 +78,11 @@ def _emit(value, indent: str, out: list[str]) -> None:
     first = value[0]
     if isinstance(first, int) or (isinstance(first, (list, tuple)) and first and isinstance(first[0], int)):
         text = _encode(value)
-        if _INT_ROW.fullmatch(text):
+        shape = text.translate(_DIGITS).replace(", ", "")
+        if shape == "[]":
             out += ("[", row, text[1:-1].replace(", ", sep), "\n" + indent + "]")
             return
-        if _INT_MATRIX.fullmatch(text):
+        if shape == "[" + "[]" * len(value) + "]":
             # rows open on row lines, items on cell lines; an empty row stays []
             body = text[1:-1].replace("], [", "]" + sep + "[").replace(", ", "," + cell)
             body = body.replace("[", "[" + cell).replace("]", row + "]")
@@ -283,11 +289,12 @@ def main(argv=None) -> int:
         if args.out is not None:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
-            return 0
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
     except (OligoError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    sys.stdout.write(text)
     return 0
 
 

@@ -51,7 +51,7 @@ Pair = tuple[int, int]
 
 # Largest poset a JSON payload may declare: the linearize JSON of an
 # antichain of this size lists over a million pairs, some 50 MB of text
-# built in about 0.7 GB.
+# built in about 270 MiB.
 _MAX_JSON_POSET_SIZE = 1024
 
 # Draws random_poset makes before it refuses a width it cannot reach.

@@ -195,11 +195,13 @@ class FiniteStructure:
         return FiniteStructure(self.signature, self.size, rels)
 
     def to_json_dict(self) -> dict:
+        """The JSON form; each relation is its sorted list of tuples, which
+        the json module writes as arrays of arrays."""
         return {
             "signature": [[name, arity] for name, arity in self.signature.relations],
             "size": self.size,
             "tuples": {
-                name: sorted([list(t) for t in tuples])
+                name: sorted(tuples)
                 for (name, _), tuples in zip(self.signature.relations, self.relations)
             },
         }

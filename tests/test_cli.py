@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -138,6 +139,10 @@ def test_witness_stdout_is_pinned(capsys, argv):
 # profile and glue are pinned above and in test_glueing.py
 JSON_PINS = {
     ("linearize", "--in", "poset.json"): "f7f64ab9b4427b70275559fcc566145241b0bdfcdf6ddf7dd623395b2eba0b9c",
+    # a 64-point antichain: one round whose tri matrix has 4,096 rows
+    ("linearize", "--in", "antichain64.json"): (
+        "e3d47c5199b8856faebaacc16c7e429a8f66870d300e985b69a8f191e159af1b"
+    ),
     ("growth", "tree_c", "--format", "json"): (
         "e76493425dd98f74ef6404650add148e90f46f1bce7f9704b9b186070b3ac188"
     ),
@@ -152,6 +157,7 @@ JSON_PINS = {
 def test_json_stdout_is_pinned(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "poset.json").write_text(json.dumps(random_poset(30, 6, seed=1).to_json_dict()))
+    (tmp_path / "antichain64.json").write_text(json.dumps({"size": 64, "leq": []}))
     code, out, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "")
     assert _digest(out) == JSON_PINS[argv]
@@ -183,8 +189,29 @@ _JSON = st.recursive(
 @example([[1, 2.5], [3]])
 @example([[[1]], [2]])
 @example({1: [], None: 0, True: 1, 1.5: -0.0, math.nan: [math.inf, 1e300], ", ": {}})
+@example([[1], 2])
+@example([1, [2]])
+@example([[1, [2]]])
+@example([[1], [2.0]])
+@example([[True]])
+@example([1, "2"])
+@example([[1], {"a": 1}])
+@example([[-1, 2], [], [3]])
+@example(((1,), (2, 3)))
 def test_json_text_is_json_dumps_indent_2(payload):
     assert _json_text(payload) == json.dumps(payload, indent=2) + "\n"
+
+
+def test_json_text_of_a_long_matrix_peaks_below_five_times_its_length():
+    payload = {"tri": [[a, b] for a in range(200) for b in range(200)]}
+    tracemalloc.start()
+    try:
+        text = _json_text(payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == json.dumps(payload, indent=2) + "\n"
+    assert peak < 5 * len(text)
 
 
 def test_json_text_refuses_what_json_dumps_refuses():
@@ -222,6 +249,29 @@ def test_out_file_replaces_stdout(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "profile", "dlo", "--n-max", "2", "--out", str(target))
     assert code == 0 and out == ""
     assert target.read_text() == "n,f_n,saturated_at\n1,1,5\n2,1,7\n"
+
+
+class _FullStdout:
+    """A stdout on a full disk: it fails on write or on flush."""
+
+    def __init__(self, failing: str):
+        self.failing = failing
+
+    def write(self, text: str) -> int:
+        if self.failing == "write":
+            raise OSError(28, "No space left on device")
+        return len(text)
+
+    def flush(self) -> None:
+        if self.failing == "flush":
+            raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+def test_a_failed_stdout_write_exits_one(capsys, monkeypatch, failing):
+    monkeypatch.setattr(sys, "stdout", _FullStdout(failing))
+    code = main(["witness", "composition", "--n", "5"])
+    assert (code, capsys.readouterr().err) == (1, "error: [Errno 28] No space left on device\n")
 
 
 def test_unknown_entry_exits_one(capsys):

@@ -526,6 +526,36 @@ def test_refusals_name_the_bad_argument(call, message):
     assert str(info.value) == message
 
 
+@st.composite
+def _json_structures(draw):
+    arities = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    sig = signature(*((f"r{i}", arity) for i, arity in enumerate(arities)))
+    size = draw(st.integers(0, 3))
+    rels = {}
+    for name, arity in sig.relations:
+        universe = list(itertools.product(range(size), repeat=arity))
+        rels[name] = draw(st.sets(st.sampled_from(universe))) if universe else set()
+    return FiniteStructure.build(sig, size, rels)
+
+
+@given(_json_structures())
+@settings(max_examples=200, deadline=None)
+def test_json_dict_keeps_the_list_of_lists_bytes(s):
+    """to_json_dict returns sorted tuples; json writes the bytes of the sorted
+    lists it used to return, and they load back into the same structure."""
+    lists = {
+        "signature": [[name, arity] for name, arity in s.signature.relations],
+        "size": s.size,
+        "tuples": {
+            name: sorted([list(t) for t in tuples])
+            for (name, _), tuples in zip(s.signature.relations, s.relations)
+        },
+    }
+    text = json.dumps(s.to_json_dict())
+    assert text == json.dumps(lists)
+    assert FiniteStructure.from_json_dict(json.loads(text)) == s
+
+
 def test_empty_structures_are_isomorphic():
     assert is_isomorphic(FiniteStructure.build(SIG_EDGE, 0), FiniteStructure.build(SIG_EDGE, 0))
 
