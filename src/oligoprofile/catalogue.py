@@ -136,7 +136,7 @@ from dataclasses import dataclass
 from operator import le
 from typing import Callable
 
-from .errors import ParameterError
+from .errors import ParameterError, int_at_least
 from .growth import compositions_count, local_order_count, tree_count
 from .structures import FiniteStructure, Signature, evaluated_tuples, signature
 
@@ -186,17 +186,12 @@ class CatalogueEntry:
 
 
 def _at_least(entry_id: str, least: int) -> Points:
-    def points(size: int) -> int:
-        if size < least:
-            raise ParameterError(f"{entry_id} needs size >= {least}, got {size}")
-        return size
-
-    return points
+    return lambda size: int_at_least(entry_id, "size", size, least)
 
 
 def _odd_points(size: int) -> int:
-    if size < 3 or size % 2 == 0:
-        raise ParameterError(f"local_order needs an odd size >= 3, got {size}")
+    if type(size) is not int or size < 3 or size % 2 == 0:
+        raise ParameterError(f"local_order needs an odd size >= 3, got {size!r}")
     return size
 
 
@@ -469,6 +464,4 @@ def age_predictor(entry: CatalogueEntry | str, n: int) -> int:
     """Closed-form class count for n-point substructures."""
     if isinstance(entry, str):
         entry = get_entry(entry)
-    if n < 1:
-        raise ParameterError(f"predictor needs n >= 1, got {n}")
-    return entry.predictor(n)
+    return entry.predictor(int_at_least("predictor", "n", n, 1))

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the one check of a
+count or size argument.
 
 Everything raised on purpose derives from OligoError so the CLI can map
 library failures to a single exit code. InternalInvariantError is reserved
@@ -36,3 +37,13 @@ class InconsistentFragmentsError(OligoError):
 
 class InternalInvariantError(OligoError):
     """A property the algorithm is supposed to guarantee failed to hold."""
+
+
+def int_at_least(who: str, what: str, value: int, least: int) -> int:
+    """value, once it is an int (a bool is not one) and at least least;
+    ParameterError naming who and what otherwise."""
+    if type(value) is not int:
+        raise ParameterError(f"{who} needs an int {what}, got {value!r}")
+    if value < least:
+        raise ParameterError(f"{who} needs {what} >= {least}, got {value}")
+    return value

@@ -51,12 +51,14 @@ OVERLAP_TAGS = (
 
 @dataclass(frozen=True)
 class OrderFragment:
-    """A directed run of distinct elements, at least two long."""
+    """A directed run of distinct elements, at least two long, under a string id."""
 
     fragment_id: str
     elements: tuple[Element, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.fragment_id, str):
+            raise ParameterError(f"fragment id {self.fragment_id!r} is not a string")
         object.__setattr__(self, "elements", tuple(self.elements))
         if len(self.elements) < 2:
             raise ParameterError(
@@ -417,8 +419,6 @@ def fragments_from_json_dict(payload: dict) -> tuple[OrderFragment, ...]:
     try:
         for row in payload["fragments"]:
             fragment_id, elements = row["id"], row["elements"]
-            if type(fragment_id) is not str:
-                raise TypeError(f"fragment id {fragment_id!r} is not a string")
             if not isinstance(elements, list):
                 raise TypeError(f"fragment {fragment_id!r} elements are not a list")
             for x in elements:

@@ -116,7 +116,7 @@ class FinitePoset:
     A poset is its successor masks: succ[a] has bit b set when a <= b.
     Equality and hashing read (size, succ). pred, with bit a of pred[b]
     set when a <= b, is derived; so is leq, the pair set, built from the
-    masks on first read. FinitePoset(size, leq) checks the pairs once.
+    masks on first read. FinitePoset(size, leq) checks size and pairs once.
     """
 
     size: int
@@ -124,8 +124,8 @@ class FinitePoset:
     pred: tuple[int, ...] = field(compare=False)
 
     def __init__(self, size: int, leq: Iterable[Pair]) -> None:
-        if size < 1:
-            raise DomainError(f"poset size must be >= 1, got {size}")
+        if type(size) is not int or size < 1:
+            raise DomainError(f"poset size must be an int >= 1, got {size!r}")
         succ = [0] * size
         # one pass, so an iterator is read once; each pair is checked
         # before it is set, since a mask would read (True, 1) as (1, 1)
@@ -189,16 +189,15 @@ class FinitePoset:
     def from_json_dict(cls, payload: dict) -> "FinitePoset":
         try:
             size = payload["size"]
+            points = range(size)  # the diagonal's, here so that a size like 1e400 is malformed
             pairs = [tuple(pair) for pair in payload["leq"]]
         except (KeyError, TypeError) as exc:
             raise DomainError(f"malformed poset payload: {exc}") from None
-        if type(size) is not int:
-            raise DomainError(f"malformed poset payload: size {size!r} is not an integer")
         if size > _MAX_JSON_POSET_SIZE:
             raise DomainError(
                 f"poset size {size} exceeds the cap of {_MAX_JSON_POSET_SIZE}"
             )
-        return cls(size=size, leq=pairs + [(x, x) for x in range(size)])
+        return cls(size=size, leq=pairs + [(x, x) for x in points])
 
     def to_json_dict(self) -> dict:
         strict = [[a, b] for a, m in enumerate(self.succ) for b in _bits(m ^ 1 << a)]

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 # catalogue.get_entry is looked up per call, so a wrapped one is honoured
 from . import catalogue, structures
-from .errors import InternalInvariantError, ParameterError, ResourceError
+from .errors import InternalInvariantError, ParameterError, ResourceError, int_at_least
 from .structures import (
     canonical_form,
     induced_substructure,
@@ -137,8 +137,7 @@ def profile(entry, n_max: int, budget: int = DEFAULT_BUDGET) -> ProfileSequence:
     """
     if isinstance(entry, str):
         entry = catalogue.get_entry(entry)
-    if n_max < 1:
-        raise ParameterError(f"n_max must be >= 1, got {n_max}")
+    int_at_least("profile", "n_max", n_max, 1)
     plan = []
     evaluated = 0
     for n in range(1, n_max + 1):

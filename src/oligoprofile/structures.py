@@ -67,14 +67,15 @@ class Signature:
     relations: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
-        names = [name for name, _ in self.relations]
-        if len(set(names)) != len(names):
-            raise ParameterError(f"duplicate relation names in signature: {names}")
+        # types first, so an unhashable name is refused before the set below
         for name, arity in self.relations:
             if not isinstance(name, str) or not name:
                 raise ParameterError(f"relation name must be a nonempty string, got {name!r}")
-            if arity < 1:
-                raise ParameterError(f"relation {name!r} has arity {arity}, expected >= 1")
+            if type(arity) is not int or arity < 1:
+                raise ParameterError(f"relation {name!r} has arity {arity!r}, expected an int >= 1")
+        names = [name for name, _ in self.relations]
+        if len(set(names)) != len(names):
+            raise ParameterError(f"duplicate relation names in signature: {names}")
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -108,12 +109,14 @@ def evaluated_tuples(sig: Signature, size: int) -> int:
 class FiniteStructure:
     """Immutable finite structure over domain {0..size-1}.
 
-    Validation (tuple arities, entries in range) happens in the public
-    constructor, and so in build, from_json_dict and relabel, which go
-    through it. Structures the library derives itself skip it through
-    _trusted: induced_substructure (restricting a valid structure to
-    distinct in-range points gives a valid one) and _evaluated, which
-    builds the catalogue samples and witness scaffolds from their formulas
+    The public constructor is the one check of a structure, types
+    included: an int size (a bool is not one), tuples of each relation's
+    arity, and int entries in range. build and from_json_dict go through
+    it, as Signature checks names and arities. Structures the library
+    derives itself skip it through _trusted: induced_substructure and
+    relabel (a valid structure restricted to distinct in-range points, or
+    mapped by a checked bijection, is valid) and _evaluated, which builds
+    the catalogue samples and witness scaffolds from their formulas
     (tuples drawn from range(size) by construction). These are the hot
     producers of the profile engine, where validation would cost about a
     sixth of the time; tests re-validate their output through the public
@@ -125,6 +128,8 @@ class FiniteStructure:
     relations: tuple[frozenset[tuple[int, ...]], ...]
 
     def __post_init__(self):
+        if type(self.size) is not int:
+            raise ParameterError("size and tuple entries must be integers")
         if self.size < 0:
             raise ParameterError(f"size must be >= 0, got {self.size}")
         if len(self.relations) != len(self.signature.relations):
@@ -136,6 +141,8 @@ class FiniteStructure:
             for t in tuples:
                 if len(t) != arity:
                     raise ParameterError(f"tuple {t} in {name!r} has wrong arity (want {arity})")
+                if any(type(x) is not int for x in t):
+                    raise ParameterError("size and tuple entries must be integers")
                 if any(not (0 <= x < self.size) for x in t):
                     raise ParameterError(f"tuple {t} in {name!r} out of range for size {self.size}")
 
@@ -187,12 +194,12 @@ class FiniteStructure:
 
     def relabel(self, perm: Sequence[int]) -> "FiniteStructure":
         """Apply a bijection old -> new given as perm[old] = new."""
-        if sorted(perm) != list(range(self.size)):
+        if any(type(x) is not int for x in perm) or sorted(perm) != list(range(self.size)):
             raise ParameterError(f"perm {perm} is not a bijection on {self.size} elements")
         rels = tuple(
             frozenset(tuple(perm[x] for x in t) for t in tuples) for tuples in self.relations
         )
-        return FiniteStructure(self.signature, self.size, rels)
+        return FiniteStructure._trusted(self.signature, self.size, rels)
 
     def to_json_dict(self) -> dict:
         """The JSON form; each relation is its sorted list of tuples, which
@@ -208,34 +215,26 @@ class FiniteStructure:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "FiniteStructure":
+        """The payload unpacked into Signature and build, which check it;
+        every refusal, theirs included, reads "malformed structure JSON: ..."."""
         try:
             relations = tuple((name, arity) for name, arity in data["signature"])
             size = data["size"]
             tuples = {k: [tuple(t) for t in v] for k, v in data["tuples"].items()}
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            return cls.build(Signature(relations), size, tuples)
+        except (KeyError, TypeError, ValueError, AttributeError, ParameterError) as exc:
             raise ParameterError(f"malformed structure JSON: {exc}") from None
-        # the constructor checks ranges, not types, and would take True as 1
-        for name, arity in relations:
-            if type(name) is not str or type(arity) is not int:
-                raise ParameterError(
-                    f"malformed structure JSON: relation {[name, arity]!r} needs"
-                    " a string name and an integer arity"
-                )
-        entries = chain.from_iterable(chain.from_iterable(tuples.values()))
-        if any(type(x) is not int for x in chain((size,), entries)):
-            raise ParameterError("malformed structure JSON: size and tuple entries must be integers")
-        return cls.build(Signature(relations), size, tuples)
 
 
 def induced_substructure(model: FiniteStructure, subset: Sequence[int]) -> FiniteStructure:
     """Restrict model to subset; element i of the result is subset[i].
 
-    The subset must consist of distinct elements of the model. Tuples are
-    kept exactly when all entries lie in the subset, then reindexed.
+    The subset must consist of distinct int points of the model. Tuples
+    are kept exactly when all entries lie in the subset, then reindexed.
     """
     if len(set(subset)) != len(subset):
         raise InvalidSubsetError(f"subset {subset} has repeated elements")
-    if any(not (0 <= x < model.size) for x in subset):
+    if any(type(x) is not int or not 0 <= x < model.size for x in subset):
         raise InvalidSubsetError(f"subset {subset} out of range for size {model.size}")
     pos = {x: i for i, x in enumerate(subset)}
     k = len(subset)

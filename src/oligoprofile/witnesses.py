@@ -26,7 +26,7 @@ from operator import le
 from typing import Callable, Iterable, Iterator
 
 from .catalogue import SIG_ORDER, sample_model
-from .errors import ParameterError, ResourceError
+from .errors import ParameterError, ResourceError, int_at_least
 from .growth import compositions_count
 from .structures import (
     FiniteStructure,
@@ -78,8 +78,7 @@ class WitnessFamily:
     index_decoder: Callable[[FiniteStructure], IndexObject] = field(repr=False)
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ParameterError(f"witness family needs n >= 1, got {self.n}")
+        int_at_least("witness family", "n", self.n, 1)
         if len(self.members) != len(self.indices):
             raise ParameterError(
                 f"{len(self.members)} members but {len(self.indices)} indices"
@@ -205,8 +204,7 @@ def composition_witness(n: int, max_part: int) -> WitnessFamily:
     fiber sizes along the order are the composition, so distinct
     compositions yield non-isomorphic members.
     """
-    if n < 1:
-        raise ParameterError(f"composition_witness needs n >= 1, got {n}")
+    int_at_least("composition_witness", "n", n, 1)
     if max_part < 1:
         raise ParameterError(f"max_part must be >= 1, got {max_part}")
     max_part = min(max_part, n)
@@ -226,8 +224,7 @@ def binary_pattern_witness(n: int) -> WitnessFamily:
     2i + 1 otherwise, so the i-th point of the member is marked exactly
     when sigma(i) = 0.
     """
-    if n < 1:
-        raise ParameterError(f"binary_pattern_witness needs n >= 1, got {n}")
+    int_at_least("binary_pattern_witness", "n", n, 1)
     _refuse_past_caps("binary_pattern", n, 2 * n, lambda: 2**n)
     scaffold = FiniteStructure._evaluated(SIG_MARKED_ORDER, 2 * n, (le, lambda x: x % 2 == 0))
     return _family(
@@ -245,8 +242,7 @@ def antichain_witness(n: int) -> WitnessFamily:
     points of layer i including its anchor, so a point of layer i has
     exactly the i earlier anchors in a longest chain below it.
     """
-    if n < 1:
-        raise ParameterError(f"antichain_witness needs n >= 1, got {n}")
+    int_at_least("antichain_witness", "n", n, 1)
     _refuse_past_caps("antichain", n, n * n, lambda: 2 ** (n - 1))
     scaffold = FiniteStructure._evaluated(
         SIG_ORDER, n * n, (lambda x, y: x == y or (x % n == 0 and x // n < y // n),)

@@ -199,8 +199,8 @@ def separation_tuples(size: int) -> frozenset:
 
 
 def revalidated(s: FiniteStructure) -> FiniteStructure:
-    """s rebuilt through the public constructor, which checks the arities
-    and ranges that the unchecked producers skip."""
+    """s rebuilt through the public constructor, which checks the types,
+    arities and ranges that the unchecked producers skip."""
     assert all(type(t) is tuple for tuples in s.relations for t in tuples)
     return FiniteStructure(s.signature, s.size, s.relations)
 

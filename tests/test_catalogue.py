@@ -175,6 +175,8 @@ def test_trusted_producers_pass_public_validation(entry_id):
         for k in range(1, model.size + 1):
             sub = induced_substructure(model, tuple(rng.sample(range(model.size), k)))
             assert revalidated(sub) == sub
+        moved = model.relabel(rng.sample(range(model.size), model.size))
+        assert revalidated(moved) == moved
 
 
 def test_local_order_is_half_circle_tournament():
@@ -316,6 +318,13 @@ def test_the_sampler_checks_and_prices_before_the_family(size, error, message):
         ("local_order", 4, "local_order needs an odd size >= 3, got 4"),
         ("local_order", 1, "local_order needs an odd size >= 3, got 1"),
         ("tree_c", 0, "tree_c needs size >= 1, got 0"),
+        # a size is an int, and a bool is not one
+        ("dlo", True, "dlo needs an int size, got True"),
+        ("dlo", 2.5, "dlo needs an int size, got 2.5"),
+        ("pure_set", 3.0, "pure_set needs an int size, got 3.0"),
+        ("fibered_order:2", "4", "fibered_order:2 needs an int size, got '4'"),
+        ("local_order", 5.0, "local_order needs an odd size >= 3, got 5.0"),
+        ("tree_c", True, "tree_c needs an int size, got True"),
     ],
 )
 def test_points_check_the_size(entry_id, size, message):
@@ -370,6 +379,7 @@ def test_samplers_nest_along_size(entry_size, n):
         pytest.param(
             lambda: age_predictor(get_entry("dlo"), 0), "predictor needs n >= 1, got 0", id="predictor-n-0"
         ),
+        pytest.param(lambda: age_predictor("dlo", 2.5), "predictor needs an int n, got 2.5", id="predictor-n-float"),
     ],
 )
 def test_refusals_name_the_bad_argument(call, message):

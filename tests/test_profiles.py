@@ -531,6 +531,22 @@ def test_the_largest_in_budget_profile_fits_the_tuple_cap():
     assert profile("separation", 11).values == (1,) * 11
 
 
+@pytest.mark.parametrize(
+    "n_max, message",
+    [
+        (0, "profile needs n_max >= 1, got 0"),
+        (2.5, "profile needs an int n_max, got 2.5"),
+        (True, "profile needs an int n_max, got True"),
+    ],
+)
+def test_n_max_is_an_int_of_at_least_one(n_max, message):
+    """A float n_max used to fail in range with a TypeError, and True
+    counted f_1 as if it were 1."""
+    with pytest.raises(ParameterError) as info:
+        profile("dlo", n_max)
+    assert str(info.value) == message
+
+
 def test_a_huge_n_max_is_refused_at_its_first_over_budget_n():
     """Each n is checked as its size is computed, so dlo stops at n = 12
     (C(27, 12) subsets) and computes no size beyond it."""

@@ -6,12 +6,15 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oligoprofile import structures
 from oligoprofile.catalogue import default_sweep_ids, sample_model
+from oligoprofile.glueing import OrderFragment
+from oligoprofile.posets import FinitePoset
 from oligoprofile.errors import (
+    DomainError,
     InvalidSubsetError,
     OligoError,
     ParameterError,
@@ -151,6 +154,15 @@ def test_relabel_rejects_non_bijection():
         chain(3).relabel((0, 0, 2))
 
 
+@pytest.mark.parametrize("perm", [(True, 0, 2), (1.0, 0, 2), (2, 0, 1.0)])
+def test_relabel_refuses_points_that_are_not_ints(perm):
+    """Python holds True and 1.0 equal to 1, so these sort to a bijection;
+    the float used to land in the relabelled tuples."""
+    with pytest.raises(ParameterError) as info:
+        chain(3).relabel(perm)
+    assert str(info.value) == f"perm {perm} is not a bijection on 3 elements"
+
+
 def test_induced_keeps_inner_tuples():
     # 0 <= 1 <= 2 as a reflexive chain, restricted to its ends
     leq = {(i, j) for i in range(3) for j in range(i, 3)}
@@ -170,6 +182,13 @@ def test_induced_rejects_repeats_and_range():
         induced_substructure(chain(3), (1, 1))
     with pytest.raises(InvalidSubsetError):
         induced_substructure(chain(3), (0, 3))
+
+
+@pytest.mark.parametrize("subset", [[True, 2], [1.0, 2], [0, 2.0]])
+def test_induced_refuses_points_that_are_not_ints(subset):
+    with pytest.raises(InvalidSubsetError) as info:
+        induced_substructure(chain(3), subset)
+    assert str(info.value) == f"subset {subset} out of range for size 3"
 
 
 def test_json_round_trip():
@@ -526,6 +545,57 @@ def test_refusals_name_the_bad_argument(call, message):
     assert str(info.value) == message
 
 
+_ENTRIES = "size and tuple entries must be integers"
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(lambda: FiniteStructure.build(SIG_EDGE, 2.0), ParameterError, _ENTRIES, id="float-size"),
+        pytest.param(lambda: FiniteStructure.build(SIG_EDGE, True), ParameterError, _ENTRIES, id="bool-size"),
+        pytest.param(
+            lambda: FiniteStructure.build(SIG_EDGE, 3, {"edge": [(1.0, 2)]}), ParameterError, _ENTRIES, id="float-entry"
+        ),
+        pytest.param(
+            lambda: FiniteStructure(SIG_EDGE, 3, (frozenset({(0, True)}),)), ParameterError, _ENTRIES, id="bool-entry"
+        ),
+        pytest.param(
+            lambda: Signature((("e", "2"),)),
+            ParameterError,
+            "relation 'e' has arity '2', expected an int >= 1",
+            id="str-arity",
+        ),
+        pytest.param(
+            lambda: Signature((("e", 2.0),)),
+            ParameterError,
+            "relation 'e' has arity 2.0, expected an int >= 1",
+            id="float-arity",
+        ),
+        pytest.param(
+            lambda: Signature((("e", 2), (["e"], 2))),
+            ParameterError,
+            "relation name must be a nonempty string, got ['e']",
+            id="unhashable-name",
+        ),
+        pytest.param(
+            lambda: OrderFragment(7, (1, 2)), ParameterError, "fragment id 7 is not a string", id="int-fragment-id"
+        ),
+        pytest.param(
+            lambda: FinitePoset(2.5, [(0, 0), (1, 1)]),
+            DomainError,
+            "poset size must be an int >= 1, got 2.5",
+            id="float-poset-size",
+        ),
+    ],
+)
+def test_constructors_refuse_what_the_loaders_refuse(call, error, message):
+    """Each public type checks its values' types itself, so a value that no
+    JSON payload can pass is refused from Python too, with a message."""
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
+
+
 @st.composite
 def _json_structures(draw):
     arities = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
@@ -586,12 +656,28 @@ _json_tuple = st.lists(st.one_of(st.integers(-1, 4), _json_values), max_size=3)
         }
     )
 )
+@example({"signature": [["e", 2]], "size": 2, "tuples": {"e": [[0, 1.0]]}})
+@example({"signature": [["e", 2]], "size": True, "tuples": {}})
+@example({"signature": [["e", 2.0]], "size": 2, "tuples": {}})
+@example({"signature": [[["e"], 2]], "size": 2, "tuples": {}})
+@example({"signature": [["e", 2]], "size": 2, "tuples": {"e": [[0, [1]]]}})
 @settings(max_examples=300, deadline=None)
 def test_json_loader_loads_or_raises_parameter_error(payload):
     """Generated payloads either load into a structure that round-trips or
-    raise ParameterError; no other exception escapes."""
+    raise ParameterError; no other exception escapes. The loader is an
+    unpacking plus the constructors: a payload loads exactly when Signature
+    and build accept its unpacked values, into the structure they build.
+    build's TypeError stands for an entry no set can hold."""
+    try:
+        relations = tuple((name, arity) for name, arity in payload["signature"])
+        tuples = {k: [tuple(t) for t in v] for k, v in payload["tuples"].items()}
+        built = FiniteStructure.build(Signature(relations), payload["size"], tuples)
+    except (TypeError, ValueError, AttributeError, ParameterError):
+        built = None
     try:
         s = FiniteStructure.from_json_dict(payload)
     except ParameterError:
+        assert built is None
         return
+    assert s == built
     assert FiniteStructure.from_json_dict(s.to_json_dict()) == s

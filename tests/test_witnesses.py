@@ -1,5 +1,6 @@
 """Witness families: counts, decoders, collision detection."""
 
+import dataclasses
 import itertools
 import random
 
@@ -331,3 +332,17 @@ def test_refusals_name_the_bad_argument(call, message):
     with pytest.raises(ParameterError) as info:
         call()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("n", [2.5, True, 3.0])
+@pytest.mark.parametrize("construction", ["composition", "binary_pattern", "antichain"])
+def test_n_is_an_int(construction, n):
+    """A float n used to fail in range with a TypeError, and True built a
+    family whose JSON read "n": true."""
+    with pytest.raises(ParameterError) as info:
+        build_family(construction, n)
+    assert str(info.value) == f"{construction}_witness needs an int n, got {n!r}"
+    fam = composition_witness(2, 2)
+    with pytest.raises(ParameterError) as info:
+        dataclasses.replace(fam, n=n)
+    assert str(info.value) == f"witness family needs an int n, got {n!r}"
