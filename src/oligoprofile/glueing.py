@@ -51,7 +51,7 @@ OVERLAP_TAGS = (
 
 @dataclass(frozen=True)
 class OrderFragment:
-    """A directed run of distinct elements, at least two long, under a string id."""
+    """A directed run of distinct hashable elements, at least two long, under a string id."""
 
     fragment_id: str
     elements: tuple[Element, ...]
@@ -64,7 +64,11 @@ class OrderFragment:
             raise ParameterError(
                 f"fragment {self.fragment_id!r} needs >= 2 elements"
             )
-        if len(set(self.elements)) != len(self.elements):
+        try:
+            distinct = len(set(self.elements))
+        except TypeError:
+            raise ParameterError(f"fragment {self.fragment_id!r} holds an unhashable element") from None
+        if distinct != len(self.elements):
             raise ParameterError(
                 f"fragment {self.fragment_id!r} repeats an element"
             )

@@ -138,6 +138,7 @@ def profile(entry, n_max: int, budget: int = DEFAULT_BUDGET) -> ProfileSequence:
     if isinstance(entry, str):
         entry = catalogue.get_entry(entry)
     int_at_least("profile", "n_max", n_max, 1)
+    int_at_least("profile", "budget", budget, 0)
     plan = []
     evaluated = 0
     for n in range(1, n_max + 1):

@@ -139,6 +139,8 @@ class FiniteStructure:
             )
         for (name, arity), tuples in zip(self.signature.relations, self.relations):
             for t in tuples:
+                if type(t) is not tuple:
+                    raise ParameterError(f"relation {name!r} holds {t!r}, not a tuple")
                 if len(t) != arity:
                     raise ParameterError(f"tuple {t} in {name!r} has wrong arity (want {arity})")
                 if any(type(x) is not int for x in t):
@@ -184,10 +186,13 @@ class FiniteStructure:
         unknown = set(tuples) - set(sig.names)
         if unknown:
             raise ParameterError(f"tuples given for unknown relations: {sorted(unknown)}")
-        rels = tuple(
-            frozenset(tuple(t) for t in tuples.get(name, ())) for name, _ in sig.relations
-        )
-        return cls(sig, size, rels)
+        rels = []
+        for name, _ in sig.relations:
+            try:
+                rels.append(frozenset(map(tuple, tuples.get(name, ()))))
+            except TypeError:  # a row that is no sequence, or holds an unhashable entry
+                raise ParameterError(f"relation {name!r} needs tuples of integers") from None
+        return cls(sig, size, tuple(rels))
 
     def relation(self, name: str) -> frozenset[tuple[int, ...]]:
         return self.relations[self.signature.index(name)]
@@ -219,9 +224,8 @@ class FiniteStructure:
         every refusal, theirs included, reads "malformed structure JSON: ..."."""
         try:
             relations = tuple((name, arity) for name, arity in data["signature"])
-            size = data["size"]
-            tuples = {k: [tuple(t) for t in v] for k, v in data["tuples"].items()}
-            return cls.build(Signature(relations), size, tuples)
+            tuples = dict(data["tuples"].items())  # an object, not a list of pairs
+            return cls.build(Signature(relations), data["size"], tuples)
         except (KeyError, TypeError, ValueError, AttributeError, ParameterError) as exc:
             raise ParameterError(f"malformed structure JSON: {exc}") from None
 

@@ -8,11 +8,10 @@ object from the isomorphism type alone, so the counting argument can be
 checked by machine: distinct indices decode from distinct members.
 verify_pairwise_nonisomorphic checks the members themselves: members with
 different degree profiles (an isomorphism invariant) are not isomorphic,
-and only members that tie on a profile are canonicalised. In each family
-a point's in-degree (with its mark, for binary patterns) fixes what the
-decoder reads of it: the fiber's prefix sum, the chain rank, or the depth
-plus one. The in-degrees are in the profile, so every member has a profile
-of its own and no member is canonicalised.
+and only members that tie on a profile are canonicalised. Every decoder
+is a function of the degree profile alone (the count of points per
+in-degree, or the marks read in out-degree order), so distinct indices
+give distinct profiles, and verification canonicalises no member.
 Each constructor refuses a scaffold of more than 256 points, or a family
 of more than 2**11 members, with ResourceError before building anything.
 """
@@ -31,6 +30,7 @@ from .growth import compositions_count
 from .structures import (
     FiniteStructure,
     canonical_form,
+    degree_profile,
     induced_substructure,
     isomorphism_classes,
     signature,
@@ -110,46 +110,25 @@ class CollisionReport:
 
 
 def decode_composition(member: FiniteStructure) -> IndexObject:
-    """Read fiber sizes along the block order of a composition member.
-
-    Elements of one fiber share their weak predecessor count (the prefix
-    sum of part sizes up to their block), and the counts of distinct
-    fibers differ, so grouping by that count lists the parts in order.
+    """The count of points per in-degree (row[1] of the degree profile), in
+    ascending order of in-degree. A point's in-degree is the prefix sum of
+    the parts through its block in a composition member, and its layer plus
+    one in an antichain member, so one function decodes both families.
     """
-    prec = member.relation("prec")
-    size = member.size
-    below = [sum(1 for y in range(size) if (y, x) in prec) for x in range(size)]
-    groups = Counter(below)
-    return tuple(groups[r] for r in sorted(groups))
+    groups = Counter(row[1] for row in degree_profile(member)[2])
+    return tuple(groups[d] for d in sorted(groups))
+
+
+decode_antichain = decode_composition
 
 
 def decode_binary_pattern(member: FiniteStructure) -> IndexObject:
-    """Read the 0/1 pattern off chain position: marked points decode to 0."""
-    leq = member.relation("leq")
-    mark = member.relation("mark")
-    size = member.size
-    rank = lambda x: sum(1 for y in range(size) if (y, x) in leq)
-    chain = sorted(range(size), key=rank)
-    return tuple(0 if (x,) in mark else 1 for x in chain)
+    """Read 1 - mark (row[2] of the degree profile) up the chain.
 
-
-def decode_antichain(member: FiniteStructure) -> IndexObject:
-    """Count points per longest-chain-below statistic in a poset member.
-
-    depth(x) is the number of elements in a longest chain strictly below
-    x; layer i of the construction contributes exactly the points of
-    depth i, so the counts per depth value recover the composition.
+    A chain point's out-degree is the number of points at or above it, so
+    the sorted rows list the chain top point first; marked points decode to 0.
     """
-    leq = member.relation("leq")
-    size = member.size
-    strictly_below = [
-        [y for y in range(size) if y != x and (y, x) in leq] for x in range(size)
-    ]
-    depth = [0] * size
-    for x in sorted(range(size), key=lambda v: len(strictly_below[v])):
-        depth[x] = max((depth[y] + 1 for y in strictly_below[x]), default=0)
-    groups = Counter(depth)
-    return tuple(groups[i] for i in range(max(depth) + 1))
+    return tuple(1 - row[2] for row in reversed(degree_profile(member)[2]))
 
 
 # Largest family and scaffold a constructor makes; members are verified
@@ -190,29 +169,33 @@ def _family(
     return WitnessFamily(construction_id, n, scaffold, members, indices, decoder)
 
 
-def _block_prefixes(width: int) -> Callable[[IndexObject], tuple[int, ...]]:
-    # the first comp[i] points of each block i of `width` consecutive points
-    return lambda comp: tuple(i * width + j for i, part in enumerate(comp) for j in range(part))
+def _block_family(
+    construction_id: str, n: int, width: int, scaffold: Callable[[], FiniteStructure]
+) -> WitnessFamily:
+    """One member per composition of n into parts of at most width: point
+    i*width + j of the scaffold is in block i, and the member for
+    (a_0, ..., a_{k-1}) takes the first a_i points of block i. Both caps
+    are checked before scaffold() runs."""
+    _refuse_past_caps(construction_id, n, n * width, lambda: compositions_count(n, width))
+    return _family(
+        construction_id, n, scaffold(), compositions(n, width),
+        lambda comp: tuple(i * width + j for i, part in enumerate(comp) for j in range(part)),
+        decode_composition,
+    )
 
 
 def composition_witness(n: int, max_part: int) -> WitnessFamily:
     """One member per composition of n into parts of size at most max_part.
 
-    The scaffold is the fibered_order:max_part sample with n blocks of
-    max_part points (max_part clamped to n, since no part is larger); the
-    member for (a_0, ..., a_{k-1}) takes a_i points from block i. Its
-    fiber sizes along the order are the composition, so distinct
+    The scaffold is the fibered_order:max_part sample, n blocks of
+    max_part points (max_part clamped to n, since no part is larger). A
+    member's fiber sizes along the order are its composition, so distinct
     compositions yield non-isomorphic members.
     """
     int_at_least("composition_witness", "n", n, 1)
-    if max_part < 1:
-        raise ParameterError(f"max_part must be >= 1, got {max_part}")
-    max_part = min(max_part, n)
-    _refuse_past_caps("composition", n, n * max_part, lambda: compositions_count(n, max_part))
-    scaffold = sample_model(f"fibered_order:{max_part}", n * max_part)
-    return _family(
-        "composition", n, scaffold, compositions(n, max_part), _block_prefixes(max_part),
-        decode_composition,
+    max_part = min(int_at_least("composition_witness", "max_part", max_part, 1), n)
+    return _block_family(
+        "composition", n, max_part, lambda: sample_model(f"fibered_order:{max_part}", n * max_part)
     )
 
 
@@ -239,16 +222,12 @@ def antichain_witness(n: int) -> WitnessFamily:
     The scaffold stacks n antichains of width n; the first point of each
     layer is its anchor, and every point of a later layer lies above
     every earlier anchor. The member for (m_0, ..., m_{k-1}) takes m_i
-    points of layer i including its anchor, so a point of layer i has
-    exactly the i earlier anchors in a longest chain below it.
+    points of layer i including its anchor.
     """
     int_at_least("antichain_witness", "n", n, 1)
-    _refuse_past_caps("antichain", n, n * n, lambda: 2 ** (n - 1))
-    scaffold = FiniteStructure._evaluated(
-        SIG_ORDER, n * n, (lambda x, y: x == y or (x % n == 0 and x // n < y // n),)
-    )
-    return _family(
-        "antichain", n, scaffold, compositions(n, n), _block_prefixes(n), decode_antichain
+    stacked = (lambda x, y: x == y or (x % n == 0 and x // n < y // n),)
+    return _block_family(
+        "antichain", n, n, lambda: FiniteStructure._evaluated(SIG_ORDER, n * n, stacked)
     )
 
 

@@ -547,6 +547,15 @@ def test_n_max_is_an_int_of_at_least_one(n_max, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("budget", ["x", 2.5, True])
+def test_budget_is_an_int(budget):
+    """A str budget used to fail in a comparison with a TypeError, and
+    2.5 or True was taken as a bound."""
+    with pytest.raises(ParameterError) as info:
+        profile("dlo", 2, budget=budget)
+    assert str(info.value) == f"profile needs an int budget, got {budget!r}"
+
+
 def test_a_huge_n_max_is_refused_at_its_first_over_budget_n():
     """Each n is checked as its size is computed, so dlo stops at n = 12
     (C(27, 12) subsets) and computes no size beyond it."""

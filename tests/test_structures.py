@@ -596,6 +596,37 @@ def test_constructors_refuse_what_the_loaders_refuse(call, error, message):
     assert type(info.value) is error and str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: FiniteStructure.build(SIG_EDGE, 2, {"edge": [(0, [1])]}),
+            "relation 'edge' needs tuples of integers",
+            id="unhashable-entry",
+        ),
+        pytest.param(
+            lambda: FiniteStructure.build(SIG_EDGE, 2, {"edge": [1]}),
+            "relation 'edge' needs tuples of integers",
+            id="int-row",
+        ),
+        pytest.param(
+            lambda: FiniteStructure(SIG_EDGE, 2, (frozenset({1}),)),
+            "relation 'edge' holds 1, not a tuple",
+            id="row-not-a-tuple",
+        ),
+        pytest.param(
+            lambda: OrderFragment("a", ([1], 2)), "fragment 'a' holds an unhashable element", id="unhashable-element"
+        ),
+    ],
+)
+def test_rows_no_set_can_hold_are_refused(call, message):
+    """A row that is no sequence, or holds an unhashable value, used to
+    escape as a raw TypeError from hashing or len."""
+    with pytest.raises(ParameterError) as info:
+        call()
+    assert type(info.value) is ParameterError and str(info.value) == message
+
+
 @st.composite
 def _json_structures(draw):
     arities = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
@@ -661,19 +692,26 @@ _json_tuple = st.lists(st.one_of(st.integers(-1, 4), _json_values), max_size=3)
 @example({"signature": [["e", 2.0]], "size": 2, "tuples": {}})
 @example({"signature": [[["e"], 2]], "size": 2, "tuples": {}})
 @example({"signature": [["e", 2]], "size": 2, "tuples": {"e": [[0, [1]]]}})
+@example({"signature": [["e", 2]], "size": 2, "tuples": {"e": [1]}})
+@example({"signature": [["e", 2]], "size": 2, "tuples": {"e": 1}})
 @settings(max_examples=300, deadline=None)
 def test_json_loader_loads_or_raises_parameter_error(payload):
     """Generated payloads either load into a structure that round-trips or
     raise ParameterError; no other exception escapes. The loader is an
     unpacking plus the constructors: a payload loads exactly when Signature
     and build accept its unpacked values, into the structure they build.
-    build's TypeError stands for an entry no set can hold."""
+    Only the unpacking may raise a TypeError; Signature and build refuse
+    every value with ParameterError."""
     try:
         relations = tuple((name, arity) for name, arity in payload["signature"])
-        tuples = {k: [tuple(t) for t in v] for k, v in payload["tuples"].items()}
-        built = FiniteStructure.build(Signature(relations), payload["size"], tuples)
-    except (TypeError, ValueError, AttributeError, ParameterError):
+        tuples = dict(payload["tuples"].items())
+    except (TypeError, ValueError, AttributeError):
         built = None
+    else:
+        try:
+            built = FiniteStructure.build(Signature(relations), payload["size"], tuples)
+        except ParameterError:
+            built = None
     try:
         s = FiniteStructure.from_json_dict(payload)
     except ParameterError:

@@ -1,15 +1,20 @@
 """Witness families: counts, decoders, collision detection."""
 
 import dataclasses
+import importlib.util
 import itertools
+import json
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oligoprofile import witnesses
 from oligoprofile.errors import ParameterError, ResourceError
-from oligoprofile.structures import canonical_form, degree_profile, induced_substructure
+from oligoprofile.structures import FiniteStructure, canonical_form, degree_profile, induced_substructure
 from oligoprofile.witnesses import (
     CollisionReport,
     WitnessFamily,
@@ -26,6 +31,8 @@ from oligoprofile.witnesses import (
 )
 
 from oracles import brute_compositions, fibonacci, recursive_compositions, revalidated, subset_classes
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 def test_compositions_listing_matches_brute():
@@ -87,6 +94,53 @@ def test_antichain_decoder_round_trip():
     fam = antichain_witness(5)
     for member, index in zip(fam.members, fam.indices):
         assert decode_antichain(member) == index
+
+
+def test_one_decoder_reads_both_block_families():
+    assert decode_antichain is decode_composition
+    assert build_family("antichain", 4).index_decoder is build_family("composition", 4).index_decoder
+
+
+@pytest.mark.parametrize("construction", construction_ids())
+def test_decoders_read_the_degree_profile_alone(construction, monkeypatch):
+    """Handed a member's degree profile in place of the member, each
+    decoder still returns the member's index: it reads nothing else."""
+    fam = build_family(construction, 6)
+    profiles = [degree_profile(m) for m in fam.members]
+    monkeypatch.setattr(witnesses, "degree_profile", lambda profile: profile)
+    assert [fam.index_decoder(p) for p in profiles] == list(fam.indices)
+
+
+@pytest.mark.parametrize("construction", construction_ids())
+def test_every_member_decodes_after_a_relabel_and_a_json_round_trip(construction):
+    rng = random.Random(f"decode {construction}")
+    for n in range(1, 9):
+        fam = build_family(construction, n)
+        for member, index in zip(fam.members, fam.indices):
+            perm = list(range(member.size))
+            rng.shuffle(perm)
+            text = json.dumps(member.relabel(perm).to_json_dict())
+            assert fam.index_decoder(FiniteStructure.from_json_dict(json.loads(text))) == index
+
+
+def _benchmark_workloads(monkeypatch):
+    """perfbench/workloads.py, loaded as the benchmark loads it; its
+    dataclasses look their module up in sys.modules while it executes."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_benchmark_decoders_round_trip_their_families(monkeypatch):
+    """The names the benchmark imports from this module still decode
+    their families, so a rename fails here and not only in a benchmark run."""
+    workloads = _benchmark_workloads(monkeypatch)
+    assert set(workloads.WITNESS_TASKS) == set(construction_ids())
+    for construction, (_, _, decoder) in workloads.WITNESS_TASKS.items():
+        fam = build_family(construction, 6)
+        assert [decoder(m) for m in fam.members] == list(fam.indices), construction
 
 
 @given(st.integers(min_value=2, max_value=6), st.randoms(use_true_random=False))
@@ -321,7 +375,26 @@ def _family_of_size_zero():
         pytest.param(lambda: list(compositions(0, 2)), "compositions need n >= 1, got 0", id="compositions-n"),
         pytest.param(lambda: list(compositions(3, 0)), "max_part must be >= 1, got 0", id="compositions-max-part"),
         pytest.param(_family_of_size_zero, "witness family needs n >= 1, got 0", id="family-n"),
-        pytest.param(lambda: composition_witness(3, 0), "max_part must be >= 1, got 0", id="composition-max-part"),
+        pytest.param(
+            lambda: composition_witness(3, 0),
+            "composition_witness needs max_part >= 1, got 0",
+            id="composition-max-part",
+        ),
+        pytest.param(
+            lambda: build_family("composition", 3, 2.5),
+            "composition_witness needs an int max_part, got 2.5",
+            id="composition-float-max-part",
+        ),
+        pytest.param(
+            lambda: build_family("composition", 3, True),
+            "composition_witness needs an int max_part, got True",
+            id="composition-bool-max-part",
+        ),
+        pytest.param(
+            lambda: build_family("composition", 3, "3"),
+            "composition_witness needs an int max_part, got '3'",
+            id="composition-str-max-part",
+        ),
         pytest.param(
             lambda: binary_pattern_witness(0), "binary_pattern_witness needs n >= 1, got 0", id="binary-pattern-n"
         ),
