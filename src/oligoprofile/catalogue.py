@@ -376,8 +376,7 @@ def _entry(entry_id: str, family: Family, sig: Signature, points: Points, *rest)
 
 
 def _fibered_entry(k: int) -> CatalogueEntry:
-    if k < 1:
-        raise ParameterError(f"fibered_order block size must be >= 1, got {k}")
+    int_at_least("fibered_order", "block size", k, 1)
 
     def step(state: object, last: int | None, e: int) -> object:
         # State: the block run lengths (see the module docstring).

@@ -4,6 +4,11 @@ count or size argument.
 Everything raised on purpose derives from OligoError so the CLI can map
 library failures to a single exit code. InternalInvariantError is reserved
 for conditions the algorithms guarantee; seeing one is a bug, not bad input.
+
+int_at_least checks every count and size: catalogue sizes, age_predictor,
+profile, the witness constructors, compositions, compositions_count,
+tree_count, local_order_count, random_poset, exhaustive_posets, both glue
+samplers and the fibered_order block size.
 """
 
 

@@ -35,6 +35,7 @@ from .errors import (
     InternalInvariantError,
     ParameterError,
     ResourceError,
+    int_at_least,
 )
 from .structures import FiniteStructure
 
@@ -489,8 +490,7 @@ def sample_linear_fragments(
     size: int, seed: int
 ) -> tuple[tuple[Element, ...], tuple[OrderFragment, ...]]:
     """A hidden shuffled line plus covering windows in random directions."""
-    if size < 3:
-        raise ParameterError(f"linear sampling needs size >= 3, got {size}")
+    int_at_least("sample_linear_fragments", "size", size, 3)
     rng = random.Random(seed)
     hidden = list(range(size))
     rng.shuffle(hidden)
@@ -511,8 +511,7 @@ def sample_circular_fragments(
     second one's start. Every draw kept glues: two arcs meet only head to
     tail, except the last and the first, which may also meet at both ends.
     """
-    if size < 8:
-        raise ParameterError(f"circular sampling needs size >= 8, got {size}")
+    int_at_least("sample_circular_fragments", "size", size, 8)
     rng = random.Random(seed)
     hidden = list(range(size))
     rng.shuffle(hidden)

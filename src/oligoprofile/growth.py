@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, ParameterError
+from .errors import DomainError, int_at_least
 
 
 # t_0 (unused) and t_1; tree_count extends the list as far as it is asked
@@ -25,8 +25,7 @@ def tree_count(n: int) -> int:
     pairs t_{n/2}(t_{n/2}+1)/2 when n is even. Exact integers throughout,
     computed bottom up and kept for later calls.
     """
-    if n < 1:
-        raise DomainError(f"tree_count needs n >= 1, got {n}")
+    int_at_least("tree_count", "n", n, 1)
     t = _TREE_COUNTS
     for m in range(len(t), n + 1):
         total = sum(t[i] * t[m - i] for i in range(1, (m + 1) // 2))
@@ -39,10 +38,8 @@ def tree_count(n: int) -> int:
 
 def compositions_count(n: int, max_part: int) -> int:
     """Number of compositions of n into parts of size at most max_part."""
-    if n < 0:
-        raise ParameterError(f"compositions_count needs n >= 0, got {n}")
-    if max_part < 1:
-        raise ParameterError(f"max_part must be >= 1, got {max_part}")
+    int_at_least("compositions_count", "n", n, 0)
+    int_at_least("compositions_count", "max_part", max_part, 1)
     # acc[m] sums acc[m - j] over 1 <= j <= min(m, max_part); window holds
     # that sum for the next m
     acc = [1]
@@ -74,8 +71,7 @@ def local_order_count(n: int) -> int:
     the classes are the binary necklaces of the out-degree sequence, so
     n * f_n / 2^n tends to 1/2 and the growth base is 2.
     """
-    if n < 1:
-        raise DomainError(f"local_order_count needs n >= 1, got {n}")
+    int_at_least("local_order_count", "n", n, 1)
     total = sum(_totient(d) << (n // d) for d in range(1, n + 1, 2) if n % d == 0)
     return total // (2 * n)
 
@@ -115,14 +111,20 @@ def _nth_root(v: int, n: int) -> float:
         return math.exp(math.log(v) / n)
 
 
-def growth_estimate(values: list[int] | tuple[int, ...]) -> GrowthReport:
+def _terms(who: str, values, least: int) -> tuple[int, ...]:
+    """values as a tuple of at least least positive ints, a bool not being one."""
     vals = tuple(values)
     if any(type(v) is not int for v in vals):
-        raise DomainError("growth_estimate needs int values, and a bool is not one")
-    if len(vals) < 3:
-        raise DomainError(f"growth_estimate needs at least 3 values, got {len(vals)}")
+        raise DomainError(f"{who} needs int values, and a bool is not one")
+    if len(vals) < least:
+        raise DomainError(f"{who} needs at least {least} values, got {len(vals)}")
     if any(v <= 0 for v in vals):
-        raise DomainError("growth_estimate needs strictly positive values")
+        raise DomainError(f"{who} needs strictly positive values")
+    return vals
+
+
+def growth_estimate(values: list[int] | tuple[int, ...]) -> GrowthReport:
+    vals = _terms("growth_estimate", values, 3)
     try:
         roots = tuple(_nth_root(v, i + 1) for i, v in enumerate(vals))
         ratios = tuple(b / a for a, b in zip(vals, vals[1:]))
@@ -149,9 +151,7 @@ def lower_bound_check(values, c: float, degree: int) -> bool:
 
     Comparison runs in log space so huge exact terms stay usable.
     """
-    vals = [int(v) for v in values]
-    if any(v <= 0 for v in vals):
-        raise DomainError("lower_bound_check needs strictly positive values")
+    vals = _terms("lower_bound_check", values, 0)
     if c <= 0:
         raise DomainError(f"growth base must be positive, got {c}")
     logc = math.log(c)

@@ -44,7 +44,7 @@ from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 from .catalogue import SIG_ORDER
-from .errors import DomainError, InternalInvariantError, ParameterError
+from .errors import DomainError, InternalInvariantError, ParameterError, int_at_least
 from .structures import FiniteStructure, canonical_form
 
 Pair = tuple[int, int]
@@ -425,10 +425,8 @@ def random_poset(
 ) -> FinitePoset:
     """Random order: edges by probability on a shuffled layout, closed
     transitively, resampled until the width is at most max_width."""
-    if size < 1:
-        raise ParameterError(f"size must be >= 1, got {size}")
-    if max_width < 1:
-        raise ParameterError(f"max_width must be >= 1, got {max_width}")
+    int_at_least("random_poset", "size", size, 1)
+    int_at_least("random_poset", "max_width", max_width, 1)
     rng = random.Random(seed)
     for _ in range(_MAX_ATTEMPTS):
         prob = edge_probability if edge_probability is not None else rng.uniform(0.2, 0.7)
@@ -458,9 +456,7 @@ def exhaustive_posets(size: int) -> tuple[FinitePoset, ...]:
     each isomorphism class appears exactly once, as its first candidate.
     A candidate has one bit per pair a < b, row a's from offsets[a] up.
     """
-    if size < 1:
-        raise ParameterError(f"size must be >= 1, got {size}")
-    if size > 6:
+    if int_at_least("exhaustive_posets", "size", size, 1) > 6:
         raise ParameterError(f"exhaustive enumeration capped at size 6, got {size}")
     offsets = [a * (2 * size - a - 1) // 2 for a in range(size)]
     seen: dict[bytes, list[int]] = {}

@@ -138,6 +138,8 @@ class FiniteStructure:
                 f"{len(self.signature.relations)} relation symbols"
             )
         for (name, arity), tuples in zip(self.signature.relations, self.relations):
+            if type(tuples) is not frozenset:
+                raise ParameterError(f"relation {name!r} holds a {type(tuples).__name__}, not a frozenset")
             for t in tuples:
                 if type(t) is not tuple:
                     raise ParameterError(f"relation {name!r} holds {t!r}, not a tuple")

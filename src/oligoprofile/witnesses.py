@@ -43,10 +43,8 @@ IndexObject = tuple[int, ...]
 
 def compositions(n: int, max_part: int) -> Iterator[IndexObject]:
     """Yield compositions of n into parts of size at most max_part, in lexicographic order."""
-    if n < 1:
-        raise ParameterError(f"compositions need n >= 1, got {n}")
-    if max_part < 1:
-        raise ParameterError(f"max_part must be >= 1, got {max_part}")
+    int_at_least("compositions", "n", n, 1)
+    int_at_least("compositions", "max_part", max_part, 1)
 
     def lexicographic() -> Iterator[tuple[int, ...]]:
         parts = [1] * n

@@ -241,7 +241,9 @@ def test_emission_cap_counts_evaluated_tuples(monkeypatch):
             lambda: GlueComponent(kind="x", arrangement=(), members=()), "unknown component kind 'x'", id="kind"
         ),
         pytest.param(
-            lambda: sample_linear_fragments(2, 0), "linear sampling needs size >= 3, got 2", id="linear-size"
+            lambda: sample_linear_fragments(2, 0),
+            "sample_linear_fragments needs size >= 3, got 2",
+            id="linear-size",
         ),
     ],
 )
@@ -496,4 +498,4 @@ def test_sampler_outputs_are_pinned():
             except ParameterError as exc:
                 text = str(exc)
             digest.update(text.encode())
-    assert digest.hexdigest() == "e85ed0597745de554ba29f68d759a4f36667edf0f90f7b6f2b48659e1860dbf6"
+    assert digest.hexdigest() == "7741647f8e8c231f87dff8d43db89a8cf499820b741f3e12f135c6a8d41adacd"

@@ -45,7 +45,7 @@ def test_tree_count_far_past_the_recursion_limit(monkeypatch):
 
 
 def test_tree_count_domain():
-    with pytest.raises(DomainError):
+    with pytest.raises(ParameterError, match="^tree_count needs n >= 1, got 0$"):
         tree_count(0)
 
 
@@ -53,7 +53,7 @@ def test_local_order_count_matches_the_necklace_oracle():
     # the oracle counts totatives by gcd, so it shares no code with the library
     for n in range(1, 200):
         assert local_order_count(n) == odd_divisor_necklace_count(n), n
-    with pytest.raises(DomainError, match="local_order_count needs n >= 1, got 0"):
+    with pytest.raises(ParameterError, match="local_order_count needs n >= 1, got 0"):
         local_order_count(0)
 
 
@@ -149,6 +149,14 @@ def test_lower_bound_check_validation():
         lower_bound_check([1, 2], 0.0, 0)
 
 
+@pytest.mark.parametrize("values", [[1, 2.7, 7], [1, "x", 3], [True, 2, 3]])
+def test_lower_bound_check_refuses_terms_that_are_not_ints(values):
+    """Terms are read by growth_estimate's check, not truncated by int()."""
+    with pytest.raises(DomainError) as info:
+        lower_bound_check(values, 1.5, 0)
+    assert str(info.value) == "lower_bound_check needs int values, and a bool is not one"
+
+
 @given(st.floats(min_value=1.01, max_value=1.5), st.integers(min_value=0, max_value=2))
 def test_lower_bound_check_accepts_own_powers(c, degree):
     values = [max(1, int(c ** n)) for n in range(1, 40)]
@@ -170,7 +178,12 @@ def test_constants_table_entries():
     "n, max_part, message",
     [
         (-1, 2, "compositions_count needs n >= 0, got -1"),
-        (3, 0, "max_part must be >= 1, got 0"),
+        pytest.param(
+            3,
+            0,
+            "compositions_count needs max_part >= 1, got 0",
+            id="3-0-max_part must be >= 1, got 0",
+        ),
     ],
 )
 def test_compositions_count_refusals(n, max_part, message):

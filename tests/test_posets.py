@@ -468,7 +468,7 @@ def test_exhaustive_members_are_canonical_posets():
         assert p.size == 4
     with pytest.raises(ParameterError):
         exhaustive_posets(7)
-    with pytest.raises(ParameterError, match=r"^size must be >= 1, got 0$"):
+    with pytest.raises(ParameterError, match=r"^exhaustive_posets needs size >= 1, got 0$"):
         exhaustive_posets(0)
 
 

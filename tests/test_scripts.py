@@ -23,7 +23,7 @@ SCRIPT_RUNS = {
         "profile_catalogue.py", ["--n-max", "4", "--entries", "circular", "tree_c"], 0, "ok"
     ),
     "poset_experiment.py --width 0": (
-        "poset_experiment.py", ["--width", "0"], 1, "max_width must be >= 1, got 0"
+        "poset_experiment.py", ["--width", "0"], 1, "random_poset needs max_width >= 1, got 0"
     ),
     "profile_catalogue.py --entries nope": (
         "profile_catalogue.py", ["--entries", "nope"], 1, "unknown catalogue entry 'nope'"

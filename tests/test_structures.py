@@ -615,13 +615,29 @@ def test_constructors_refuse_what_the_loaders_refuse(call, error, message):
             id="row-not-a-tuple",
         ),
         pytest.param(
+            lambda: FiniteStructure(SIG_EDGE, 2, ([(0, 1)],)),
+            "relation 'edge' holds a list, not a frozenset",
+            id="list-of-rows",
+        ),
+        pytest.param(
+            lambda: FiniteStructure(SIG_EDGE, 2, ({(0, 1)},)),
+            "relation 'edge' holds a set, not a frozenset",
+            id="set-of-rows",
+        ),
+        pytest.param(
+            lambda: FiniteStructure(SIG_EDGE, 2, (((0, 1),),)),
+            "relation 'edge' holds a tuple, not a frozenset",
+            id="tuple-of-rows",
+        ),
+        pytest.param(
             lambda: OrderFragment("a", ([1], 2)), "fragment 'a' holds an unhashable element", id="unhashable-element"
         ),
     ],
 )
 def test_rows_no_set_can_hold_are_refused(call, message):
     """A row that is no sequence, or holds an unhashable value, used to
-    escape as a raw TypeError from hashing or len."""
+    escape as a raw TypeError from hashing or len; rows held in anything
+    but a frozenset were accepted, and hashing the structure then failed."""
     with pytest.raises(ParameterError) as info:
         call()
     assert type(info.value) is ParameterError and str(info.value) == message

@@ -372,8 +372,10 @@ def _family_of_size_zero():
 @pytest.mark.parametrize(
     "call, message",
     [
-        pytest.param(lambda: list(compositions(0, 2)), "compositions need n >= 1, got 0", id="compositions-n"),
-        pytest.param(lambda: list(compositions(3, 0)), "max_part must be >= 1, got 0", id="compositions-max-part"),
+        pytest.param(lambda: list(compositions(0, 2)), "compositions needs n >= 1, got 0", id="compositions-n"),
+        pytest.param(
+            lambda: list(compositions(3, 0)), "compositions needs max_part >= 1, got 0", id="compositions-max-part"
+        ),
         pytest.param(_family_of_size_zero, "witness family needs n >= 1, got 0", id="family-n"),
         pytest.param(
             lambda: composition_witness(3, 0),
