@@ -9,12 +9,17 @@ fibered_order:k, tree_c.
 
 Entries are formulas. An entry declares a signature, points(size), the
 sample's point count and the only check of the size, and family(size), one
-predicate per relation. The one sampler (_entry) runs points, prices the
-tuples (structures.evaluated_tuples) before the family tabulates anything,
-then runs the family and FiniteStructure._evaluated, which evaluates each
+predicate per relation. The one builder (_entry) makes two callables from
+them. The sampler runs points, prices the tuples
+(structures.evaluated_tuples) before the family tabulates anything, then
+runs the family and FiniteStructure._evaluated, which evaluates each
 predicate literally on every tuple over range(points), repeated
-coordinates included. Degenerate tuples land in the tuple set whenever the
-formula says so, and no entry has sampling code of its own. The derived
+coordinates included. The evaluator runs points and the family and
+evaluates the same predicates on any given points of the sample, which
+is the sample's induced substructure on them; profile() evaluates its
+key representatives so and builds no sample. Degenerate tuples land in
+the tuple set whenever the formula says so, and no entry has sampling
+code of its own. The derived
 ternary/quaternary relations over a chain x0 < x1 < ... are:
 
   betweenness  B(x,y,z)   iff x<=y<=z or z<=y<=x
@@ -134,14 +139,15 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import le
-from typing import Callable
+from typing import Callable, Sequence
 
 from .errors import ParameterError, int_at_least
 from .growth import compositions_count, local_order_count, tree_count
 from .structures import FiniteStructure, Signature, evaluated_tuples, signature
 
 # step(state, last, e): the state of a prefix extended by e; key(state): the
-# dedup key of a whole subset's state. See above.
+# dedup key of a whole subset's state. See above. Their factories take the
+# sample's size parameter.
 SubsetStep = Callable[[object, int | None, int], object]
 SubsetKey = Callable[[object], object]
 # points(size) is a sample's point count, raising ParameterError for a size
@@ -149,6 +155,7 @@ SubsetKey = Callable[[object], object]
 Points = Callable[[int], int]
 Predicate = Callable[..., bool]
 Family = Callable[[int], tuple[Predicate, ...]]
+Evaluator = Callable[[int], tuple[int, Callable[[Sequence[int]], FiniteStructure]]]
 
 SIG_SET = Signature(())
 SIG_ORDER = signature(("leq", 2))
@@ -167,21 +174,25 @@ class CatalogueEntry:
     sampler(size) returns a FiniteStructure on signature with points(size)
     points, and points also checks the size: the requested size except for
     tree_c, whose parameter indexes a universal tree and whose domain is
-    its leaf set (documented there).
+    its leaf set (documented there). evaluator(size) returns points(size)
+    and a function from distinct points of that sample to the structure
+    they induce, evaluated from the formulas without the sample.
     predictor(n) gives the expected number of n-point classes in closed
-    form. subset_key_factory(model) and subset_step_factory(model) return
-    the key and the prefix step of the module docstring. saturation_proof
-    names the module docstring's section proving saturation_rule.
+    form. subset_key_factory(size) and subset_step_factory(size) return
+    the key and the prefix step of the module docstring for the sample of
+    that size. saturation_proof names the module docstring's section
+    proving saturation_rule.
     """
 
     entry_id: str
     sampler: Callable[[int], FiniteStructure]
+    evaluator: Evaluator
     signature: Signature
     points: Points
     predictor: Callable[[int], int]
     saturation_rule: Callable[[int], int]
-    subset_key_factory: Callable[[FiniteStructure], SubsetKey]
-    subset_step_factory: Callable[[FiniteStructure], SubsetStep]
+    subset_key_factory: Callable[[int], SubsetKey]
+    subset_step_factory: Callable[[int], SubsetStep]
     saturation_proof: str
 
 
@@ -277,21 +288,21 @@ def _tree(param: int) -> tuple[Predicate, ...]:
     return (lambda x, y, z: d[y][z] > d[x][y] == d[x][z],)
 
 
-def _any_model(f: Callable) -> Callable[[FiniteStructure], Callable]:
-    # the factory of a key or step that does not read the model
-    return lambda model: f
+def _any_size(f: Callable) -> Callable[[int], Callable]:
+    # the factory of a key or step that does not read the size
+    return lambda size: f
 
 
 # The reducts and fibered_order:k key a subset by its whole state.
-_identity_key_factory = _any_model(lambda state: state)
-_const_step_factory = _any_model(lambda state, last, e: ())
+_identity_key_factory = _any_size(lambda state: state)
+_const_step_factory = _any_size(lambda state, last, e: ())
 
 
-def _out_degree_step_factory(model: FiniteStructure) -> SubsetStep:
+def _out_degree_step_factory(size: int) -> SubsetStep:
     # State: the final out-degrees of the frozen points, the positions of
     # the live points from the first point, and their out-degrees minus the
     # point count (see the module docstring).
-    half = (model.size - 1) // 2
+    half = (size - 1) // 2
 
     def step(state: object, last: int | None, e: int) -> object:
         if last is None:
@@ -336,20 +347,14 @@ def _tree_key(state: object) -> object:
     return spine[0][1]
 
 
-def _tree_step_factory(model: FiniteStructure) -> SubsetStep:
+def _tree_step_factory(param: int) -> SubsetStep:
     # State: the raw consecutive meet depths (see the module docstring).
-    md = _model_tree_depths(model)
+    md = _universal_tree_depths(param)
 
     def step(state: object, last: int | None, e: int) -> object:
         return () if last is None else state + (md[last][e],)
 
     return step
-
-
-def _model_tree_depths(model: FiniteStructure) -> list[list[int]]:
-    size = model.size
-    param = next(s for s in range(1, 64) if _tree_points(s) == size)
-    return _universal_tree_depths(param)
 
 
 ENTRY_IDS = (
@@ -365,14 +370,20 @@ ENTRY_IDS = (
 
 
 def _entry(entry_id: str, family: Family, sig: Signature, points: Points, *rest) -> CatalogueEntry:
-    """The entry with fields as given and the family in the sampler's place."""
+    """The entry with fields as given and the family in the sampler's and
+    the evaluator's place."""
 
     def sampler(size: int) -> FiniteStructure:
         count = points(size)
         evaluated_tuples(sig, count)
-        return FiniteStructure._evaluated(sig, count, family(size))
+        return FiniteStructure._evaluated(sig, range(count), family(size))
 
-    return CatalogueEntry(entry_id, sampler, sig, points, *rest)
+    def evaluator(size: int):
+        count = points(size)
+        formulas = family(size)
+        return count, lambda subset: FiniteStructure._evaluated(sig, subset, formulas)
+
+    return CatalogueEntry(entry_id, sampler, evaluator, sig, points, *rest)
 
 
 def _fibered_entry(k: int) -> CatalogueEntry:
@@ -389,7 +400,7 @@ def _fibered_entry(k: int) -> CatalogueEntry:
     return _entry(
         f"fibered_order:{k}", lambda size: (lambda a, b: a // k <= b // k,), SIG_FIBERED,
         _at_least(f"fibered_order:{k}", 1), lambda n: compositions_count(n, k), lambda n: k * n,
-        _identity_key_factory, _any_model(step), "fibered_order",
+        _identity_key_factory, _any_size(step), "fibered_order",
     )
 
 
@@ -408,10 +419,10 @@ _BASE_ENTRIES = {
     "separation": _reduct_entry("separation", SIG_SEPARATION, 1, _separation),
     "local_order": _entry(
         "local_order", _local_order, SIG_TOURNAMENT, _odd_points, local_order_count,
-        lambda n: 2 * n + 3, _any_model(_out_degree_key), _out_degree_step_factory, "local_order",
+        lambda n: 2 * n + 3, _any_size(_out_degree_key), _out_degree_step_factory, "local_order",
     ),
     "tree_c": _entry(
-        "tree_c", _tree, SIG_TREE, _tree_points, tree_count, lambda n: n, _any_model(_tree_key),
+        "tree_c", _tree, SIG_TREE, _tree_points, tree_count, lambda n: n, _any_size(_tree_key),
         _tree_step_factory, "tree_c",
     ),
 }

@@ -13,6 +13,11 @@ catalogue) to the first prefix that reached it, and only that prefix is
 extended; the last level maps the entry's key of each extension's state to
 the first subset that reached it.
 
+The frontier reads only the step and key the entry makes for the base's
+size, and each representative is evaluated from the entry's formulas on
+its own points (the entry's evaluator), which gives the sample's induced
+substructure on them. So profile builds no sample.
+
 Counting never trusts the dedup key alone. Keys pick one representative
 subset per key, and the representatives' classes are counted by
 structures.isomorphism_classes: degree profiles (an isomorphism invariant)
@@ -22,14 +27,16 @@ their distinct codes are counted. So the classes are exactly the
 canonical-code classes of the representatives, and literally equal
 representatives, being isomorphic, fall into one class.
 
-Every limit is checked before any sample is built: the entry declares its
-signature and each sample's points, and for n = 1, 2, ... in turn three
-checks run, and the first to fail is raised: C(points, n) against the
-budget, that n's sample against structures.MAX_EVALUATED_TUPLES on its
-own (structures.evaluated_tuples, "sample of N points: ..."), and the
+Every limit is checked before anything is evaluated: the entry declares
+its signature and each sample's points, and for n = 1, 2, ... in turn
+three checks run, and the first to fail is raised: C(points, n) against
+the budget, that n's sample against structures.MAX_EVALUATED_TUPLES on
+its own (structures.evaluated_tuples, "sample of N points: ..."), and the
 running total of the samples' tuples against the same cap. So the scan
-stops at the least n that fails any limit. Then one sample per n is
-built, checked against its declaration, counted and dropped.
+stops at the least n that fails any limit. The tuple caps price the
+samples, which profile no longer builds. Then, per n, the evaluator's
+points are checked against the declaration before the frontier runs, and
+the representatives are evaluated, counted and dropped.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ from . import catalogue, structures
 from .errors import InternalInvariantError, ParameterError, ResourceError, int_at_least
 from .structures import (
     canonical_form,
-    induced_substructure,
+    induced_substructure,  # unused here: perfbench/layers.py patches this binding
     isomorphism_classes,
     structure_encoding,  # unused here: perfbench/layers.py patches this binding
 )
@@ -79,8 +86,7 @@ class ProfileSequence:
 
 def _checked_points(entry, size: int, n: int, budget: int) -> int:
     """The points the sample of this size declares, once n-subsets fit the budget."""
-    if n < 1:
-        raise ParameterError(f"subset size must be >= 1, got {n}")
+    int_at_least(entry.entry_id, "subset size", n, 1)
     points = entry.points(size)
     if n > points:
         raise ParameterError(f"{entry.entry_id}: sample of {points} points cannot host n={n}")
@@ -90,27 +96,33 @@ def _checked_points(entry, size: int, n: int, budget: int) -> int:
     return points
 
 
-def _sample(entry, size: int, points: int):
-    model = entry.sampler(size)
-    if model.size != points:
+def _declared(entry, size: int, points: int, built: int) -> None:
+    if built != points:
         raise InternalInvariantError(
-            f"{entry.entry_id}: sampler({size}) built {model.size} points, declared {points}"
+            f"{entry.entry_id}: sampler({size}) built {built} points, declared {points}"
         )
+
+
+def _sample(entry, size: int, points: int):
+    """The whole sample of this size, checked against its declaration; the
+    tests' unscreened reference counts on it."""
+    model = entry.sampler(size)
+    _declared(entry, size, points, model.size)
     return model
 
 
-def _representatives(entry, model, n: int) -> dict:
-    """Key -> the first n-subset with that key the frontier reaches."""
-    key = entry.subset_key_factory(model)
-    step = entry.subset_step_factory(model)
-    size = model.size
+def _representatives(entry, size: int, points: int, n: int) -> dict:
+    """Key -> the first n-subset of range(points) with that key the
+    frontier reaches, stepping and keying for the sample of this size."""
+    key = entry.subset_key_factory(size)
+    step = entry.subset_step_factory(size)
     level: dict = {(): ()}
     for todo in range(n, 0, -1):
         # a prefix extended by e still needs todo - 1 points above e
         nxt: dict = {}
         for state, prefix in level.items():
             last = prefix[-1] if prefix else None
-            for e in range(0 if last is None else last + 1, size - todo + 1):
+            for e in range(0 if last is None else last + 1, points - todo + 1):
                 s = step(state, last, e)
                 if todo == 1:
                     s = key(s)
@@ -120,10 +132,12 @@ def _representatives(entry, model, n: int) -> dict:
     return level
 
 
-def _class_count(entry, model, n: int) -> int:
-    """Classes among the representatives: separated by degree profile,
-    canonicalised only in ties."""
-    subs = [induced_substructure(model, s) for s in _representatives(entry, model, n).values()]
+def _class_count(entry, size: int, points: int, n: int) -> int:
+    """Classes among the representatives, each evaluated on its own
+    points: separated by degree profile, canonicalised only in ties."""
+    built, evaluate = entry.evaluator(size)
+    _declared(entry, size, points, built)
+    subs = [evaluate(s) for s in _representatives(entry, size, points, n).values()]
     return len(isomorphism_classes(subs, canonical_form))
 
 
@@ -133,7 +147,7 @@ def profile(entry, n_max: int, budget: int = DEFAULT_BUDGET) -> ProfileSequence:
 
     Accepts an entry object or a stable identifier string. budget bounds
     C(sample points, n) for every count; it and the tuple cap are checked
-    on the declared points before any sample is built.
+    on the declared points before anything is evaluated.
     """
     if isinstance(entry, str):
         entry = catalogue.get_entry(entry)
@@ -151,9 +165,6 @@ def profile(entry, n_max: int, budget: int = DEFAULT_BUDGET) -> ProfileSequence:
                 f"{entry.entry_id}: samples for n=1..{n} evaluate {evaluated} tuples,"
                 f" over the cap of {structures.MAX_EVALUATED_TUPLES}"
             )
-    # each sample is dropped once counted, before the next is built
-    values = tuple(
-        _class_count(entry, _sample(entry, size, points), n) for n, (size, points) in enumerate(plan, 1)
-    )
+    values = tuple(_class_count(entry, size, points, n) for n, (size, points) in enumerate(plan, 1))
     return ProfileSequence(entry.entry_id, values, tuple(size for size, _ in plan))
 

@@ -68,7 +68,12 @@ class Signature:
 
     def __post_init__(self):
         # types first, so an unhashable name is refused before the set below
-        for name, arity in self.relations:
+        if type(self.relations) is not tuple:
+            raise ParameterError(f"signature relations are a {type(self.relations).__name__}, not a tuple")
+        for rel in self.relations:
+            if type(rel) is not tuple or len(rel) != 2:
+                raise ParameterError(f"signature relation {rel!r} is not a (name, arity) tuple")
+            name, arity = rel
             if not isinstance(name, str) or not name:
                 raise ParameterError(f"relation name must be a nonempty string, got {name!r}")
             if type(arity) is not int or arity < 1:
@@ -116,8 +121,9 @@ class FiniteStructure:
     derives itself skip it through _trusted: induced_substructure and
     relabel (a valid structure restricted to distinct in-range points, or
     mapped by a checked bijection, is valid) and _evaluated, which builds
-    the catalogue samples and witness scaffolds from their formulas
-    (tuples drawn from range(size) by construction). These are the hot
+    the catalogue samples, the profile's key representatives and the
+    witness scaffolds from their formulas (tuples drawn from
+    range(len(points)) by construction). These are the hot
     producers of the profile engine, where validation would cost about a
     sixth of the time; tests re-validate their output through the public
     constructor.
@@ -132,6 +138,8 @@ class FiniteStructure:
             raise ParameterError("size and tuple entries must be integers")
         if self.size < 0:
             raise ParameterError(f"size must be >= 0, got {self.size}")
+        if type(self.relations) is not tuple:
+            raise ParameterError(f"relations are a {type(self.relations).__name__}, not a tuple")
         if len(self.relations) != len(self.signature.relations):
             raise ParameterError(
                 f"{len(self.relations)} tuple sets for "
@@ -161,17 +169,20 @@ class FiniteStructure:
 
     @classmethod
     def _evaluated(
-        cls, sig: Signature, size: int, formulas: Sequence[Callable[..., bool]]
+        cls, sig: Signature, points: Sequence[int], formulas: Sequence[Callable[..., bool]]
     ) -> "FiniteStructure":
-        """The structure on range(size) whose i-th relation holds exactly
-        where formulas[i] holds, evaluated on every tuple, repeated
-        coordinates included. Refused past MAX_EVALUATED_TUPLES before any
-        tuple is evaluated."""
+        """The structure whose point i is points[i] and whose j-th relation
+        holds exactly where formulas[j] holds on those points, evaluated on
+        every tuple, repeated coordinates included. A whole sample is
+        range(count); on distinct points of it this is
+        induced_substructure of that sample. Refused past
+        MAX_EVALUATED_TUPLES before any tuple is evaluated."""
+        size = len(points)
         evaluated_tuples(sig, size)
         rng = range(size)
         rels = tuple(
             frozenset(
-                compress(product(rng, repeat=arity), starmap(holds, product(rng, repeat=arity)))
+                compress(product(rng, repeat=arity), starmap(holds, product(points, repeat=arity)))
             )
             for (_, arity), holds in zip(sig.relations, formulas)
         )

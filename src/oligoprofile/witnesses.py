@@ -207,7 +207,7 @@ def binary_pattern_witness(n: int) -> WitnessFamily:
     """
     int_at_least("binary_pattern_witness", "n", n, 1)
     _refuse_past_caps("binary_pattern", n, 2 * n, lambda: 2**n)
-    scaffold = FiniteStructure._evaluated(SIG_MARKED_ORDER, 2 * n, (le, lambda x: x % 2 == 0))
+    scaffold = FiniteStructure._evaluated(SIG_MARKED_ORDER, range(2 * n), (le, lambda x: x % 2 == 0))
     return _family(
         "binary_pattern", n, scaffold, product((0, 1), repeat=n),
         lambda bits: tuple(2 * i + b for i, b in enumerate(bits)), decode_binary_pattern,
@@ -225,7 +225,7 @@ def antichain_witness(n: int) -> WitnessFamily:
     int_at_least("antichain_witness", "n", n, 1)
     stacked = (lambda x, y: x == y or (x % n == 0 and x // n < y // n),)
     return _block_family(
-        "antichain", n, n, lambda: FiniteStructure._evaluated(SIG_ORDER, n * n, stacked)
+        "antichain", n, n, lambda: FiniteStructure._evaluated(SIG_ORDER, range(n * n), stacked)
     )
 
 

@@ -13,7 +13,7 @@ import itertools
 import math
 
 from oligoprofile import catalogue, glueing, profiles
-from oligoprofile.catalogue import SIG_TOURNAMENT, _model_tree_depths
+from oligoprofile.catalogue import SIG_TOURNAMENT, _universal_tree_depths, sample_model
 from oligoprofile.errors import DomainError, ParameterError
 from oligoprofile.structures import (
     FiniteStructure,
@@ -232,8 +232,9 @@ def branch_tuples(md, leaves) -> set:
     return out
 
 
-def subset_key(entry_id: str, model: FiniteStructure):
-    """The catalogue's dedup key computed from a whole sorted subset.
+def subset_key(entry_id: str, size: int):
+    """The catalogue's dedup key computed from a whole sorted subset of the
+    sample of this size.
 
     These are the keys the engine read from the prefix-step state, computed
     with no state. One-point subsets fall out of the general formulas (an
@@ -247,7 +248,7 @@ def subset_key(entry_id: str, model: FiniteStructure):
     if entry_id in ("pure_set", "dlo", "betweenness", "circular", "separation"):
         return lambda subset: ()
     if entry_id == "local_order":
-        arcs = model.relation("arc")
+        arcs = sample_model(entry_id, size).relation("arc")
 
         def necklace(subset):
             k = len(subset)
@@ -264,7 +265,7 @@ def subset_key(entry_id: str, model: FiniteStructure):
 
         return runs
     if entry_id == "tree_c":
-        md = _model_tree_depths(model)
+        md = _universal_tree_depths(size)
 
         def shape(subset):
             # split at the least pairwise meet depth: the leaves meeting the
@@ -308,13 +309,16 @@ def subset_classes(model: FiniteStructure, n: int, canon=canonical_form) -> int:
 def class_codes(entry, size: int, n: int, budget: int = profiles.DEFAULT_BUDGET) -> frozenset[bytes]:
     """Canonical codes of the n-point classes of one sample, unscreened:
     every key representative of the profile engine is canonicalised,
-    memoised by literal encoding, with no degree-profile screen. Takes the
+    memoised by literal encoding, with no degree-profile screen. The whole
+    sample is built (entry.sampler) and each representative induced from
+    it, not evaluated from the formulas as profile() does. Takes the
     entry or its id, and refuses as profile() does before building."""
     if isinstance(entry, str):
         entry = catalogue.get_entry(entry)
-    model = profiles._sample(entry, size, profiles._checked_points(entry, size, n, budget))
+    points = profiles._checked_points(entry, size, n, budget)
+    model = profiles._sample(entry, size, points)
     codes: dict[bytes, bytes] = {}
-    for subset in profiles._representatives(entry, model, n).values():
+    for subset in profiles._representatives(entry, size, points, n).values():
         sub = induced_substructure(model, subset)
         lit = structure_encoding(sub)
         if lit not in codes:

@@ -14,7 +14,7 @@ from oligoprofile import catalogue
 from oligoprofile.catalogue import (
     SIG_ORDER,
     SIG_TREE,
-    _model_tree_depths,
+    _universal_tree_depths,
     age_predictor,
     default_sweep_ids,
     get_entry,
@@ -77,7 +77,7 @@ def test_samplers_match_their_pins(entry_id):
 @pytest.mark.parametrize("param", range(1, 12))
 def test_tree_sampler_matches_explicit_loops(param):
     model = sample_model("tree_c", param)
-    assert model.relation("branch") == branch_tuples(_model_tree_depths(model), range(model.size))
+    assert model.relation("branch") == branch_tuples(_universal_tree_depths(param), range(model.size))
 
 
 def test_entry_id_listing():
@@ -328,10 +328,10 @@ def test_the_sampler_checks_and_prices_before_the_family(size, error, message):
     ],
 )
 def test_points_check_the_size(entry_id, size, message):
-    """points is the one check of a size: it refuses what the sampler
-    refuses, with the sampler's message."""
+    """points is the one check of a size: it refuses what the sampler and
+    the evaluator refuse, with their message."""
     entry = get_entry(entry_id)
-    for call in (entry.points, entry.sampler):
+    for call in (entry.points, entry.sampler, entry.evaluator):
         with pytest.raises(ParameterError) as info:
             call(size)
         assert str(info.value) == message

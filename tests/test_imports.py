@@ -7,14 +7,17 @@ skipped, since its imports are the package's re-exports, and so are
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
+from test_trace_points import _layers
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "oligoprofile"
 
 # imported and never read, on purpose: perfbench/layers.py patches these bindings
-KEPT_FOR_THE_TRACER = {("profiles", "structure_encoding")}
+KEPT_FOR_THE_TRACER = {("profiles", "structure_encoding"), ("profiles", "induced_substructure")}
 
 
 def _imported(tree: ast.Module) -> set[str]:
@@ -54,3 +57,14 @@ def test_no_module_imports_a_name_it_never_reads(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     unused = {name for name in _imported(tree) - _read(tree) if (path.stem, name) not in KEPT_FOR_THE_TRACER}
     assert not unused, f"{path.name} imports {sorted(unused)} and never reads them"
+
+
+def test_every_kept_import_is_a_binding_the_tracer_patches():
+    """The allow-list cannot outlive the tracer: entering perfbench's
+    installed() as the benchmark does replaces each listed binding."""
+    layers = _layers()
+    modules = {name: importlib.import_module(f"oligoprofile.{name}") for name, _ in KEPT_FOR_THE_TRACER}
+    before = {(mod, name): getattr(modules[mod], name) for mod, name in KEPT_FOR_THE_TRACER}
+    with layers.installed(layers.Tracer()):
+        kept = {key for key, value in before.items() if getattr(modules[key[0]], key[1]) is value}
+    assert not kept, f"the tracer patches none of {sorted(kept)}"

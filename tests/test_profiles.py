@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 
 from oligoprofile import catalogue
 from oligoprofile.catalogue import (
-    CatalogueEntry,
-    _model_tree_depths,
+    _universal_tree_depths,
     default_sweep_ids,
     get_entry,
     list_entry_ids,
@@ -152,47 +151,58 @@ def test_class_codes_against_generic_subset_count():
         assert len(class_codes(entry, 8, n)) == subset_classes(model, n)
 
 
-def _prefix_steps(model):
+def _prefix_steps(size):
     # the prefix itself is the state: every subset is canonicalised
     return lambda state, last, e: state + (e,)
 
 
-def _identity_keys(model):
+def _identity_keys(size):
     return lambda state: state
 
 
 def _swapping_entry(labels):
     """One-point classes that keep their count but change their code."""
-    sig = signature(("a", 1), ("b", 1))
+    return catalogue._entry(
+        "swap", lambda size: (lambda x: labels[size] == "a", lambda x: labels[size] == "b"),
+        signature(("a", 1), ("b", 1)), lambda size: size, None, lambda n: 3, _identity_keys,
+        _prefix_steps, "test",
+    )
+
+
+def _recording(entry, evaluations):
+    """The entry with an evaluator that appends (size, [the point count of
+    each evaluation]) to evaluations, and a sampler that fails the test."""
+
+    def evaluator(size):
+        count, evaluate = entry.evaluator(size)
+        points = []
+        evaluations.append((size, points))
+
+        def recorded(subset):
+            points.append(len(subset))
+            return evaluate(subset)
+
+        return count, recorded
 
     def sampler(size):
-        rel = labels[size]
-        return FiniteStructure.build(sig, size, {rel: {(e,) for e in range(size)}})
+        raise AssertionError(f"sampler({size}) called")
 
-    return CatalogueEntry(
-        "swap", sampler, sig, lambda size: size, None, lambda n: 3, _identity_keys, _prefix_steps, "test"
-    )
+    return dataclasses.replace(entry, evaluator=evaluator, sampler=sampler)
 
 
 def test_a_proven_entry_is_counted_once_at_its_base():
     """Every subset is its own representative, so the representatives
-    repeat one literal structure, C(3, 1) and C(5, 3) times, and the
-    degree-profile screen alone makes them one class."""
+    repeat one literal structure, C(3, 1) and C(5, 1), C(5, 2), C(5, 3)
+    times, each evaluated on its own n points at the base and no sample
+    built, and the degree-profile screen alone makes them one class."""
     swap = _swapping_entry({3: "a", 5: "b", 7: "b"})
     for base, n_max in ((3, 1), (5, 3)):
-        sizes = []
-
-        def sampler(size):
-            sizes.append(size)
-            return swap.sampler(size)
-
-        entry = dataclasses.replace(swap, sampler=sampler, saturation_rule=lambda n: base)
+        evaluations = []
+        entry = dataclasses.replace(_recording(swap, evaluations), saturation_rule=lambda n: base)
         seq = profile(entry, n_max)
         assert seq.values == (1,) * n_max
         assert seq.saturated_at == (base,) * n_max
-        assert sizes == [base] * n_max
-        reps = profiles._representatives(entry, swap.sampler(base), n_max)
-        assert len(reps) == math.comb(base, n_max)
+        assert evaluations == [(base, [n] * math.comb(base, n)) for n in range(1, n_max + 1)]
 
 
 # n_max of each entry's profile stdout pin in test_cli
@@ -226,6 +236,65 @@ def test_screened_profile_counts_the_unscreened_codes(entry_id):
     n_max = _PINNED_N.get(entry_id, 8)
     expected = tuple(len(_base_codes(entry_id, n)) for n in range(1, n_max + 1))
     assert profile(entry_id, n_max).values == expected
+
+
+@pytest.mark.parametrize("entry_id", default_sweep_ids())
+def test_evaluated_representatives_are_induced_from_the_sample(entry_id):
+    """profile evaluates each key representative from the formulas on its
+    own points; at the base, for every n up to the entry's pinned n_max,
+    that is the representative's induced substructure of the whole sample."""
+    entry = get_entry(entry_id)
+    for n in range(1, _PINNED_N.get(entry_id, 8) + 1):
+        size = entry.saturation_rule(n)
+        model = sample_model(entry_id, size)
+        points, evaluate = entry.evaluator(size)
+        assert points == model.size
+        for rep in profiles._representatives(entry, size, points, n).values():
+            assert evaluate(rep) == induced_substructure(model, rep), (n, rep)
+
+
+@functools.lru_cache(maxsize=None)
+def _sample_and_evaluate(entry_id, size):
+    return sample_model(entry_id, size), get_entry(entry_id).evaluator(size)[1]
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    st.sampled_from(default_sweep_ids()),
+    st.integers(min_value=1, max_value=8),
+    st.booleans(),
+    st.randoms(use_true_random=False),
+)
+def test_evaluating_distinct_points_induces_them(entry_id, n, larger, rnd):
+    """On distinct points of a sample, in any order, the evaluator gives
+    the sample's induced substructure, point i being the i-th given point:
+    random subsets of the base and base+2 samples, unsorted and sorted."""
+    size = get_entry(entry_id).saturation_rule(n) + 2 * larger
+    model, evaluate = _sample_and_evaluate(entry_id, size)
+    subset = rnd.sample(range(model.size), rnd.randint(0, min(model.size, 9)))
+    for points in (subset, sorted(subset)):
+        assert evaluate(points) == induced_substructure(model, points), points
+
+
+def test_profile_evaluates_only_the_representatives(monkeypatch):
+    """separation keys every n-subset alike, so profile evaluates one
+    representative per n on its own n points: 1**4 + 2**4 + ... + 8**4 =
+    8,772 tuples, where the samples of 2n + 3 points would take 5**4 +
+    7**4 + ... + 19**4 = 317,256. No sample is built."""
+    tuples = []
+    evaluated = FiniteStructure._evaluated.__func__
+
+    def spy(cls, sig, points, formulas):
+        tuples.append(structures.evaluated_tuples(sig, len(points)))
+        return evaluated(cls, sig, points, formulas)
+
+    evaluations = []
+    monkeypatch.setattr(FiniteStructure, "_evaluated", classmethod(spy))
+    monkeypatch.setattr(catalogue, "get_entry", lambda entry_id: _recording(get_entry(entry_id), evaluations))
+    assert profile("separation", 8).values == (1,) * 8
+    assert evaluations == [(2 * n + 3, [n]) for n in range(1, 9)]
+    assert tuples == [n**4 for n in range(1, 9)]
+    assert sum(tuples) == 8772
 
 
 def test_the_recheck_sweeps_every_entry():
@@ -284,11 +353,12 @@ def test_random_subsets_have_a_found_class(case, rnd):
     assert canonical_form(induced_substructure(model, subset)) in codes
 
 
-def _state_keys(entry, model, n):
-    """Every n-subset of the model, stepped from () and keyed by its state."""
-    step = entry.subset_step_factory(model)
-    key = entry.subset_key_factory(model)
-    for subset in itertools.combinations(range(model.size), n):
+def _state_keys(entry, size, n):
+    """Every n-subset of the sample of this size, stepped from () and keyed
+    by its state."""
+    step = entry.subset_step_factory(size)
+    key = entry.subset_key_factory(size)
+    for subset in itertools.combinations(range(entry.points(size)), n):
         state, last = (), None
         for e in subset:
             state, last = step(state, last, e), e
@@ -303,9 +373,8 @@ def test_state_keys_equal_subset_keys(entry_id):
     for n in range(1, 6):
         base = entry.saturation_rule(n)
         for size in (base, base + 2):
-            model = sample_model(entry, size)
-            oracle = subset_key(entry_id, model)
-            for subset, k in _state_keys(entry, model, n):
+            oracle = subset_key(entry_id, size)
+            for subset, k in _state_keys(entry, size, n):
                 assert k == oracle(subset), (size, subset)
 
 
@@ -319,20 +388,20 @@ def test_first_prefix_per_state_reaches_every_key(entry_id):
     for n in range(2, 7):
         base = entry.saturation_rule(n)
         for size in (base, base + 2):
-            model = sample_model(entry, size)
-            step = entry.subset_step_factory(model)
-            key = entry.subset_key_factory(model)
+            points = entry.points(size)
+            step = entry.subset_step_factory(size)
+            key = entry.subset_key_factory(size)
 
             @functools.lru_cache(maxsize=None)
             def reach(state, last, todo):
                 if todo == 0:
                     return frozenset([key(state)])
-                ends = range(last + 1, model.size - todo + 1)
+                ends = range(last + 1, points - todo + 1)
                 return frozenset().union(*(reach(step(state, last, e), e, todo - 1) for e in ends))
 
             for length in range(1, n):
                 first = {}
-                for prefix in itertools.combinations(range(model.size - n + length), length):
+                for prefix in itertools.combinations(range(points - n + length), length):
                     state, last = (), None
                     for e in prefix:
                         state, last = step(state, last, e), e
@@ -340,13 +409,13 @@ def test_first_prefix_per_state_reaches_every_key(entry_id):
                     assert keys <= first.setdefault(state, keys), (size, n, prefix)
 
 
-def _raw_shape(entry_id, model):
+def _raw_shape(entry_id, size):
     """A sorted prefix's block run lengths (two points share a block iff
     each precedes the other) or its raw consecutive meet depths."""
     if entry_id == "tree_c":
-        md = _model_tree_depths(model)
+        md = _universal_tree_depths(size)
         return lambda prefix: tuple(md[a][b] for a, b in zip(prefix, prefix[1:]))
-    prec = model.relation("prec")
+    prec = sample_model(entry_id, size).relation("prec")
 
     def runs(prefix):
         out = [1]
@@ -366,12 +435,12 @@ def test_equal_shapes_share_a_state(entry_id):
     (length <= 6, base sample) with equal block run lengths, or equal raw
     consecutive meet depths, get equal states."""
     entry = get_entry(entry_id)
-    model = sample_model(entry, entry.saturation_rule(6))
-    shape = _raw_shape(entry_id, model)
-    step = entry.subset_step_factory(model)
+    size = entry.saturation_rule(6)
+    shape = _raw_shape(entry_id, size)
+    step = entry.subset_step_factory(size)
     seen = {}
     for length in range(1, 7):
-        for prefix in itertools.combinations(range(model.size), length):
+        for prefix in itertools.combinations(range(entry.points(size)), length):
             state, last = (), None
             for e in prefix:
                 state, last = step(state, last, e), e
@@ -389,7 +458,7 @@ def test_out_degree_keys_merge_equal_gap_necklaces():
             model = sample_model(entry, size)
             gaps = gap_necklace_key(model)
             seen = {}
-            for subset, k in _state_keys(entry, model, n):
+            for subset, k in _state_keys(entry, size, n):
                 assert seen.setdefault(gaps(subset), k) == k, (size, subset)
 
 
@@ -399,7 +468,7 @@ def _one_key_per_class(entry_id, n, classes):
     entry = get_entry(entry_id)
     for size in (entry.saturation_rule(n), entry.saturation_rule(n) + 2):
         model = sample_model(entry, size)
-        reps = profiles._representatives(entry, model, n)
+        reps = profiles._representatives(entry, size, model.size, n)
         codes = {canonical_form(induced_substructure(model, s)) for s in reps.values()}
         assert len(reps) == len(codes) == classes, size
 
@@ -426,13 +495,13 @@ def test_keys_are_sound_past_the_brute_gate(entry_id, size, n):
     entry = get_entry(entry_id)
     model = sample_model(entry, size)
     first, latest = {}, {}
-    for subset, k in _state_keys(entry, model, n):
+    for subset, k in _state_keys(entry, size, n):
         first.setdefault(k, subset)
         latest[k] = subset
     # one key per class: a finer key fails here, not just in the benchmark
     assert len(first) == {"local_order": 10, "tree_c": 11, "fibered_order:3": 24}[entry_id]
     # each key's representative is its lex-least subset, in the same order
-    assert list(profiles._representatives(entry, model, n).items()) == list(first.items())
+    assert list(profiles._representatives(entry, size, model.size, n).items()) == list(first.items())
     for k, subset in first.items():
         code = canonical_form(induced_substructure(model, subset))
         assert code == canonical_form(induced_substructure(model, latest[k])), k
@@ -448,31 +517,26 @@ def test_keys_are_sound_past_the_brute_gate(entry_id, size, n):
 )
 def test_over_budget_profile_fails_before_counting(monkeypatch, entry_id, n_max, message):
     """Every n is checked on the points its sample declares, tree_c's leaf
-    count included, so no sample is built and nothing is counted."""
+    count included, so nothing is evaluated and nothing is counted."""
     calls = []
-    built = []
+    evaluations = []
 
     def counted(sub):
         calls.append(sub)
         return canonical_form(sub)
 
-    entry = get_entry(entry_id)
-
-    def recorded(size):
-        built.append(size)
-        return entry.sampler(size)
-
     monkeypatch.setattr(profiles, "canonical_form", counted)
     with pytest.raises(ResourceError) as info:
-        profile(dataclasses.replace(entry, sampler=recorded), n_max)
+        profile(_recording(get_entry(entry_id), evaluations), n_max)
     assert str(info.value) == message
     assert calls == []
-    assert built == []
+    assert evaluations == []
 
 
 def test_a_wrong_point_declaration_is_an_internal_error():
     """tree_c's sampler(4) has 5 leaves; an entry declaring 4 is refused
-    when that sample is built, before it is counted."""
+    by profile before the frontier runs, and by the reference when it
+    builds that sample."""
     entry = dataclasses.replace(get_entry("tree_c"), points=lambda size: size)
     assert profile(entry, 3).values == (1, 1, 1)
     message = "tree_c: sampler(4) built 5 points, declared 4"
@@ -484,18 +548,12 @@ def test_a_wrong_point_declaration_is_an_internal_error():
 
 def test_the_samples_of_one_profile_share_the_tuple_cap(monkeypatch):
     """The tuples of every sample, summed from the declared signature and
-    points, are refused past the cap before any sample is built:
+    points, are refused past the cap before anything is evaluated:
     fibered_order:1 evaluates n**2 pairs at n, 1 + 4 + ... + 182**2 =
     2,026,115 over the cap at n = 182, and 1 + 4 + ... + 49 = 140 over a
     cap of 100 at n = 7."""
-    chain = get_entry("fibered_order:1")
     built = []
-
-    def recorded(size):
-        built.append(size)
-        return chain.sampler(size)
-
-    entry = dataclasses.replace(chain, sampler=recorded)
+    entry = _recording(get_entry("fibered_order:1"), built)
     with pytest.raises(ResourceError) as info:
         profile(entry, 1414)
     assert str(info.value) == (
@@ -641,6 +699,13 @@ def test_profiles_are_monotone(entry_id):
 
 
 def test_class_codes_refuses_empty_subsets():
-    with pytest.raises(ParameterError) as info:
-        class_codes(get_entry("dlo"), 5, 0)
-    assert str(info.value) == "subset size must be >= 1, got 0"
+    """A subset size is an int of at least 1: 2.5 used to escape as a raw
+    TypeError from math.comb, and True was taken as 1."""
+    for n, message in (
+        (0, "dlo needs subset size >= 1, got 0"),
+        (2.5, "dlo needs an int subset size, got 2.5"),
+        (True, "dlo needs an int subset size, got True"),
+    ):
+        with pytest.raises(ParameterError) as info:
+            class_codes(get_entry("dlo"), 5, n)
+        assert str(info.value) == message

@@ -111,7 +111,7 @@ def test_build_rejects_unknown_relation():
 def test_evaluated_holds_exactly_where_the_formulas_do():
     sig = signature(("lt", 2), ("two", 1), ("diag", 3))
     formulas = (lambda x, y: x < y, lambda x: x == 2, lambda x, y, z: x == y == z)
-    s = FiniteStructure._evaluated(sig, 4, formulas)
+    s = FiniteStructure._evaluated(sig, range(4), formulas)
     literal = {
         name: [t for t in itertools.product(range(4), repeat=arity) if holds(*t)]
         for (name, arity), holds in zip(sig.relations, formulas)
@@ -119,8 +119,8 @@ def test_evaluated_holds_exactly_where_the_formulas_do():
     assert s == FiniteStructure.build(sig, 4, literal)
     assert FiniteStructure(s.signature, s.size, s.relations) == s
     assert s.relation("diag") == {(x, x, x) for x in range(4)}
-    assert FiniteStructure._evaluated(Signature(()), 3, ()) == FiniteStructure.build(Signature(()), 3)
-    assert FiniteStructure._evaluated(sig, 0, formulas) == FiniteStructure.build(sig, 0)
+    assert FiniteStructure._evaluated(Signature(()), range(3), ()) == FiniteStructure.build(Signature(()), 3)
+    assert FiniteStructure._evaluated(sig, range(0), formulas) == FiniteStructure.build(sig, 0)
 
 
 def test_evaluated_cap_counts_tuples_over_every_relation(monkeypatch):
@@ -134,11 +134,11 @@ def test_evaluated_cap_counts_tuples_over_every_relation(monkeypatch):
         return x < y
 
     monkeypatch.setattr(structures, "MAX_EVALUATED_TUPLES", 20)
-    assert FiniteStructure._evaluated(sig, 4, (lt, lambda x: x == 2)).relation("two") == {(2,)}
+    assert FiniteStructure._evaluated(sig, range(4), (lt, lambda x: x == 2)).relation("two") == {(2,)}
     calls.clear()
     monkeypatch.setattr(structures, "MAX_EVALUATED_TUPLES", 19)
     with pytest.raises(ResourceError) as info:
-        FiniteStructure._evaluated(sig, 4, (lt, lambda x: x == 2))
+        FiniteStructure._evaluated(sig, range(4), (lt, lambda x: x == 2))
     assert str(info.value) == "sample of 4 points: 20 tuples to evaluate, over the cap of 19"
     assert calls == []
 
@@ -641,6 +641,36 @@ def test_rows_no_set_can_hold_are_refused(call, message):
     with pytest.raises(ParameterError) as info:
         call()
     assert type(info.value) is ParameterError and str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: FiniteStructure(SIG_EDGE, 2, [frozenset()]), "relations are a list, not a tuple", id="structure-list"
+        ),
+        pytest.param(
+            lambda: Signature([("edge", 2)]), "signature relations are a list, not a tuple", id="signature-list"
+        ),
+        pytest.param(
+            lambda: Signature((["edge", 2],)),
+            "signature relation ['edge', 2] is not a (name, arity) tuple",
+            id="list-pair",
+        ),
+        pytest.param(
+            lambda: Signature((("edge",),)), "signature relation ('edge',) is not a (name, arity) tuple", id="short-pair"
+        ),
+    ],
+)
+def test_relation_containers_that_are_not_tuples_are_refused(call, message):
+    """A list of tuple sets or of (name, arity) pairs used to be accepted;
+    hashing the structure or signature then raised a raw TypeError, and it
+    compared unequal to the one built from tuples."""
+    with pytest.raises(ParameterError) as info:
+        call()
+    assert type(info.value) is ParameterError and str(info.value) == message
+    built = FiniteStructure(Signature((("edge", 2),)), 2, (frozenset(),))
+    assert built == FiniteStructure.build(SIG_EDGE, 2) and hash(built) == hash(FiniteStructure.build(SIG_EDGE, 2))
 
 
 @st.composite

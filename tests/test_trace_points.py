@@ -5,9 +5,11 @@ them, so a binding that a refactor drops would fail only traced benchmark
 runs, and a call routed around a binding would drop out of the traced
 counts. These tests enter and leave the tracer as the benchmark does.
 
-profile encodes no structure, so the traced encode count is 0 on every
-profile run; profiles still binds structure_encoding only because the
-tracer patches that name, and a traced run would fail without it.
+profile encodes no structure and induces none (its key representatives
+are evaluated from the entry's formulas), so the traced encode and induce
+counts are 0 on every profile run; profiles still binds
+structure_encoding and induced_substructure only because the tracer
+patches those names, and a traced run would fail without them.
 """
 
 import importlib.util
@@ -38,7 +40,7 @@ def test_the_tracer_wraps_every_patch_point_and_restores_it():
         inside = _bindings()
     patched = {key for key, value in inside.items() if value is not before.get(key)}
     assert {
-        ("oligoprofile.profiles", "induced_substructure"),
+        ("oligoprofile.profiles", "induced_substructure"),  # bound for the tracer alone
         ("oligoprofile.profiles", "structure_encoding"),  # bound for the tracer alone
         ("oligoprofile.profiles", "canonical_form"),
         ("oligoprofile.witnesses", "induced_substructure"),
@@ -71,9 +73,9 @@ def test_screened_canonicalisation_goes_through_the_traced_bindings():
     """Only ties on a degree profile are canonicalised, and the tracer
     counts exactly those calls: a relabelled copy of one member makes one
     tie of two members, and local_order's 42 representatives up to n = 8,
-    each induced once and never encoded, first tie at n = 6, in 4, 4 and
-    13 tournaments at n = 6, 7 and 8. The per-layer report of those spans
-    computes, with no encode call."""
+    each evaluated from the formulas, never induced or encoded, first tie
+    at n = 6, in 4, 4 and 13 tournaments at n = 6, 7 and 8. The per-layer
+    report of those spans computes, with no induce and no encode call."""
     layers = _layers()
     fam = binary_pattern_witness(4)
     copy = fam.members[5].relabel([3, 2, 1, 0])
@@ -84,5 +86,6 @@ def test_screened_canonicalisation_goes_through_the_traced_bindings():
     spans = _traced(layers, lambda: witnesses.verify_pairwise_nonisomorphic(rigged))
     assert _structure_calls(spans[0]) == {"structures.canonical": 2}
     spans = _traced(layers, lambda: profiles.profile("local_order", 8))
-    assert _structure_calls(spans[0]) == {"structures.induce": 42, "structures.canonical": 21}
-    assert layers.layer_metrics(spans)["structures.encode_calls"] == 0
+    assert _structure_calls(spans[0]) == {"structures.canonical": 21}
+    metrics = layers.layer_metrics(spans)
+    assert metrics["structures.induce_calls"] == metrics["structures.encode_calls"] == 0
