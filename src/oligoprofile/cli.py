@@ -25,7 +25,7 @@ import math
 import sys
 
 from .catalogue import age_predictor, get_entry, list_entry_ids
-from .errors import OligoError, ParameterError, ResourceError
+from .errors import OligoError, ParameterError, at_most, int_at_least
 from .glueing import fragments_from_json_dict, glue
 from .growth import constants_table, growth_estimate
 from .posets import FinitePoset, linearize
@@ -152,8 +152,8 @@ def _growth_values(args) -> list[int]:
             raise ParameterError("malformed sequence file: values must be a list of integers")
         return values
     entry = get_entry(args.entry)
-    if args.n_max > _MAX_GROWTH_N:
-        raise ResourceError(f"growth --n-max {args.n_max} exceeds the cap of {_MAX_GROWTH_N}")
+    int_at_least("growth", "--n-max", args.n_max, 1)
+    at_most("growth", "terms (--n-max)", args.n_max, _MAX_GROWTH_N)
     return [age_predictor(entry, n) for n in range(1, args.n_max + 1)]
 
 

@@ -1,5 +1,5 @@
-"""Exception hierarchy shared across the package, and the one check of a
-count or size argument.
+"""Exception hierarchy shared across the package, the one check of a
+count or size argument, and the one check of a cap.
 
 Everything raised on purpose derives from OligoError so the CLI can map
 library failures to a single exit code. InternalInvariantError is reserved
@@ -9,6 +9,12 @@ int_at_least checks every count and size: catalogue sizes, age_predictor,
 profile, the witness constructors, compositions, compositions_count,
 tree_count, local_order_count, random_poset, exhaustive_posets, both glue
 samplers and the fibered_order block size.
+
+at_most checks every cap, with one ResourceError text, "who: value what,
+over the cap of cap": structures.evaluated_tuples, profile's budget and
+its running total of tuples, the witness constructors' scaffold points
+and members, glue, FinitePoset.from_json_dict, exhaustive_posets and the
+growth command's --n-max.
 """
 
 
@@ -29,7 +35,10 @@ class DomainError(OligoError):
 
 
 class ResourceError(OligoError):
-    """A configured budget (subset count, recursion depth) was exceeded."""
+    """A value passed its cap, through errors.at_most: a sample's tuples, a
+    profile's budget or its samples' tuples, a witness scaffold's points
+    or family's members, glue's incidences, a JSON poset's points,
+    exhaustive_posets' size or growth's --n-max."""
 
 
 class FragmentPairError(OligoError):
@@ -51,4 +60,12 @@ def int_at_least(who: str, what: str, value: int, least: int) -> int:
         raise ParameterError(f"{who} needs an int {what}, got {value!r}")
     if value < least:
         raise ParameterError(f"{who} needs {what} >= {least}, got {value}")
+    return value
+
+
+def at_most(who: str, what: str, value: int, cap: int) -> int:
+    """value, once it is at most cap; ResourceError naming who, value,
+    what and cap otherwise."""
+    if value > cap:
+        raise ResourceError(f"{who}: {value} {what}, over the cap of {cap}")
     return value

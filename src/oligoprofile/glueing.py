@@ -34,7 +34,7 @@ from .errors import (
     InconsistentFragmentsError,
     InternalInvariantError,
     ParameterError,
-    ResourceError,
+    at_most,
     int_at_least,
 )
 from .structures import FiniteStructure
@@ -273,11 +273,7 @@ def _overlapping_pairs(fragments: Sequence[OrderFragment]) -> Iterator[tuple[int
         for x in f.elements:
             holders.setdefault(x, []).append(i)
     sharings = sum(len(h) * (len(h) - 1) // 2 for h in holders.values())
-    if sharings > _MAX_SHARINGS:
-        raise ResourceError(
-            f"glue: {sharings} (element, fragment pair) incidences to check,"
-            f" over the cap of {_MAX_SHARINGS}"
-        )
+    at_most("glue", "(element, fragment pair) incidences to check", sharings, _MAX_SHARINGS)
     for i, f in enumerate(fragments):
         partners = {j for x in f.elements for j in holders[x] if j > i}
         for j in sorted(partners):

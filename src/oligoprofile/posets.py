@@ -44,7 +44,7 @@ from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 from .catalogue import SIG_ORDER
-from .errors import DomainError, InternalInvariantError, ParameterError, int_at_least
+from .errors import DomainError, InternalInvariantError, ParameterError, at_most, int_at_least
 from .structures import FiniteStructure, canonical_form
 
 Pair = tuple[int, int]
@@ -193,10 +193,7 @@ class FinitePoset:
             pairs = [tuple(pair) for pair in payload["leq"]]
         except (KeyError, TypeError) as exc:
             raise DomainError(f"malformed poset payload: {exc}") from None
-        if size > _MAX_JSON_POSET_SIZE:
-            raise DomainError(
-                f"poset size {size} exceeds the cap of {_MAX_JSON_POSET_SIZE}"
-            )
+        at_most("poset", "points", size, _MAX_JSON_POSET_SIZE)
         return cls(size=size, leq=pairs + [(x, x) for x in points])
 
     def to_json_dict(self) -> dict:
@@ -456,8 +453,7 @@ def exhaustive_posets(size: int) -> tuple[FinitePoset, ...]:
     each isomorphism class appears exactly once, as its first candidate.
     A candidate has one bit per pair a < b, row a's from offsets[a] up.
     """
-    if int_at_least("exhaustive_posets", "size", size, 1) > 6:
-        raise ParameterError(f"exhaustive enumeration capped at size 6, got {size}")
+    at_most("exhaustive_posets", "elements", int_at_least("exhaustive_posets", "size", size, 1), 6)
     offsets = [a * (2 * size - a - 1) // 2 for a in range(size)]
     seen: dict[bytes, list[int]] = {}
     choice = 0

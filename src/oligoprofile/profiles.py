@@ -29,11 +29,11 @@ representatives, being isomorphic, fall into one class.
 
 Every limit is checked before anything is evaluated: the entry declares
 its signature and each sample's points, and for n = 1, 2, ... in turn
-three checks run, and the first to fail is raised: C(points, n) against
-the budget, that n's sample against structures.MAX_EVALUATED_TUPLES on
-its own (structures.evaluated_tuples, "sample of N points: ..."), and the
-running total of the samples' tuples against the same cap. So the scan
-stops at the least n that fails any limit. The tuple caps price the
+three errors.at_most checks run, and the first to fail is raised:
+C(points, n) against the budget, that n's sample against
+structures.MAX_EVALUATED_TUPLES on its own (structures.evaluated_tuples),
+and the running total of the samples' tuples against the same cap. So
+the scan stops at the least n that fails any limit. The tuple caps price the
 samples, which profile no longer builds. Then, per n, the evaluator's
 points are checked against the declaration before the frontier runs, and
 the representatives are evaluated, counted and dropped.
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 # catalogue.get_entry is looked up per call, so a wrapped one is honoured
 from . import catalogue, structures
-from .errors import InternalInvariantError, ParameterError, ResourceError, int_at_least
+from .errors import InternalInvariantError, ParameterError, at_most, int_at_least
 from .structures import (
     canonical_form,
     induced_substructure,  # unused here: perfbench/layers.py patches this binding
@@ -90,9 +90,7 @@ def _checked_points(entry, size: int, n: int, budget: int) -> int:
     points = entry.points(size)
     if n > points:
         raise ParameterError(f"{entry.entry_id}: sample of {points} points cannot host n={n}")
-    total = math.comb(points, n)
-    if total > budget:
-        raise ResourceError(f"{entry.entry_id}: {total} subsets of size {n} exceed budget {budget}")
+    at_most(f"{entry.entry_id} budget", f"subsets of size {n}", math.comb(points, n), budget)
     return points
 
 
@@ -160,11 +158,7 @@ def profile(entry, n_max: int, budget: int = DEFAULT_BUDGET) -> ProfileSequence:
         points = _checked_points(entry, size, n, budget)
         plan.append((size, points))
         evaluated += structures.evaluated_tuples(entry.signature, points)
-        if evaluated > structures.MAX_EVALUATED_TUPLES:
-            raise ResourceError(
-                f"{entry.entry_id}: samples for n=1..{n} evaluate {evaluated} tuples,"
-                f" over the cap of {structures.MAX_EVALUATED_TUPLES}"
-            )
+        at_most(entry.entry_id, f"tuples in the samples for n=1..{n}", evaluated, structures.MAX_EVALUATED_TUPLES)
     values = tuple(_class_count(entry, size, points, n) for n, (size, points) in enumerate(plan, 1))
     return ProfileSequence(entry.entry_id, values, tuple(size for size, _ in plan))
 

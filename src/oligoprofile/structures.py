@@ -49,7 +49,7 @@ from itertools import chain, compress, product, starmap
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import InvalidSubsetError, ParameterError, ResourceError
+from .errors import InvalidSubsetError, ParameterError, at_most
 
 CanonicalCode = bytes
 
@@ -102,12 +102,7 @@ def evaluated_tuples(sig: Signature, size: int) -> int:
     summed over the relations; past MAX_EVALUATED_TUPLES it raises
     ResourceError instead."""
     total = sum(size**arity for _, arity in sig.relations)
-    if total > MAX_EVALUATED_TUPLES:
-        raise ResourceError(
-            f"sample of {size} points: {total} tuples to evaluate,"
-            f" over the cap of {MAX_EVALUATED_TUPLES}"
-        )
-    return total
+    return at_most(f"sample of {size} points", "tuples to evaluate", total, MAX_EVALUATED_TUPLES)
 
 
 @dataclass(frozen=True)
@@ -123,10 +118,10 @@ class FiniteStructure:
     mapped by a checked bijection, is valid) and _evaluated, which builds
     the catalogue samples, the profile's key representatives and the
     witness scaffolds from their formulas (tuples drawn from
-    range(len(points)) by construction). These are the hot
-    producers of the profile engine, where validation would cost about a
-    sixth of the time; tests re-validate their output through the public
-    constructor.
+    range(len(points)) by construction). _evaluated is the profile
+    engine's only producer, where validation would cost about a sixth of
+    the time; tests re-validate the output of all three through the
+    public constructor.
     """
 
     signature: Signature
@@ -212,7 +207,8 @@ class FiniteStructure:
 
     def relabel(self, perm: Sequence[int]) -> "FiniteStructure":
         """Apply a bijection old -> new given as perm[old] = new."""
-        if any(type(x) is not int for x in perm) or sorted(perm) != list(range(self.size)):
+        ints = isinstance(perm, Sequence) and all(type(x) is int for x in perm)
+        if not ints or sorted(perm) != list(range(self.size)):
             raise ParameterError(f"perm {perm} is not a bijection on {self.size} elements")
         rels = tuple(
             frozenset(tuple(perm[x] for x in t) for t in tuples) for tuples in self.relations
@@ -246,13 +242,13 @@ class FiniteStructure:
 def induced_substructure(model: FiniteStructure, subset: Sequence[int]) -> FiniteStructure:
     """Restrict model to subset; element i of the result is subset[i].
 
-    The subset must consist of distinct int points of the model. Tuples
-    are kept exactly when all entries lie in the subset, then reindexed.
+    The subset must be a sequence of distinct int points of the model;
+    tuples are kept exactly when all entries lie in it, then reindexed.
     """
+    if not isinstance(subset, Sequence) or any(type(x) is not int or not 0 <= x < model.size for x in subset):
+        raise InvalidSubsetError(f"subset {subset} out of range for size {model.size}")
     if len(set(subset)) != len(subset):
         raise InvalidSubsetError(f"subset {subset} has repeated elements")
-    if any(type(x) is not int or not 0 <= x < model.size for x in subset):
-        raise InvalidSubsetError(f"subset {subset} out of range for size {model.size}")
     pos = {x: i for i, x in enumerate(subset)}
     k = len(subset)
     rels = []

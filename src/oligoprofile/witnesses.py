@@ -25,7 +25,7 @@ from operator import le
 from typing import Callable, Iterable, Iterator
 
 from .catalogue import SIG_ORDER, sample_model
-from .errors import ParameterError, ResourceError, int_at_least
+from .errors import ParameterError, at_most, int_at_least
 from .growth import compositions_count
 from .structures import (
     FiniteStructure,
@@ -141,16 +141,9 @@ def _refuse_past_caps(construction_id: str, n: int, points: int, members: Callab
     """Raise ResourceError for a scaffold of more than 256 points, then for
     more than 2**11 members, before anything is built. The scaffold check
     comes first and bounds n, so every closed-form member count is cheap."""
-    if points > _MAX_SCAFFOLD_POINTS:
-        raise ResourceError(
-            f"{construction_id} at n={n} needs {points} scaffold points,"
-            f" over the cap of {_MAX_SCAFFOLD_POINTS}"
-        )
-    count = members()
-    if count > _MAX_MEMBERS:
-        raise ResourceError(
-            f"{construction_id} at n={n} has {count} members, over the cap of {_MAX_MEMBERS}"
-        )
+    who = f"{construction_id} at n={n}"
+    at_most(who, "scaffold points", points, _MAX_SCAFFOLD_POINTS)
+    at_most(who, "members", members(), _MAX_MEMBERS)
 
 
 def _family(

@@ -332,7 +332,18 @@ def test_growth_refuses_a_huge_n_max_at_once(capsys):
     code, out, err = run_cli(capsys, "growth", "fibered_order:2", "--n-max", "20000")
     assert time.perf_counter() - start < 1
     assert (code, out) == (1, "")
-    assert err == "error: growth --n-max 20000 exceeds the cap of 2000\n"
+    assert err == "error: growth: 20000 terms (--n-max), over the cap of 2000\n"
+
+
+def test_growth_n_max_is_checked_before_the_values(capsys):
+    """A non-positive --n-max names the option; one or two terms are
+    refused by growth_estimate, which needs three."""
+    assert run_cli(capsys, "growth", "dlo", "--n-max", "-3") == (
+        1, "", "error: growth needs --n-max >= 1, got -3\n"
+    )
+    assert run_cli(capsys, "growth", "dlo", "--n-max", "2") == (
+        1, "", "error: growth_estimate needs at least 3 values, got 2\n"
+    )
 
 
 def test_growth_csv_header(capsys):
@@ -443,13 +454,13 @@ def test_oversized_witness_exits_one_at_once(capsys, argv):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["composition", "--n", "13"], "composition at n=13 has 4096 members, over the cap of 2048"),
+        (["composition", "--n", "13"], "composition at n=13: 4096 members, over the cap of 2048"),
         (
             ["composition", "--n", "17", "--max-part", "2"],
-            "composition at n=17 has 2584 members, over the cap of 2048",
+            "composition at n=17: 2584 members, over the cap of 2048",
         ),
-        (["binary_pattern", "--n", "12"], "binary_pattern at n=12 has 4096 members, over the cap of 2048"),
-        (["antichain", "--n", "13"], "antichain at n=13 has 4096 members, over the cap of 2048"),
+        (["binary_pattern", "--n", "12"], "binary_pattern at n=12: 4096 members, over the cap of 2048"),
+        (["antichain", "--n", "13"], "antichain at n=13: 4096 members, over the cap of 2048"),
     ],
 )
 def test_witness_one_past_the_member_cap_is_refused(capsys, argv, message):
@@ -474,7 +485,7 @@ def test_linearize_refuses_a_huge_poset_at_once(capsys, tmp_path):
     code, out, err = run_cli(capsys, "linearize", "--in", str(poset))
     assert time.perf_counter() - start < 5
     assert (code, out) == (1, "")
-    assert err == "error: poset size 100000000 exceeds the cap of 1024\n"
+    assert err == "error: poset: 100000000 points, over the cap of 1024\n"
 
 
 def test_glue_from_file(capsys, tmp_path):
@@ -533,14 +544,14 @@ def test_budget_failure_exits_one(capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["dlo", "--n-max", "10000000"], "dlo: 17383860 subsets of size 12 exceed budget 10000000"),
+        (["dlo", "--n-max", "10000000"], "dlo budget: 17383860 subsets of size 12, over the cap of 10000000"),
         (
             ["fibered_order:2000", "--n-max", "1"],
             "sample of 2000 points: 4000000 tuples to evaluate, over the cap of 2000000",
         ),
         (
             ["fibered_order:1", "--n-max", "1414"],
-            "fibered_order:1: samples for n=1..182 evaluate 2026115 tuples, over the cap of 2000000",
+            "fibered_order:1: 2026115 tuples in the samples for n=1..182, over the cap of 2000000",
         ),
     ],
 )

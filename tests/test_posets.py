@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oligoprofile.errors import DomainError, InternalInvariantError, ParameterError
+from oligoprofile.errors import DomainError, InternalInvariantError, ParameterError, ResourceError
 from oligoprofile.posets import (
     FinitePoset,
     _first_intransitive,
@@ -120,9 +120,9 @@ def test_json_load_rejects_infinite_size():
 
 def test_json_load_caps_the_size():
     assert FinitePoset.from_json_dict({"size": 1024, "leq": [[0, 1023]]}).size == 1024
-    with pytest.raises(DomainError) as info:
+    with pytest.raises(ResourceError) as info:
         FinitePoset.from_json_dict({"size": 1025, "leq": []})
-    assert str(info.value) == "poset size 1025 exceeds the cap of 1024"
+    assert str(info.value) == "poset: 1025 points, over the cap of 1024"
 
 
 def test_json_dump_lists_strict_pairs_only():
@@ -466,7 +466,7 @@ def test_exhaustive_members_are_canonical_posets():
     for p in exhaustive_posets(4):
         assert isinstance(p, FinitePoset)
         assert p.size == 4
-    with pytest.raises(ParameterError):
+    with pytest.raises(ResourceError):
         exhaustive_posets(7)
     with pytest.raises(ParameterError, match=r"^exhaustive_posets needs size >= 1, got 0$"):
         exhaustive_posets(0)

@@ -510,8 +510,8 @@ def test_keys_are_sound_past_the_brute_gate(entry_id, size, n):
 @pytest.mark.parametrize(
     "entry_id, n_max, message",
     [
-        ("tree_c", 10, "tree_c: 30045015 subsets of size 10 exceed budget 10000000"),
-        ("local_order", 12, "local_order: 17383860 subsets of size 12 exceed budget 10000000"),
+        ("tree_c", 10, "tree_c budget: 30045015 subsets of size 10, over the cap of 10000000"),
+        ("local_order", 12, "local_order budget: 17383860 subsets of size 12, over the cap of 10000000"),
         ("fibered_order:2500", 2, "sample of 2500 points: 6250000 tuples to evaluate, over the cap of 2000000"),
     ],
 )
@@ -557,7 +557,7 @@ def test_the_samples_of_one_profile_share_the_tuple_cap(monkeypatch):
     with pytest.raises(ResourceError) as info:
         profile(entry, 1414)
     assert str(info.value) == (
-        "fibered_order:1: samples for n=1..182 evaluate 2026115 tuples, over the cap of 2000000"
+        "fibered_order:1: 2026115 tuples in the samples for n=1..182, over the cap of 2000000"
     )
     assert built == []
     monkeypatch.setattr(structures, "MAX_EVALUATED_TUPLES", 100)
@@ -566,7 +566,7 @@ def test_the_samples_of_one_profile_share_the_tuple_cap(monkeypatch):
     with pytest.raises(ResourceError) as info:
         profile(entry, 7)
     assert str(info.value) == (
-        "fibered_order:1: samples for n=1..7 evaluate 140 tuples, over the cap of 100"
+        "fibered_order:1: 140 tuples in the samples for n=1..7, over the cap of 100"
     )
     assert built == []
     # the budget refuses before any sample, and the cap on one sample
@@ -574,7 +574,7 @@ def test_the_samples_of_one_profile_share_the_tuple_cap(monkeypatch):
     built.clear()
     with pytest.raises(ResourceError) as info:
         profile(entry, 7, budget=0)
-    assert str(info.value) == "fibered_order:1: 1 subsets of size 1 exceed budget 0"
+    assert str(info.value) == "fibered_order:1 budget: 1 subsets of size 1, over the cap of 0"
     assert built == []
     monkeypatch.setattr(structures, "MAX_EVALUATED_TUPLES", 3)
     with pytest.raises(ResourceError) as info:
@@ -626,7 +626,7 @@ def test_a_huge_n_max_is_refused_at_its_first_over_budget_n():
 
     with pytest.raises(ResourceError) as info:
         profile(dataclasses.replace(entry, saturation_rule=rule), 10**6)
-    assert str(info.value) == "dlo: 17383860 subsets of size 12 exceed budget 10000000"
+    assert str(info.value) == "dlo budget: 17383860 subsets of size 12, over the cap of 10000000"
     assert len(rules) <= 12
 
 
@@ -645,7 +645,7 @@ def test_a_huge_budget_is_refused_at_the_first_n_over_the_tuple_cap():
     with pytest.raises(ResourceError) as info:
         profile(dataclasses.replace(entry, saturation_rule=rule), 3000, budget=10**4000)
     assert str(info.value) == (
-        "dlo: samples for n=1..113 evaluate 2027785 tuples, over the cap of 2000000"
+        "dlo: 2027785 tuples in the samples for n=1..113, over the cap of 2000000"
     )
     assert max(rules) == 113
 
@@ -675,7 +675,7 @@ def test_the_first_failing_n_names_the_refusal():
     with pytest.raises(ResourceError) as info:
         profile("separation", 30, budget=10**12)
     assert str(info.value) == (
-        "separation: samples for n=1..13 evaluate 2420925 tuples, over the cap of 2000000"
+        "separation: 2420925 tuples in the samples for n=1..13, over the cap of 2000000"
     )
 
 

@@ -154,10 +154,11 @@ def test_relabel_rejects_non_bijection():
         chain(3).relabel((0, 0, 2))
 
 
-@pytest.mark.parametrize("perm", [(True, 0, 2), (1.0, 0, 2), (2, 0, 1.0)])
+@pytest.mark.parametrize("perm", [(True, 0, 2), (1.0, 0, 2), (2, 0, 1.0), None, 5, {2, 0, 1}])
 def test_relabel_refuses_points_that_are_not_ints(perm):
     """Python holds True and 1.0 equal to 1, so these sort to a bijection;
-    the float used to land in the relabelled tuples."""
+    the float used to land in the relabelled tuples. A perm that is not a
+    sequence used to raise a raw TypeError."""
     with pytest.raises(ParameterError) as info:
         chain(3).relabel(perm)
     assert str(info.value) == f"perm {perm} is not a bijection on 3 elements"
@@ -184,8 +185,11 @@ def test_induced_rejects_repeats_and_range():
         induced_substructure(chain(3), (0, 3))
 
 
-@pytest.mark.parametrize("subset", [[True, 2], [1.0, 2], [0, 2.0]])
+@pytest.mark.parametrize("subset", [[True, 2], [1.0, 2], [0, 2.0], iter([0, 1]), {0, 1}, [[0], 1]])
 def test_induced_refuses_points_that_are_not_ints(subset):
+    """An iterator and an unhashable point used to raise a raw TypeError,
+    and a set was accepted in its iteration order, though element i of
+    the result is subset[i]."""
     with pytest.raises(InvalidSubsetError) as info:
         induced_substructure(chain(3), subset)
     assert str(info.value) == f"subset {subset} out of range for size 3"
