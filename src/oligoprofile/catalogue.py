@@ -9,17 +9,17 @@ fibered_order:k, tree_c.
 
 Entries are formulas. An entry declares a signature, points(size), the
 sample's point count and the only check of the size, and family(size), one
-predicate per relation. The one builder (_entry) makes two callables from
-them. The sampler runs points, prices the tuples
+predicate per relation. The one builder (_entry) makes one evaluator from
+them: it runs points, prices the sample's tuples
 (structures.evaluated_tuples) before the family tabulates anything, then
-runs the family and FiniteStructure._evaluated, which evaluates each
-predicate literally on every tuple over range(points), repeated
-coordinates included. The evaluator runs points and the family and
-evaluates the same predicates on any given points of the sample, which
-is the sample's induced substructure on them; profile() evaluates its
-key representatives so and builds no sample. Degenerate tuples land in
-the tuple set whenever the formula says so, and no entry has sampling
-code of its own. The derived
+runs the family, and returns the point count and a function that
+evaluates each predicate literally on every tuple over any given points
+of the sample (FiniteStructure._evaluated), repeated coordinates
+included. On distinct points that is the sample's induced substructure;
+profile() evaluates its key representatives so and builds no sample. The
+sampler is the evaluator on every point, range(points), so one price
+guards both. Degenerate tuples land in the tuple set whenever the formula
+says so, and no entry has sampling code of its own. The derived
 ternary/quaternary relations over a chain x0 < x1 < ... are:
 
   betweenness  B(x,y,z)   iff x<=y<=z or z<=y<=x
@@ -174,9 +174,11 @@ class CatalogueEntry:
     sampler(size) returns a FiniteStructure on signature with points(size)
     points, and points also checks the size: the requested size except for
     tree_c, whose parameter indexes a universal tree and whose domain is
-    its leaf set (documented there). evaluator(size) returns points(size)
-    and a function from distinct points of that sample to the structure
-    they induce, evaluated from the formulas without the sample.
+    its leaf set (documented there). evaluator(size) checks the size,
+    refuses a sample over the tuple cap before its family runs, and
+    returns points(size) and a function from distinct points of that
+    sample to the structure they induce, evaluated from the formulas
+    without the sample; sampler(size) is that function on every point.
     predictor(n) gives the expected number of n-point classes in closed
     form. subset_key_factory(size) and subset_step_factory(size) return
     the key and the prefix step of the module docstring for the sample of
@@ -370,18 +372,18 @@ ENTRY_IDS = (
 
 
 def _entry(entry_id: str, family: Family, sig: Signature, points: Points, *rest) -> CatalogueEntry:
-    """The entry with fields as given and the family in the sampler's and
-    the evaluator's place."""
-
-    def sampler(size: int) -> FiniteStructure:
-        count = points(size)
-        evaluated_tuples(sig, count)
-        return FiniteStructure._evaluated(sig, range(count), family(size))
+    """The entry with fields as given, its evaluator built from the family
+    and its sampler that evaluator on every point."""
 
     def evaluator(size: int):
         count = points(size)
+        evaluated_tuples(sig, count)
         formulas = family(size)
         return count, lambda subset: FiniteStructure._evaluated(sig, subset, formulas)
+
+    def sampler(size: int) -> FiniteStructure:
+        count, evaluate = evaluator(size)
+        return evaluate(range(count))
 
     return CatalogueEntry(entry_id, sampler, evaluator, sig, points, *rest)
 
@@ -430,18 +432,19 @@ _BASE_ENTRIES = {
 
 def get_entry(entry_id: str) -> CatalogueEntry:
     """Resolve a stable identifier, including parametric fibered_order:k."""
-    if entry_id in _BASE_ENTRIES:
-        return _BASE_ENTRIES[entry_id]
-    if entry_id.startswith("fibered_order:"):
-        raw = entry_id.split(":", 1)[1]
-        try:
-            # one spelling per k: ASCII digits, no sign, space, "_" or leading 0
-            if not (raw.isascii() and raw.isdigit()) or raw[0] == "0" and raw != "0":
-                raise ValueError
-            k = int(raw)
-        except ValueError:
-            raise ParameterError(f"bad fibered_order block size {raw!r}") from None
-        return _fibered_entry(k)
+    if isinstance(entry_id, str):
+        if entry_id in _BASE_ENTRIES:
+            return _BASE_ENTRIES[entry_id]
+        if entry_id.startswith("fibered_order:"):
+            raw = entry_id.split(":", 1)[1]
+            try:
+                # one spelling per k: ASCII digits, no sign, space, "_" or leading 0
+                if not (raw.isascii() and raw.isdigit()) or raw[0] == "0" and raw != "0":
+                    raise ValueError
+                k = int(raw)
+            except ValueError:
+                raise ParameterError(f"bad fibered_order block size {raw!r}") from None
+            return _fibered_entry(k)
     raise ParameterError(f"unknown catalogue entry {entry_id!r}")
 
 
@@ -465,13 +468,13 @@ def default_sweep_ids() -> tuple[str, ...]:
 
 
 def sample_model(entry: CatalogueEntry | str, size: int) -> FiniteStructure:
-    if isinstance(entry, str):
+    if not isinstance(entry, CatalogueEntry):
         entry = get_entry(entry)
     return entry.sampler(size)
 
 
 def age_predictor(entry: CatalogueEntry | str, n: int) -> int:
     """Closed-form class count for n-point substructures."""
-    if isinstance(entry, str):
+    if not isinstance(entry, CatalogueEntry):
         entry = get_entry(entry)
     return entry.predictor(int_at_least("predictor", "n", n, 1))

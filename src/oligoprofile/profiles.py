@@ -101,14 +101,6 @@ def _declared(entry, size: int, points: int, built: int) -> None:
         )
 
 
-def _sample(entry, size: int, points: int):
-    """The whole sample of this size, checked against its declaration; the
-    tests' unscreened reference counts on it."""
-    model = entry.sampler(size)
-    _declared(entry, size, points, model.size)
-    return model
-
-
 def _representatives(entry, size: int, points: int, n: int) -> dict:
     """Key -> the first n-subset of range(points) with that key the
     frontier reaches, stepping and keying for the sample of this size."""
@@ -147,7 +139,7 @@ def profile(entry, n_max: int, budget: int = DEFAULT_BUDGET) -> ProfileSequence:
     C(sample points, n) for every count; it and the tuple cap are checked
     on the declared points before anything is evaluated.
     """
-    if isinstance(entry, str):
+    if not isinstance(entry, catalogue.CatalogueEntry):
         entry = catalogue.get_entry(entry)
     int_at_least("profile", "n_max", n_max, 1)
     int_at_least("profile", "budget", budget, 0)

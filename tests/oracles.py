@@ -316,7 +316,8 @@ def class_codes(entry, size: int, n: int, budget: int = profiles.DEFAULT_BUDGET)
     if isinstance(entry, str):
         entry = catalogue.get_entry(entry)
     points = profiles._checked_points(entry, size, n, budget)
-    model = profiles._sample(entry, size, points)
+    model = entry.sampler(size)
+    profiles._declared(entry, size, points, model.size)
     codes: dict[bytes, bytes] = {}
     for subset in profiles._representatives(entry, size, points, n).values():
         sub = induced_substructure(model, subset)

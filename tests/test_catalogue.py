@@ -1,5 +1,6 @@
 """Catalogue samplers: formulas, invariances and the universal tree."""
 
+import ast
 import hashlib
 import itertools
 import random
@@ -23,6 +24,7 @@ from oligoprofile.catalogue import (
 )
 from oligoprofile.errors import ParameterError, ResourceError
 from oligoprofile.growth import tree_count
+from oligoprofile.profiles import profile
 from oligoprofile.structures import induced_substructure, structure_encoding
 
 from oracles import (
@@ -36,6 +38,7 @@ from oracles import (
     shape_branch_structure,
     tree_shapes,
 )
+from test_imports import SRC
 
 # entry -> sha256 of the space-joined sha256 hex digests of
 # structure_encoding(sample_model(entry, size)) for size 1..23 (tree_c
@@ -99,7 +102,7 @@ def test_default_sweep_is_concrete():
     [
         "nope", "fibered_order:0", "fibered_order:x", "fibered_order:",
         "fibered_order:+3", "fibered_order: 3", "fibered_order:0_3", "fibered_order:03",
-        "fibered_order:\u0663",
+        "fibered_order:\u0663", 5, None, pytest.param(["dlo"], id="['dlo']"),
     ],
 )
 def test_get_entry_rejects_unknown(bad):
@@ -275,11 +278,29 @@ def test_points_declare_the_sample_size(entry_id):
 def test_oversized_samples_are_refused_before_any_table(entry_id, size, message):
     """The evaluator's cap is checked on the declared points before the
     family tabulates separation's cyclic triples or tree_c's depths."""
-    start = time.perf_counter()
-    with pytest.raises(ResourceError) as info:
-        sample_model(entry_id, size)
-    assert time.perf_counter() - start < 0.1
-    assert str(info.value) == message + ", over the cap of 2000000"
+    for call in (sample_model, lambda entry_id, size: get_entry(entry_id).evaluator(size)):
+        start = time.perf_counter()
+        with pytest.raises(ResourceError) as info:
+            call(entry_id, size)
+        assert time.perf_counter() - start < 0.1
+        assert str(info.value) == message + ", over the cap of 2000000"
+
+
+def _builder_uses(node: ast.AST, path: tuple[str, ...] = ()):
+    """The def path of every use of evaluated_tuples or _evaluated below node."""
+    for child in ast.iter_child_nodes(node):
+        name = child.id if isinstance(child, ast.Name) else child.attr if isinstance(child, ast.Attribute) else None
+        if name in ("evaluated_tuples", "_evaluated"):
+            yield name, path
+        yield from _builder_uses(child, path + (child.name,) if isinstance(child, ast.FunctionDef) else path)
+
+
+def test_the_evaluator_is_the_one_builder():
+    """catalogue.py turns formulas into structures in one place: _entry's
+    evaluator prices the sample and evaluates it, and the sampler calls it."""
+    tree = ast.parse((SRC / "catalogue.py").read_text())
+    evaluator = ("_entry", "evaluator")
+    assert sorted(_builder_uses(tree)) == [("_evaluated", evaluator), ("evaluated_tuples", evaluator)]
 
 
 @pytest.mark.parametrize(
@@ -292,8 +313,9 @@ def test_oversized_samples_are_refused_before_any_table(entry_id, size, message)
     ],
 )
 def test_the_sampler_checks_and_prices_before_the_family(size, error, message):
-    """Every entry's sampler runs points, then prices the tuples, and only
-    then its family: a refused size is never handed to the family."""
+    """Every entry's evaluator, and so its sampler, runs points, then
+    prices the tuples, and only then its family: a refused size is never
+    handed to the family."""
     calls = []
 
     def family(size):
@@ -301,12 +323,16 @@ def test_the_sampler_checks_and_prices_before_the_family(size, error, message):
         return (le,)
 
     entry = catalogue._entry("dlo", family, SIG_ORDER, catalogue._at_least("dlo", 1), *[None] * 5)
-    with pytest.raises(error) as info:
-        entry.sampler(size)
-    assert str(info.value) == message
+    for call in (entry.sampler, entry.evaluator):
+        with pytest.raises(error) as info:
+            call(size)
+        assert str(info.value) == message
     assert calls == []
     assert entry.sampler(3) == sample_model("dlo", 3)
     assert calls == [3]
+    count, evaluate = entry.evaluator(3)
+    assert count == 3 and evaluate(range(3)) == sample_model("dlo", 3)
+    assert calls == [3, 3]
 
 
 @pytest.mark.parametrize(
@@ -380,6 +406,12 @@ def test_samplers_nest_along_size(entry_size, n):
             lambda: age_predictor(get_entry("dlo"), 0), "predictor needs n >= 1, got 0", id="predictor-n-0"
         ),
         pytest.param(lambda: age_predictor("dlo", 2.5), "predictor needs an int n, got 2.5", id="predictor-n-float"),
+        # an entry that is neither a CatalogueEntry nor a string is an unknown id
+        pytest.param(lambda: get_entry(5), "unknown catalogue entry 5", id="get-entry-int"),
+        pytest.param(lambda: get_entry(["dlo"]), "unknown catalogue entry ['dlo']", id="get-entry-list"),
+        pytest.param(lambda: profile(5, 3), "unknown catalogue entry 5", id="profile-entry-int"),
+        pytest.param(lambda: sample_model(5, 3), "unknown catalogue entry 5", id="sample-entry-int"),
+        pytest.param(lambda: age_predictor(None, 3), "unknown catalogue entry None", id="predictor-entry-none"),
     ],
 )
 def test_refusals_name_the_bad_argument(call, message):

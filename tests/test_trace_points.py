@@ -89,3 +89,15 @@ def test_screened_canonicalisation_goes_through_the_traced_bindings():
     assert _structure_calls(spans[0]) == {"structures.canonical": 21}
     metrics = layers.layer_metrics(spans)
     assert metrics["structures.induce_calls"] == metrics["structures.encode_calls"] == 0
+
+
+def test_the_tracer_sees_the_catalogue():
+    """profile and sample_model reach the patched get_entry: a traced
+    profile keys its subsets and builds no sample, and the composition
+    witness builds its one scaffold through the traced sampler."""
+    layers = _layers()
+    metrics = layers.layer_metrics(_traced(layers, lambda: profiles.profile("tree_c", 5)))
+    assert metrics["catalogue.key_calls"] > 0
+    assert metrics["catalogue.sample_calls"] == 0
+    metrics = layers.layer_metrics(_traced(layers, lambda: witnesses.composition_witness(4, 2)))
+    assert metrics["catalogue.sample_calls"] == 1
