@@ -369,11 +369,14 @@ ENTRY_IDS = (
     "fibered_order:k",
     "tree_c",
 )
+_SWEPT_INSTANCES = {"fibered_order:k": ("fibered_order:2", "fibered_order:3")}
 
 
 def _entry(entry_id: str, family: Family, sig: Signature, points: Points, *rest) -> CatalogueEntry:
     """The entry with fields as given, its evaluator built from the family
-    and its sampler that evaluator on every point."""
+    and its sampler that evaluator on every point. profile's plan prices
+    each sample before any n is counted, the evaluator before its family
+    builds tables, and _evaluated any points: each guards its own caller."""
 
     def evaluator(size: int):
         count = points(size)
@@ -413,30 +416,32 @@ def _reduct_entry(entry_id: str, sig: Signature, least: int, family: Family) -> 
     )
 
 
-_BASE_ENTRIES = {
-    "pure_set": _reduct_entry("pure_set", SIG_SET, 0, lambda size: ()),
-    "dlo": _reduct_entry("dlo", SIG_ORDER, 1, lambda size: (le,)),
-    "betweenness": _reduct_entry("betweenness", SIG_BETWEENNESS, 1, lambda size: (_btw,)),
-    "circular": _reduct_entry("circular", SIG_CIRCULAR, 1, lambda size: (_cyc,)),
-    "separation": _reduct_entry("separation", SIG_SEPARATION, 1, _separation),
-    "local_order": _entry(
+_BASE_ENTRIES = {entry.entry_id: entry for entry in (
+    _reduct_entry("pure_set", SIG_SET, 0, lambda size: ()),
+    _reduct_entry("dlo", SIG_ORDER, 1, lambda size: (le,)),
+    _reduct_entry("betweenness", SIG_BETWEENNESS, 1, lambda size: (_btw,)),
+    _reduct_entry("circular", SIG_CIRCULAR, 1, lambda size: (_cyc,)),
+    _reduct_entry("separation", SIG_SEPARATION, 1, _separation),
+    _entry(
         "local_order", _local_order, SIG_TOURNAMENT, _odd_points, local_order_count,
         lambda n: 2 * n + 3, _any_size(_out_degree_key), _out_degree_step_factory, "local_order",
     ),
-    "tree_c": _entry(
+    _entry(
         "tree_c", _tree, SIG_TREE, _tree_points, tree_count, lambda n: n, _any_size(_tree_key),
         _tree_step_factory, "tree_c",
     ),
-}
+)}
 
 
-def get_entry(entry_id: str) -> CatalogueEntry:
-    """Resolve a stable identifier, including parametric fibered_order:k."""
-    if isinstance(entry_id, str):
-        if entry_id in _BASE_ENTRIES:
-            return _BASE_ENTRIES[entry_id]
-        if entry_id.startswith("fibered_order:"):
-            raw = entry_id.split(":", 1)[1]
+def get_entry(entry: CatalogueEntry | str) -> CatalogueEntry:
+    """An entry unchanged, or the entry a stable id names, fibered_order:k included."""
+    if isinstance(entry, CatalogueEntry):
+        return entry
+    if isinstance(entry, str):
+        if entry in _BASE_ENTRIES:
+            return _BASE_ENTRIES[entry]
+        if entry.startswith("fibered_order:"):
+            raw = entry.split(":", 1)[1]
             try:
                 # one spelling per k: ASCII digits, no sign, space, "_" or leading 0
                 if not (raw.isascii() and raw.isdigit()) or raw[0] == "0" and raw != "0":
@@ -445,7 +450,7 @@ def get_entry(entry_id: str) -> CatalogueEntry:
             except ValueError:
                 raise ParameterError(f"bad fibered_order block size {raw!r}") from None
             return _fibered_entry(k)
-    raise ParameterError(f"unknown catalogue entry {entry_id!r}")
+    raise ParameterError(f"unknown catalogue entry {entry!r}")
 
 
 def list_entry_ids() -> tuple[str, ...]:
@@ -453,28 +458,15 @@ def list_entry_ids() -> tuple[str, ...]:
 
 
 def default_sweep_ids() -> tuple[str, ...]:
-    """Concrete entries used by catalogue-wide sweeps and scripts."""
-    return (
-        "pure_set",
-        "dlo",
-        "betweenness",
-        "circular",
-        "separation",
-        "local_order",
-        "fibered_order:2",
-        "fibered_order:3",
-        "tree_c",
-    )
+    """Concrete entries used by catalogue-wide sweeps and scripts: ENTRY_IDS,
+    each parametric id replaced by its instances in _SWEPT_INSTANCES."""
+    return tuple(i for entry_id in ENTRY_IDS for i in _SWEPT_INSTANCES.get(entry_id, (entry_id,)))
 
 
 def sample_model(entry: CatalogueEntry | str, size: int) -> FiniteStructure:
-    if not isinstance(entry, CatalogueEntry):
-        entry = get_entry(entry)
-    return entry.sampler(size)
+    return get_entry(entry).sampler(size)
 
 
 def age_predictor(entry: CatalogueEntry | str, n: int) -> int:
     """Closed-form class count for n-point substructures."""
-    if not isinstance(entry, CatalogueEntry):
-        entry = get_entry(entry)
-    return entry.predictor(int_at_least("predictor", "n", n, 1))
+    return get_entry(entry).predictor(int_at_least("predictor", "n", n, 1))

@@ -128,8 +128,6 @@ def _cmd_catalogue_list(args) -> str:
 
 
 def _cmd_profile(args) -> str:
-    if args.budget < 1:
-        raise ParameterError(f"budget must be > 0, got {args.budget}")
     seq = profile(args.entry, args.n_max, budget=args.budget)
     if args.fmt == "json":
         return _json_text(seq.to_json_dict())

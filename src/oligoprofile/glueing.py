@@ -60,6 +60,8 @@ class OrderFragment:
     def __post_init__(self) -> None:
         if not isinstance(self.fragment_id, str):
             raise ParameterError(f"fragment id {self.fragment_id!r} is not a string")
+        if not isinstance(self.elements, Iterable):
+            raise ParameterError(f"fragment {self.fragment_id!r} elements are not iterable")
         object.__setattr__(self, "elements", tuple(self.elements))
         if len(self.elements) < 2:
             raise ParameterError(

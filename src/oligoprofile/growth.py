@@ -113,7 +113,10 @@ def _nth_root(v: int, n: int) -> float:
 
 def _terms(who: str, values, least: int) -> tuple[int, ...]:
     """values as a tuple of at least least positive ints, a bool not being one."""
-    vals = tuple(values)
+    try:
+        vals = tuple(values)
+    except TypeError:
+        raise DomainError(f"{who} needs an iterable of values, got {values!r}") from None
     if any(type(v) is not int for v in vals):
         raise DomainError(f"{who} needs int values, and a bool is not one")
     if len(vals) < least:

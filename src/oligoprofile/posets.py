@@ -127,10 +127,13 @@ class FinitePoset:
         if type(size) is not int or size < 1:
             raise DomainError(f"poset size must be an int >= 1, got {size!r}")
         succ = [0] * size
+        if not isinstance(leq, Iterable):
+            raise DomainError(f"poset pairs must be iterable, got {leq!r}")
         # one pass, so an iterator is read once; each pair is checked
         # before it is set, since a mask would read (True, 1) as (1, 1)
         for pair in leq:
-            if len(pair) != 2 or not all(type(v) is int and 0 <= v < size for v in pair):
+            pair_shaped = isinstance(pair, (tuple, list)) and len(pair) == 2
+            if not pair_shaped or not all(type(v) is int and 0 <= v < size for v in pair):
                 raise DomainError(f"bad pair {pair!r} for size {size}")
             succ[pair[0]] |= 1 << pair[1]
         self._set_masks(succ)
@@ -464,7 +467,7 @@ def exhaustive_posets(size: int) -> tuple[FinitePoset, ...]:
         ]
         broken = _first_intransitive(succ)
         if broken is None:
-            model = FiniteStructure.build(SIG_ORDER, size, {"leq": _pairs(succ)})
+            model = FiniteStructure._evaluated(SIG_ORDER, range(size), (lambda a, b: succ[a] >> b & 1 == 1,))
             seen.setdefault(canonical_form(model), succ)
         # row a's check reads only rows a and above, so every candidate that
         # shares those bits fails it too: skip to the next one that does not

@@ -97,7 +97,7 @@ def _checked_points(entry, size: int, n: int, budget: int) -> int:
 def _declared(entry, size: int, points: int, built: int) -> None:
     if built != points:
         raise InternalInvariantError(
-            f"{entry.entry_id}: sampler({size}) built {built} points, declared {points}"
+            f"{entry.entry_id}: the sample of size {size} has {built} points, declared {points}"
         )
 
 
@@ -136,13 +136,12 @@ def profile(entry, n_max: int, budget: int = DEFAULT_BUDGET) -> ProfileSequence:
     the sample of saturation_rule(n) points.
 
     Accepts an entry object or a stable identifier string. budget bounds
-    C(sample points, n) for every count; it and the tuple cap are checked
-    on the declared points before anything is evaluated.
+    C(sample points, n) for every count, so it is at least 1; it and the
+    tuple cap are checked on the declared points before anything is evaluated.
     """
-    if not isinstance(entry, catalogue.CatalogueEntry):
-        entry = catalogue.get_entry(entry)
+    entry = catalogue.get_entry(entry)
     int_at_least("profile", "n_max", n_max, 1)
-    int_at_least("profile", "budget", budget, 0)
+    int_at_least("profile", "budget", budget, 1)
     plan = []
     evaluated = 0
     for n in range(1, n_max + 1):

@@ -116,12 +116,12 @@ class FiniteStructure:
     derives itself skip it through _trusted: induced_substructure and
     relabel (a valid structure restricted to distinct in-range points, or
     mapped by a checked bijection, is valid) and _evaluated, which builds
-    the catalogue samples, the profile's key representatives and the
-    witness scaffolds from their formulas (tuples drawn from
-    range(len(points)) by construction). _evaluated is the profile
-    engine's only producer, where validation would cost about a sixth of
-    the time; tests re-validate the output of all three through the
-    public constructor.
+    the catalogue samples, the profile's key representatives, the
+    witness scaffolds and exhaustive_posets' candidates from their
+    formulas (tuples drawn from range(len(points)) by construction).
+    _evaluated is the profile engine's only producer, where validation
+    would cost about a sixth of the time; tests re-validate the output of
+    all three through the public constructor.
     """
 
     signature: Signature

@@ -313,8 +313,7 @@ def class_codes(entry, size: int, n: int, budget: int = profiles.DEFAULT_BUDGET)
     sample is built (entry.sampler) and each representative induced from
     it, not evaluated from the formulas as profile() does. Takes the
     entry or its id, and refuses as profile() does before building."""
-    if isinstance(entry, str):
-        entry = catalogue.get_entry(entry)
+    entry = catalogue.get_entry(entry)
     points = profiles._checked_points(entry, size, n, budget)
     model = entry.sampler(size)
     profiles._declared(entry, size, points, model.size)

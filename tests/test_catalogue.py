@@ -92,9 +92,38 @@ def test_entry_id_listing():
 
 def test_default_sweep_is_concrete():
     sweep = default_sweep_ids()
-    assert "fibered_order:2" in sweep and "fibered_order:3" in sweep
+    assert sweep == (
+        "pure_set", "dlo", "betweenness", "circular", "separation", "local_order",
+        "fibered_order:2", "fibered_order:3", "tree_c",
+    )
     for entry_id in sweep:
         assert get_entry(entry_id).entry_id == entry_id
+
+
+def test_entry_ids_are_the_one_list():
+    """The base entries are keyed by their own ids, which are ENTRY_IDS
+    but the parametric one, in order; get_entry resolves each key to its
+    entry and returns an entry unchanged."""
+    assert tuple(catalogue._BASE_ENTRIES) == tuple(i for i in catalogue.ENTRY_IDS if i != "fibered_order:k")
+    for entry_id, entry in catalogue._BASE_ENTRIES.items():
+        assert entry.entry_id == entry_id and get_entry(entry_id) is entry and get_entry(entry) is entry
+
+
+def _entry_checks(node, path=()):
+    """The def path of every isinstance(..., CatalogueEntry) call below node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == "isinstance":
+            names = {getattr(sub, "id", None) or getattr(sub, "attr", None) for sub in ast.walk(child.args[1])}
+            if "CatalogueEntry" in names:
+                yield path
+        yield from _entry_checks(child, path + (child.name,) if isinstance(child, ast.FunctionDef) else path)
+
+
+def test_get_entry_is_the_one_resolver():
+    """Only get_entry tells an entry from an id; every other function that
+    takes either passes it to get_entry."""
+    checks = [(p.stem, path) for p in sorted(SRC.glob("*.py")) for path in _entry_checks(ast.parse(p.read_text()))]
+    assert checks == [("catalogue", ("get_entry",))]
 
 
 @pytest.mark.parametrize(

@@ -581,7 +581,7 @@ def test_nonpositive_budget_exits_one_and_jobs_is_ignored(capsys, tmp_path, monk
     (tmp_path / "poset.json").write_text('{"size": 2, "leq": [[0, 1]]}')
     (tmp_path / "fragments.json").write_text('{"fragments": [{"id": "a", "elements": [1, 2]}]}')
     if argv[0] == "profile":
-        assert run_cli(capsys, *argv, "--budget", "0") == (1, "", "error: budget must be > 0, got 0\n")
+        assert run_cli(capsys, *argv, "--budget", "0") == (1, "", "error: profile needs budget >= 1, got 0\n")
     else:
         # only profile reads --budget; on the others it is an unknown option
         assert run_cli(capsys, *argv, "--budget", "1")[:2] == (2, "")

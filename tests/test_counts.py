@@ -28,6 +28,14 @@ COUNT_ARGUMENTS = [
     (glueing, "sample_linear_fragments", "size", 3, lambda v: glueing.sample_linear_fragments(v, 0)),
     (glueing, "sample_circular_fragments", "size", 8, lambda v: glueing.sample_circular_fragments(v, 0)),
     (catalogue, "fibered_order", "block size", 1, catalogue._fibered_entry),
+    (catalogue, "dlo", "size", 1, lambda v: catalogue.sample_model("dlo", v)),
+    (catalogue, "predictor", "n", 1, lambda v: catalogue.age_predictor("dlo", v)),
+    (profiles, "profile", "n_max", 1, lambda v: profiles.profile("dlo", v)),
+    (profiles, "profile", "budget", 1, lambda v: profiles.profile("dlo", 2, budget=v)),
+    (witnesses, "composition_witness", "n", 1, lambda v: witnesses.composition_witness(v, 2)),
+    (witnesses, "composition_witness", "max_part", 1, lambda v: witnesses.composition_witness(3, v)),
+    (witnesses, "binary_pattern_witness", "n", 1, witnesses.binary_pattern_witness),
+    (witnesses, "antichain_witness", "n", 1, witnesses.antichain_witness),
 ]
 
 

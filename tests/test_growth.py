@@ -87,6 +87,10 @@ def test_growth_estimate_input_validation():
         growth_estimate([1, 2])
     with pytest.raises(DomainError):
         growth_estimate([1, 0, 2])
+    for values in (5, None):
+        with pytest.raises(DomainError) as info:
+            growth_estimate(values)
+        assert str(info.value) == f"growth_estimate needs an iterable of values, got {values!r}"
 
 
 @pytest.mark.parametrize("values", [[1, 2.9, 7], [1, "2", 3], [True, True, True]])
@@ -147,6 +151,9 @@ def test_lower_bound_check_validation():
         lower_bound_check([1, -1], 1.5, 0)
     with pytest.raises(DomainError):
         lower_bound_check([1, 2], 0.0, 0)
+    with pytest.raises(DomainError) as info:
+        lower_bound_check(5, 2.0, 0)
+    assert str(info.value) == "lower_bound_check needs an iterable of values, got 5"
 
 
 @pytest.mark.parametrize("values", [[1, 2.7, 7], [1, "x", 3], [True, 2, 3]])

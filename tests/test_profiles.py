@@ -539,7 +539,7 @@ def test_a_wrong_point_declaration_is_an_internal_error():
     builds that sample."""
     entry = dataclasses.replace(get_entry("tree_c"), points=lambda size: size)
     assert profile(entry, 3).values == (1, 1, 1)
-    message = "tree_c: sampler(4) built 5 points, declared 4"
+    message = "tree_c: the sample of size 4 has 5 points, declared 4"
     for call in (lambda: profile(entry, 4), lambda: class_codes(entry, 4, 2)):
         with pytest.raises(InternalInvariantError) as info:
             call()
@@ -569,12 +569,15 @@ def test_the_samples_of_one_profile_share_the_tuple_cap(monkeypatch):
         "fibered_order:1: 140 tuples in the samples for n=1..7, over the cap of 100"
     )
     assert built == []
-    # the budget refuses before any sample, and the cap on one sample
-    # before the total it would also pass (1 + 4 > 3)
-    built.clear()
-    with pytest.raises(ResourceError) as info:
+    # no count fits a budget of 0, so it is refused as a parameter; the
+    # budget refuses before any sample (C(2, 1) = 2 > 1 for fibered_order:2),
+    # and the cap on one sample before the total it would also pass (1 + 4 > 3)
+    with pytest.raises(ParameterError) as info:
         profile(entry, 7, budget=0)
-    assert str(info.value) == "fibered_order:1 budget: 1 subsets of size 1, over the cap of 0"
+    assert str(info.value) == "profile needs budget >= 1, got 0"
+    with pytest.raises(ResourceError) as info:
+        profile(_recording(get_entry("fibered_order:2"), built), 7, budget=1)
+    assert str(info.value) == "fibered_order:2 budget: 2 subsets of size 1, over the cap of 1"
     assert built == []
     monkeypatch.setattr(structures, "MAX_EVALUATED_TUPLES", 3)
     with pytest.raises(ResourceError) as info:

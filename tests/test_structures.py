@@ -590,6 +590,11 @@ _ENTRIES = "size and tuple entries must be integers"
             "poset size must be an int >= 1, got 2.5",
             id="float-poset-size",
         ),
+        pytest.param(lambda: FinitePoset(3, 5), DomainError, "poset pairs must be iterable, got 5", id="int-poset-pairs"),
+        pytest.param(lambda: FinitePoset(3, [5]), DomainError, "bad pair 5 for size 3", id="int-poset-pair"),
+        pytest.param(
+            lambda: OrderFragment("a", 5), ParameterError, "fragment 'a' elements are not iterable", id="int-elements"
+        ),
     ],
 )
 def test_constructors_refuse_what_the_loaders_refuse(call, error, message):
