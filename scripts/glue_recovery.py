@@ -32,7 +32,7 @@ def main() -> int:
 
     rng = random.Random(args.seed)
     failures = 0
-    t0 = time.time()
+    t0 = time.perf_counter()
     for case in range(args.cases):
         circular = case % 2 == 1
         low = 8 if circular else 3
@@ -55,7 +55,7 @@ def main() -> int:
         if not ok:
             failures += 1
             print(f"case {case}: FAILED ({kind}, size {size}, seed {seed})")
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     print(f"{args.cases} cases, {failures} failures, {elapsed:.2f}s")
     return 1 if failures else 0
 

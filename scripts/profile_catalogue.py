@@ -21,13 +21,13 @@ def main() -> int:
     entries = args.entries if args.entries else list(default_sweep_ids())
     status = 0
     for entry_id in entries:
-        t0 = time.time()
+        t0 = time.perf_counter()
         try:
             seq = profile(entry_id, args.n_max)
         except OligoError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        elapsed = time.time() - t0
+        elapsed = time.perf_counter() - t0
         predicted = [age_predictor(entry_id, n) for n in range(1, args.n_max + 1)]
         agree = all(p == v for p, v in zip(predicted, seq.values))
         if not agree:

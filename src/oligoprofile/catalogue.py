@@ -38,21 +38,25 @@ the depth of the meet and a leaf's meet with itself has infinite depth.
 Subset steps and keys. profile() needs every n-subset's class, not every
 n-subset. It grows sorted prefixes one point at a time: step(state, last,
 e) is the state of the prefix extended by a point e above its last point
-(last is None for the empty prefix, whose state is ()), and only the first
-prefix reached per state is extended. So the first prefix with a state must
-reach by extension every key a later one reaches. The key of a whole
-n-subset's state is hashable, and equal keys induce equal canonical codes;
-profile counts the isomorphism classes of the first subset per key. The
-order reducts induce one literal structure on every sorted subset (their
-formulas only compare arguments), so their state is constant; they and
-fibered_order:k take the state as the key.
+(last is None for the empty prefix, whose state is ()), and per state only
+the prefix with the least last point, the first reached on ties, is
+extended. So that prefix must reach by extension every key that any prefix
+with the state reaches. The key of a whole n-subset's state is hashable,
+and equal keys induce equal canonical codes; profile counts the
+isomorphism classes of the first subset per key. The order reducts induce
+one literal structure on every sorted subset (their formulas only compare
+arguments), so their state is constant; they and fibered_order:k take the
+state as the key, and the rule keeps (0, ..., n-1) for the reducts.
 
 fibered_order:k keeps the block run lengths, which fix the induced total
 preorder, and tree_c the raw consecutive meet depths; the steps read the
 last point from the prefix. Proof that the first prefix per state reaches
 every key: the parent's state is a function of the child's (shorten the
-last run, or drop it at 1; drop the last depth), so a state's first prefix
-is the parent state's first prefix extended by the least e. P dominates Q
+last run, or drop it at 1; drop the last depth), so every prefix the
+frontier reaches with a state extends the one kept prefix of the parent
+state, and the first of them is extended by the least e. So the first
+prefix per state is the one with the least last point, and the rule
+keeps the same representatives as keeping the first would. P dominates Q
 (same state) when each continuation of Q has one of P with the same states
 and no larger points; this passes to extensions, so it suffices that the
 first prefix dominates. fibered_order:k: by induction the first prefix
@@ -99,9 +103,19 @@ A point more than half a circle behind the last is frozen (every later
 point beats it), and the state keeps its final out-degree. Every other
 point is live: each later point that keeps it live loses to it, so the
 state keeps its fixed out-degree minus the point count and its position
-from the first point; the last position is the span. A new point beats
-exactly the frozen points. Translates share a state, which fixes the
-states of all extensions by equal steps, and the first reached ends lowest.
+from the oldest live point, and when points freeze the positions are
+rebased on the oldest point left live. A new point beats exactly the
+frozen points. So the state forgets where the frozen points sit, and the
+step reads only the state and e - last. Proof that the prefix with the
+least last point per state reaches every key, though the child's state
+does not fix the parent's: take prefixes P and Q with equal states and
+P.last <= Q.last. Shift any continuation of Q by P.last - Q.last; it
+becomes a continuation of P inside the same bound, with the same steps,
+so the same states and key. By induction on the length, the prefix kept
+for each state has the least last point of all prefixes with that state:
+a prefix R with that state extends a parent R' by some e, the prefix kept
+for the state of R' ends no later than R', and the frontier extends it by
+the same step e - R'.last, so it reaches R's state no later than R does.
 
 Saturation proofs. saturation_rule(n) is a sample size that realises every
 n-point class of the structure. Every entry's saturation_proof names one of
@@ -302,22 +316,25 @@ _const_step_factory = _any_size(lambda state, last, e: ())
 
 def _out_degree_step_factory(size: int) -> SubsetStep:
     # State: the final out-degrees of the frozen points, the positions of
-    # the live points from the first point, and their out-degrees minus the
-    # point count (see the module docstring).
+    # the live points from the oldest live point, and their out-degrees
+    # minus the point count (see the module docstring).
     half = (size - 1) // 2
 
     def step(state: object, last: int | None, e: int) -> object:
         if last is None:
             return (), (0,), (-1,)
         frozen, pos, deg = state
-        span = pos[-1] + e - last
-        count = len(frozen) + len(pos)
-        # the points more than half a circle behind e freeze
-        cut = bisect_left(pos, span - half)
+        pos += (pos[-1] + e - last,)
+        count = len(frozen) + len(deg)
+        # the points more than half a circle behind e freeze, and the
+        # positions are rebased on the oldest point left live
+        cut = bisect_left(pos, pos[-1] - half)
         if cut:
             frozen += tuple([d + count for d in deg[:cut]])
-            pos, deg = pos[cut:], deg[cut:]
-        return frozen, pos + (span,), deg + (len(frozen) - count - 1,)
+            deg = deg[cut:]
+            base = pos[cut]
+            pos = tuple([p - base for p in pos[cut:]])
+        return frozen, pos, deg + (len(frozen) - count - 1,)
 
     return step
 

@@ -20,6 +20,7 @@ so no other list passes, and the list is laid out item by item.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -223,6 +224,8 @@ _HANDLERS = {
 }
 
 
+# Built once per process: parse_args leaves the parser as it found it.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(

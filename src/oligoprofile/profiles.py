@@ -9,9 +9,9 @@ larger sample runs in the tests.
 
 Subsets are enumerated as a frontier of sorted prefixes, one level per
 length. Each level maps a prefix state (the entry's subset step, see
-catalogue) to the first prefix that reached it, and only that prefix is
-extended; the last level maps the entry's key of each extension's state to
-the first subset that reached it.
+catalogue) to the prefix with the least last point that reached it, the
+first on ties, and only that prefix is extended; the last level maps the
+entry's key of each extension's state to the first subset that reached it.
 
 The frontier reads only the step and key the entry makes for the base's
 size, and each representative is evaluated from the entry's formulas on
@@ -103,7 +103,9 @@ def _declared(entry, size: int, points: int, built: int) -> None:
 
 def _representatives(entry, size: int, points: int, n: int) -> dict:
     """Key -> the first n-subset of range(points) with that key the
-    frontier reaches, stepping and keying for the sample of this size."""
+    frontier reaches, stepping and keying for the sample of this size;
+    each shorter level keeps, per state, the prefix with the least last
+    point, the first on ties."""
     key = entry.subset_key_factory(size)
     step = entry.subset_step_factory(size)
     level: dict = {(): ()}
@@ -116,7 +118,7 @@ def _representatives(entry, size: int, points: int, n: int) -> dict:
                 s = step(state, last, e)
                 if todo == 1:
                     s = key(s)
-                if s not in nxt:
+                if s not in nxt or todo > 1 and e < nxt[s][-1]:
                     nxt[s] = prefix + (e,)
         level = nxt
     return level

@@ -62,9 +62,9 @@ def sweep_profiles():
 
 
 def test_criterion_1_five_reducts_identity():
-    t0 = time.time()
+    t0 = time.perf_counter()
     sequences = {e: profile(e, 8) for e in FIVE_REDUCTS}
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     flat = all(seq.values == (1,) * 8 for seq in sequences.values())
     sat = max(max(seq.saturated_at) for seq in sequences.values())
     ok = flat and sat <= 19 and elapsed < 120
@@ -96,11 +96,11 @@ def test_criterion_3_tree_structure(sweep_profiles):
 
 
 def test_criterion_4_growth_constants():
-    t0 = time.time()
+    t0 = time.perf_counter()
     tree_report = growth_estimate([tree_count(n) for n in range(1, 41)])
     fib_report = growth_estimate([fibonacci(n) for n in range(1, 26)])
     sqrt_tree = tree_report.limit_estimate ** 0.5
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     ok = (
         abs(tree_report.limit_estimate - 2.483) < 0.05
         and abs(fib_report.limit_estimate - 1.618) < 0.01
@@ -121,7 +121,7 @@ def test_criterion_4_growth_constants():
 
 
 def test_criterion_5_witness_counts():
-    t0 = time.time()
+    t0 = time.perf_counter()
     expected = {
         "composition": lambda n: 2 ** (n - 1),
         "binary_pattern": lambda n: 2 ** n,
@@ -140,7 +140,7 @@ def test_criterion_5_witness_counts():
                 if family.index_decoder(member) != index:
                     problems.append(f"{cid}({n}): decode misses {index}")
                     break
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     ok = not problems and elapsed < 300
     _verdict(5, ok, f"three families at n<=10: counts, no collisions, round-trips, {elapsed:.1f}s")
     assert not problems, problems
@@ -148,7 +148,7 @@ def test_criterion_5_witness_counts():
 
 
 def test_criterion_6_linearization_properties():
-    t0 = time.time()
+    t0 = time.perf_counter()
     corpus = []
     for size in range(1, 6):
         corpus.extend(exhaustive_posets(size))
@@ -185,7 +185,7 @@ def test_criterion_6_linearization_properties():
             previous = record.quotient_incomparability
         if len(result.trace) > antichain_width(p):
             over_width += 1
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     ok = not violations and elapsed < 120
     _verdict(
         6,
@@ -199,7 +199,7 @@ def test_criterion_6_linearization_properties():
 
 
 def test_criterion_7_glueing_recovery():
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = random.Random(812)
     failures = []
     for case in range(200):
@@ -233,7 +233,7 @@ def test_criterion_7_glueing_recovery():
                 failures.append(f"case {case}: emitted relation differs at size {size}")
             elif size <= 10 and canonical_form(emitted) != canonical_form(reference):
                 failures.append(f"case {case}: canonical code differs at size {size}")
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     ok = not failures and elapsed < 60
     _verdict(7, ok, f"200 hidden orders recovered, sizes <= 200, {elapsed:.1f}s")
     assert not failures, failures

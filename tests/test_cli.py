@@ -285,6 +285,34 @@ def test_usage_error_exits_two(capsys):
     assert run_cli(capsys, "nonsense")[0] == 2
 
 
+def test_one_parser_serves_every_command_line_of_a_process():
+    """The parser is built once per process: after a refused command line
+    (exit 2), a profile and a witness line in the same process print the
+    pinned bytes a fresh process prints."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    probe = (
+        "import hashlib, io, sys\n"
+        "from oligoprofile.cli import main\n"
+        "for argv in (['profile', 'dlo'], ['profile', 'dlo', '--n-max', '8'],"
+        " ['witness', 'composition', '--n', '9']):\n"
+        "    sys.stdout, out = io.StringIO(), sys.stdout\n"
+        "    code = main(argv)\n"
+        "    sys.stdout, text = out, sys.stdout.getvalue()\n"
+        "    print(code, hashlib.sha256(text.encode()).hexdigest())\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        f"2 {_digest('')}",
+        f"0 {PROFILE_PINS['dlo', 8][0]}",
+        f"0 {WITNESS_PINS['composition', '--n', '9']}",
+    ]
+
+
 def test_growth_requires_entry_or_file(capsys, tmp_path):
     assert run_cli(capsys, "growth")[0] == 2
     payload = tmp_path / "values.json"

@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -407,6 +408,94 @@ def test_first_prefix_per_state_reaches_every_key(entry_id):
                         state, last = step(state, last, e), e
                     keys = reach(state, last, n - length)
                     assert keys <= first.setdefault(state, keys), (size, n, prefix)
+
+
+def test_least_last_prefix_per_state_reaches_every_key():
+    """The frontier's rule for local_order, over every prefix and not only
+    those the frontier keeps: of the prefixes sharing a state, the one with
+    the least last point (the first on ties) reaches by extension every key
+    that any of them reaches, at base and base+2."""
+    entry = get_entry("local_order")
+    for n in range(2, 7):
+        base = entry.saturation_rule(n)
+        for size in (base, base + 2):
+            points = entry.points(size)
+            step = entry.subset_step_factory(size)
+            key = entry.subset_key_factory(size)
+
+            @functools.lru_cache(maxsize=None)
+            def reach(state, last, todo):
+                if todo == 0:
+                    return frozenset([key(state)])
+                ends = range(last + 1, points - todo + 1)
+                return frozenset().union(*(reach(step(state, last, e), e, todo - 1) for e in ends))
+
+            for length in range(1, n):
+                least, every = {}, {}
+                for prefix in itertools.combinations(range(points - n + length), length):
+                    state, last = (), None
+                    for e in prefix:
+                        state, last = step(state, last, e), e
+                    keys = reach(state, last, n - length)
+                    every[state] = every.get(state, frozenset()) | keys
+                    if state not in least or last < least[state][0]:
+                        least[state] = last, keys
+                for state, keys in every.items():
+                    assert keys <= least[state][1], (size, n, state)
+
+
+def _toy_step(state, last, e):
+    # (0, 3) and then (1, 2) reach the state "S"; every other pair reaches
+    # "T". Past "S" the state is ("S", e - last), and past "T" it is "T".
+    if last is None:
+        return e
+    if state == "S":
+        return "S", e - last
+    if state == "T":
+        return "T"
+    return "S" if state + e == 3 else "T"
+
+
+def test_the_frontier_keeps_the_least_last_prefix_per_state():
+    """The frontier reaches the state "S" first by (0, 3) and then by
+    (1, 2), and keeps (1, 2): on 5 points only its extension by 2 reaches
+    the key ("S", 2)."""
+    entry = dataclasses.replace(
+        get_entry("dlo"),
+        subset_step_factory=lambda size: _toy_step,
+        subset_key_factory=lambda size: lambda state: state,
+    )
+    assert profiles._representatives(entry, 5, 5, 3) == {
+        "T": (0, 1, 2), ("S", 1): (1, 2, 3), ("S", 2): (1, 2, 4),
+    }
+
+
+def test_local_order_states_forget_where_frozen_points_sit():
+    """On 19 points the state keeps the live points from the oldest live
+    one, so prefixes that differ only in where the frozen points sit share
+    a state; and prefixes with equal states, extended by the same step
+    e - last, reach equal states (prefixes of up to 4 points, random pairs)."""
+    step = get_entry("local_order").subset_step_factory(19)
+
+    def state(prefix):
+        out, last = (), None
+        for e in prefix:
+            out, last = step(out, last, e), e
+        return out
+
+    assert state((0, 15)) == state((1, 12))
+    assert state((0, 3, 13)) == state((2, 4, 14))
+    groups: dict = {}
+    for length in range(1, 5):
+        # a last point below 18 leaves room for one more point
+        for prefix in itertools.combinations(range(18), length):
+            groups.setdefault(state(prefix), []).append(prefix)
+    shared = [group for group in groups.values() if len(group) > 1]
+    rnd = random.Random(0)
+    for _ in range(500):
+        p, q = rnd.sample(rnd.choice(shared), 2)
+        gap = rnd.randrange(1, 19 - max(p[-1], q[-1]))
+        assert step(state(p), p[-1], p[-1] + gap) == step(state(q), q[-1], q[-1] + gap), (p, q, gap)
 
 
 def _raw_shape(entry_id, size):
