@@ -7,8 +7,9 @@ for conditions the algorithms guarantee; seeing one is a bug, not bad input.
 
 int_at_least checks every count and size: catalogue sizes, age_predictor,
 profile, the witness constructors, compositions, compositions_count,
-tree_count, local_order_count, random_poset, exhaustive_posets, both glue
-samplers and the fibered_order block size.
+tree_count, local_order_count, lower_bound_check's degree, random_poset,
+exhaustive_posets, both glue samplers and the fibered_order block size.
+int_arg, its type check, checks the random generators' seeds.
 
 at_most checks every cap, with one ResourceError text, "who: value what,
 over the cap of cap": structures.evaluated_tuples, profile's budget and
@@ -53,12 +54,17 @@ class InternalInvariantError(OligoError):
     """A property the algorithm is supposed to guarantee failed to hold."""
 
 
-def int_at_least(who: str, what: str, value: int, least: int) -> int:
-    """value, once it is an int (a bool is not one) and at least least;
-    ParameterError naming who and what otherwise."""
+def int_arg(who: str, what: str, value: int) -> int:
+    """value, once it is an int (a bool is not one); ParameterError otherwise."""
     if type(value) is not int:
         raise ParameterError(f"{who} needs an int {what}, got {value!r}")
-    if value < least:
+    return value
+
+
+def int_at_least(who: str, what: str, value: int, least: int) -> int:
+    """value, once it is an int (int_arg) and at least least;
+    ParameterError naming who and what otherwise."""
+    if int_arg(who, what, value) < least:
         raise ParameterError(f"{who} needs {what} >= {least}, got {value}")
     return value
 

@@ -35,6 +35,7 @@ from .errors import (
     InternalInvariantError,
     ParameterError,
     at_most,
+    int_arg,
     int_at_least,
 )
 from .structures import FiniteStructure
@@ -489,7 +490,7 @@ def sample_linear_fragments(
 ) -> tuple[tuple[Element, ...], tuple[OrderFragment, ...]]:
     """A hidden shuffled line plus covering windows in random directions."""
     int_at_least("sample_linear_fragments", "size", size, 3)
-    rng = random.Random(seed)
+    rng = random.Random(int_arg("sample_linear_fragments", "seed", seed))
     hidden = list(range(size))
     rng.shuffle(hidden)
     # a drawn length has hi == _MAX_LEN >= lo here, so the march never fails
@@ -510,7 +511,7 @@ def sample_circular_fragments(
     tail, except the last and the first, which may also meet at both ends.
     """
     int_at_least("sample_circular_fragments", "size", size, 8)
-    rng = random.Random(seed)
+    rng = random.Random(int_arg("sample_circular_fragments", "seed", seed))
     hidden = list(range(size))
     rng.shuffle(hidden)
     for _ in range(200):

@@ -155,8 +155,9 @@ def lower_bound_check(values, c: float, degree: int) -> bool:
     Comparison runs in log space so huge exact terms stay usable.
     """
     vals = _terms("lower_bound_check", values, 0)
-    if c <= 0:
+    if not (type(c) in (int, float) and 0 < c < math.inf):
         raise DomainError(f"growth base must be positive, got {c}")
+    int_at_least("lower_bound_check", "degree", degree, 0)
     logc = math.log(c)
     for kk in _K_GRID:
         ok = True

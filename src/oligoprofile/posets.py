@@ -44,7 +44,7 @@ from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 from .catalogue import SIG_ORDER
-from .errors import DomainError, InternalInvariantError, ParameterError, at_most, int_at_least
+from .errors import DomainError, InternalInvariantError, ParameterError, at_most, int_arg, int_at_least
 from .structures import FiniteStructure, canonical_form
 
 Pair = tuple[int, int]
@@ -427,9 +427,12 @@ def random_poset(
     transitively, resampled until the width is at most max_width."""
     int_at_least("random_poset", "size", size, 1)
     int_at_least("random_poset", "max_width", max_width, 1)
-    rng = random.Random(seed)
+    p = edge_probability
+    if not (p is None or type(p) in (int, float) and 0 <= p <= 1):
+        raise ParameterError(f"random_poset needs edge_probability None or in [0, 1], got {p!r}")
+    rng = random.Random(int_arg("random_poset", "seed", seed))
     for _ in range(_MAX_ATTEMPTS):
-        prob = edge_probability if edge_probability is not None else rng.uniform(0.2, 0.7)
+        prob = p if p is not None else rng.uniform(0.2, 0.7)
         layout = list(range(size))
         rng.shuffle(layout)
         succ = [0] * size

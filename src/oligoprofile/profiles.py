@@ -13,10 +13,10 @@ catalogue) to the prefix with the least last point that reached it, the
 first on ties, and only that prefix is extended; the last level maps the
 entry's key of each extension's state to the first subset that reached it.
 
-The frontier reads only the step and key the entry makes for the base's
-size, and each representative is evaluated from the entry's formulas on
-its own points (the entry's evaluator), which gives the sample's induced
-substructure on them. So profile builds no sample.
+The frontier scans the points the entry's evaluator evaluates for the
+base's size, with the entry's step and key for that size, and each
+representative is evaluated from the entry's formulas on its own points,
+the sample's induced substructure on them. So profile builds no sample.
 
 Counting never trusts the dedup key alone. Keys pick one representative
 subset per key, and the representatives' classes are counted by
@@ -34,9 +34,9 @@ C(points, n) against the budget, that n's sample against
 structures.MAX_EVALUATED_TUPLES on its own (structures.evaluated_tuples),
 and the running total of the samples' tuples against the same cap. So
 the scan stops at the least n that fails any limit. The tuple caps price the
-samples, which profile no longer builds. Then, per n, the evaluator's
-points are checked against the declaration before the frontier runs, and
-the representatives are evaluated, counted and dropped.
+samples, which profile no longer builds. Then, per n, the frontier scans
+the evaluator's points, and the representatives are evaluated, counted
+and dropped.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 # catalogue.get_entry is looked up per call, so a wrapped one is honoured
 from . import catalogue, structures
-from .errors import InternalInvariantError, ParameterError, at_most, int_at_least
+from .errors import ParameterError, at_most, int_at_least
 from .structures import (
     canonical_form,
     induced_substructure,  # unused here: perfbench/layers.py patches this binding
@@ -67,6 +67,9 @@ class ProfileSequence:
     saturated_at: tuple[int, ...]
 
     def __post_init__(self):
+        for column in (self.values, self.saturated_at):
+            if type(column) is not tuple or any(type(v) is not int for v in column):
+                raise ParameterError(f"profile columns must be tuples of ints, got {column!r}")
         if len(self.values) != len(self.saturated_at):
             raise ParameterError("values and saturated_at must align")
         if any(v < 1 for v in self.values):
@@ -82,23 +85,6 @@ class ProfileSequence:
             "values": list(self.values),
             "saturated_at": list(self.saturated_at),
         }
-
-
-def _checked_points(entry, size: int, n: int, budget: int) -> int:
-    """The points the sample of this size declares, once n-subsets fit the budget."""
-    int_at_least(entry.entry_id, "subset size", n, 1)
-    points = entry.points(size)
-    if n > points:
-        raise ParameterError(f"{entry.entry_id}: sample of {points} points cannot host n={n}")
-    at_most(f"{entry.entry_id} budget", f"subsets of size {n}", math.comb(points, n), budget)
-    return points
-
-
-def _declared(entry, size: int, points: int, built: int) -> None:
-    if built != points:
-        raise InternalInvariantError(
-            f"{entry.entry_id}: the sample of size {size} has {built} points, declared {points}"
-        )
 
 
 def _representatives(entry, size: int, points: int, n: int) -> dict:
@@ -124,11 +110,11 @@ def _representatives(entry, size: int, points: int, n: int) -> dict:
     return level
 
 
-def _class_count(entry, size: int, points: int, n: int) -> int:
-    """Classes among the representatives, each evaluated on its own
-    points: separated by degree profile, canonicalised only in ties."""
-    built, evaluate = entry.evaluator(size)
-    _declared(entry, size, points, built)
+def _class_count(entry, size: int, n: int) -> int:
+    """Classes among the representatives of the points the sample's
+    evaluator evaluates, each evaluated on its own points: separated by
+    degree profile, canonicalised only in ties."""
+    points, evaluate = entry.evaluator(size)
     subs = [evaluate(s) for s in _representatives(entry, size, points, n).values()]
     return len(isomorphism_classes(subs, canonical_form))
 
@@ -144,14 +130,14 @@ def profile(entry, n_max: int, budget: int = DEFAULT_BUDGET) -> ProfileSequence:
     entry = catalogue.get_entry(entry)
     int_at_least("profile", "n_max", n_max, 1)
     int_at_least("profile", "budget", budget, 1)
-    plan = []
+    sizes = []
     evaluated = 0
     for n in range(1, n_max + 1):
-        size = entry.saturation_rule(n)
-        points = _checked_points(entry, size, n, budget)
-        plan.append((size, points))
+        sizes.append(entry.saturation_rule(n))
+        points = entry.points(sizes[-1])
+        at_most(f"{entry.entry_id} budget", f"subsets of size {n}", math.comb(points, n), budget)
         evaluated += structures.evaluated_tuples(entry.signature, points)
         at_most(entry.entry_id, f"tuples in the samples for n=1..{n}", evaluated, structures.MAX_EVALUATED_TUPLES)
-    values = tuple(_class_count(entry, size, points, n) for n, (size, points) in enumerate(plan, 1))
-    return ProfileSequence(entry.entry_id, values, tuple(size for size, _ in plan))
+    values = tuple(_class_count(entry, size, n) for n, size in enumerate(sizes, 1))
+    return ProfileSequence(entry.entry_id, values, tuple(sizes))
 

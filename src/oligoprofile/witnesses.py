@@ -239,7 +239,7 @@ def build_family(construction_id: str, n: int, max_part: int | None = None) -> W
         return composition_witness(n, n if max_part is None else max_part)
     if max_part is not None:
         raise ParameterError(f"{construction_id!r} takes no max_part")
-    if construction_id not in _CONSTRUCTIONS:
+    if not isinstance(construction_id, str) or construction_id not in _CONSTRUCTIONS:
         raise ParameterError(f"unknown construction {construction_id!r}")
     return _CONSTRUCTIONS[construction_id](n)
 

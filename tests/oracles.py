@@ -14,7 +14,7 @@ import math
 
 from oligoprofile import catalogue, glueing, profiles
 from oligoprofile.catalogue import SIG_TOURNAMENT, _universal_tree_depths, sample_model
-from oligoprofile.errors import DomainError, ParameterError
+from oligoprofile.errors import DomainError, ParameterError, at_most, int_at_least
 from oligoprofile.structures import (
     FiniteStructure,
     Signature,
@@ -310,15 +310,19 @@ def class_codes(entry, size: int, n: int, budget: int = profiles.DEFAULT_BUDGET)
     """Canonical codes of the n-point classes of one sample, unscreened:
     every key representative of the profile engine is canonicalised,
     memoised by literal encoding, with no degree-profile screen. The whole
-    sample is built (entry.sampler) and each representative induced from
-    it, not evaluated from the formulas as profile() does. Takes the
-    entry or its id, and refuses as profile() does before building."""
+    sample is built (entry.sampler), its points scanned, and each
+    representative induced from it, not evaluated from the formulas as
+    profile() does. Takes the entry or its id, and checks the subset size
+    and prices the declared points before building."""
     entry = catalogue.get_entry(entry)
-    points = profiles._checked_points(entry, size, n, budget)
+    int_at_least(entry.entry_id, "subset size", n, 1)
+    points = entry.points(size)
+    if n > points:
+        raise ParameterError(f"{entry.entry_id}: sample of {points} points cannot host n={n}")
+    at_most(f"{entry.entry_id} budget", f"subsets of size {n}", math.comb(points, n), budget)
     model = entry.sampler(size)
-    profiles._declared(entry, size, points, model.size)
     codes: dict[bytes, bytes] = {}
-    for subset in profiles._representatives(entry, size, points, n).values():
+    for subset in profiles._representatives(entry, size, model.size, n).values():
         sub = induced_substructure(model, subset)
         lit = structure_encoding(sub)
         if lit not in codes:

@@ -285,8 +285,8 @@ def _pinned_sizes(entry_id):
 
 @pytest.mark.parametrize("entry_id", default_sweep_ids())
 def test_points_declare_the_sample_size(entry_id):
-    """profile() checks its budgets on entry.points(size) before it builds
-    the sample, so the declaration must be the built size."""
+    """profile() prices each sample on entry.points(size) before it
+    evaluates anything, so the declaration must be the built size."""
     entry = get_entry(entry_id)
     for size in _pinned_sizes(entry_id):
         try:

@@ -23,6 +23,7 @@ COUNT_ARGUMENTS = [
     (growth, "local_order_count", "n", 1, growth.local_order_count),
     (growth, "compositions_count", "n", 0, lambda v: growth.compositions_count(v, 2)),
     (growth, "compositions_count", "max_part", 1, lambda v: growth.compositions_count(3, v)),
+    (growth, "lower_bound_check", "degree", 0, lambda v: growth.lower_bound_check([1, 2, 4], 2.0, v)),
     (witnesses, "compositions", "n", 1, lambda v: witnesses.compositions(v, 2)),
     (witnesses, "compositions", "max_part", 1, lambda v: witnesses.compositions(3, v)),
     (glueing, "sample_linear_fragments", "size", 3, lambda v: glueing.sample_linear_fragments(v, 0)),

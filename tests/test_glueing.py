@@ -245,6 +245,16 @@ def test_emission_cap_counts_evaluated_tuples(monkeypatch):
             "sample_linear_fragments needs size >= 3, got 2",
             id="linear-size",
         ),
+        # a seed is an int: [1] escaped as a raw TypeError, None seeded from the OS
+        *[
+            pytest.param(
+                lambda sampler=sampler, seed=seed: sampler(12, seed),
+                f"{sampler.__name__} needs an int seed, got {seed!r}",
+                id=f"{sampler.__name__}-seed-{seed!r}",
+            )
+            for sampler in (sample_linear_fragments, sample_circular_fragments)
+            for seed in ([1], None, True)
+        ],
     ],
 )
 def test_refusals_name_the_bad_argument(call, message):

@@ -154,6 +154,15 @@ def test_lower_bound_check_validation():
     with pytest.raises(DomainError) as info:
         lower_bound_check(5, 2.0, 0)
     assert str(info.value) == "lower_bound_check needs an iterable of values, got 5"
+    # a base is a positive finite number: NaN used to answer True, and
+    # a string or None escaped as a raw TypeError
+    for c in (float("nan"), float("inf"), "x", None, True):
+        with pytest.raises(DomainError) as info:
+            lower_bound_check([1, 2, 4], c, 0)
+        assert str(info.value) == f"growth base must be positive, got {c}"
+    with pytest.raises(ParameterError) as info:
+        lower_bound_check([1, 2, 4], 2.0, "x")
+    assert str(info.value) == "lower_bound_check needs an int degree, got 'x'"
 
 
 @pytest.mark.parametrize("values", [[1, 2.7, 7], [1, "x", 3], [True, 2, 3]])

@@ -503,3 +503,16 @@ def test_random_poset_validation():
     with pytest.raises(ParameterError) as info:
         random_poset(4, max_width=1, seed=1, edge_probability=0.0)
     assert str(info.value) == "no poset of size 4 and width <= 1 in 1000 attempts"
+    # an edge probability is None or a number in [0, 1]: a string used to
+    # escape as a raw TypeError, NaN built an antichain and 2.0 a chain
+    for p in ("x", float("nan"), -1.0, 2.0, True):
+        with pytest.raises(ParameterError) as info:
+            random_poset(5, 2, seed=1, edge_probability=p)
+        assert str(info.value) == f"random_poset needs edge_probability None or in [0, 1], got {p!r}"
+    # a seed is an int of any sign: None seeded from the OS, [1] escaped
+    # as a raw TypeError
+    assert random_poset(5, 5, seed=-3) == random_poset(5, 5, seed=-3)
+    for seed in ([1], None, True, 1.0):
+        with pytest.raises(ParameterError) as info:
+            random_poset(5, 2, seed=seed)
+        assert str(info.value) == f"random_poset needs an int seed, got {seed!r}"

@@ -1,5 +1,6 @@
 """Profile computation: dedup, saturation, budgets and known sequences."""
 
+import ast
 import dataclasses
 import functools
 import itertools
@@ -18,7 +19,7 @@ from oligoprofile.catalogue import (
     list_entry_ids,
     sample_model,
 )
-from oligoprofile.errors import InternalInvariantError, ParameterError, ResourceError
+from oligoprofile.errors import ParameterError, ResourceError
 from oligoprofile.growth import compositions_count, local_order_count, tree_count
 from oligoprofile import profiles, structures
 from oligoprofile.profiles import ProfileSequence, profile
@@ -41,6 +42,7 @@ from oracles import (
     subset_classes,
     subset_key,
 )
+from test_imports import SRC
 
 
 def test_compositions_count_examples():
@@ -622,17 +624,43 @@ def test_over_budget_profile_fails_before_counting(monkeypatch, entry_id, n_max,
     assert evaluations == []
 
 
-def test_a_wrong_point_declaration_is_an_internal_error():
-    """tree_c's sampler(4) has 5 leaves; an entry declaring 4 is refused
-    by profile before the frontier runs, and by the reference when it
-    builds that sample."""
+def test_a_wrong_point_declaration_cannot_undercount():
+    """tree_c's sampler(4) has 5 leaves; an entry declaring 4 misprices
+    its samples, but profile scans the points its evaluator evaluates and
+    the reference the points of the sample it builds, so both count the
+    true classes."""
     entry = dataclasses.replace(get_entry("tree_c"), points=lambda size: size)
-    assert profile(entry, 3).values == (1, 1, 1)
-    message = "tree_c: the sample of size 4 has 5 points, declared 4"
-    for call in (lambda: profile(entry, 4), lambda: class_codes(entry, 4, 2)):
-        with pytest.raises(InternalInvariantError) as info:
-            call()
-        assert str(info.value) == message
+    true = profile("tree_c", 6)
+    assert true.values == (1, 1, 1, 2, 3, 6)
+    assert profile(entry, 6) == true
+    assert class_codes(entry, 4, 2) == class_codes("tree_c", 4, 2)
+
+
+def _entry_reads(node: ast.AST, path: tuple[str, ...] = ()):
+    """The def path and attribute of every entry.<attribute> below node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Attribute) and isinstance(child.value, ast.Name) and child.value.id == "entry":
+            yield path, child.attr
+        yield from _entry_reads(child, path + (child.name,) if isinstance(child, ast.FunctionDef) else path)
+
+
+def test_the_frontier_scans_the_evaluated_points():
+    """profiles.py reads a sample's declared points once, to price it in
+    profile's plan, and its evaluator once, in _class_count, and the count
+    the evaluator returns is the range the frontier scans."""
+    tree = ast.parse((SRC / "profiles.py").read_text())
+    reads = sorted(read for read in _entry_reads(tree) if read[1] in ("points", "evaluator"))
+    assert reads == [(("_class_count",), "evaluator"), (("profile",), "points")]
+    (count,) = [
+        node.targets[0].elts[0].id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and ast.unparse(node.value).startswith("entry.evaluator(")
+    ]
+    scans = [node for node in ast.walk(tree) if isinstance(node, ast.Call) and ast.unparse(node.func) == "_representatives"]
+    assert [ast.unparse(call.args[2]) for call in scans] == [count]
+    class_count = next(node for node in tree.body if getattr(node, "name", None) == "_class_count")
+    bound = [node for node in ast.walk(class_count) if isinstance(node, ast.Name) and node.id == count]
+    assert sorted(type(node.ctx).__name__ for node in bound) == ["Load", "Store"]
 
 
 def test_the_samples_of_one_profile_share_the_tuple_cap(monkeypatch):
@@ -776,6 +804,16 @@ def test_profile_sequence_validation():
         ProfileSequence("x", (1, 2), (3,))
     with pytest.raises(ParameterError):
         ProfileSequence("x", (0,), (3,))
+    # both columns are tuples of ints, and a bool is not one
+    for values, saturated_at, bad in (
+        (5, 5, "5"),
+        ((True,), (3,), "(True,)"),
+        ((2.5,), (3,), "(2.5,)"),
+        ((1,), [3], "[3]"),
+    ):
+        with pytest.raises(ParameterError) as info:
+            ProfileSequence("x", values, saturated_at)
+        assert str(info.value) == f"profile columns must be tuples of ints, got {bad}"
 
 
 def test_profile_sequence_csv_layout():

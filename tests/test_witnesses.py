@@ -401,6 +401,8 @@ def _family_of_size_zero():
             lambda: binary_pattern_witness(0), "binary_pattern_witness needs n >= 1, got 0", id="binary-pattern-n"
         ),
         pytest.param(lambda: antichain_witness(0), "antichain_witness needs n >= 1, got 0", id="antichain-n"),
+        # an unhashable name used to escape as a raw TypeError
+        pytest.param(lambda: build_family(["x"], 3), "unknown construction ['x']", id="unhashable-construction"),
     ],
 )
 def test_refusals_name_the_bad_argument(call, message):
