@@ -255,8 +255,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     gro = sub.add_parser("growth", parents=[common], help="nth roots and ratios of a counting sequence")
-    gro.add_argument("entry", nargs="?", default=None)
-    gro.add_argument("--file", default=None, help="JSON file with a 'values' list")
+    source = gro.add_mutually_exclusive_group(required=True)
+    source.add_argument("entry", nargs="?", default=None)
+    source.add_argument("--file", default=None, help="JSON file with a 'values' list")
     gro.add_argument("--n-max", type=int, default=24)
     gro.add_argument("--format", dest="fmt", choices=("table", "csv", "json"), default="table")
 
@@ -282,9 +283,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.command == "growth" and (args.entry is None) == (args.file is None):
-        print("error: growth needs exactly one of <entry> or --file", file=sys.stderr)
-        return 2
     try:
         text = _HANDLERS[args.command](args)
         if args.out is not None:

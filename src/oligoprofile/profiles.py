@@ -67,6 +67,8 @@ class ProfileSequence:
     saturated_at: tuple[int, ...]
 
     def __post_init__(self):
+        if not isinstance(self.entry_id, str):
+            raise ParameterError(f"profile entry id must be a string, got {self.entry_id!r}")
         for column in (self.values, self.saturated_at):
             if type(column) is not tuple or any(type(v) is not int for v in column):
                 raise ParameterError(f"profile columns must be tuples of ints, got {column!r}")
@@ -74,6 +76,8 @@ class ProfileSequence:
             raise ParameterError("values and saturated_at must align")
         if any(v < 1 for v in self.values):
             raise ParameterError(f"profile values must be >= 1, got {self.values}")
+        if any(s < 1 for s in self.saturated_at):
+            raise ParameterError(f"profile sample sizes must be >= 1, got {self.saturated_at}")
 
     def to_csv(self) -> str:
         rows = zip(range(1, len(self.values) + 1), self.values, self.saturated_at)

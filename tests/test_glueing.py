@@ -240,6 +240,24 @@ def test_emission_cap_counts_evaluated_tuples(monkeypatch):
         pytest.param(
             lambda: GlueComponent(kind="x", arrangement=(), members=()), "unknown component kind 'x'", id="kind"
         ),
+        # a component's value is checked where it is built: each was accepted
+        # before, and a 2-element "circle" emitted a 2-point separation structure
+        *[
+            pytest.param(
+                lambda kind=kind, arrangement=arrangement: GlueComponent(kind, arrangement, ("a",)),
+                f"a {kind} component needs >= {least} distinct hashable elements",
+                id=f"{kind}-{ident}",
+            )
+            for kind, least, arrangement, ident in (
+                ("circular", 3, (1, 2), "two-elements"),
+                ("linear", 2, (1,), "one-element"),
+                ("linear", 2, (1, 2, 1), "repeated"),
+                ("circular", 3, (1, [2], 3), "unhashable"),
+            )
+        ],
+        pytest.param(
+            lambda: GlueComponent("linear", (1, 2), ("a", 5)), "component member 5 is not a string", id="member"
+        ),
         pytest.param(
             lambda: sample_linear_fragments(2, 0),
             "sample_linear_fragments needs size >= 3, got 2",
@@ -261,6 +279,23 @@ def test_refusals_name_the_bad_argument(call, message):
     with pytest.raises(ParameterError) as info:
         call()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("kind, sampler", [("linear", sample_linear_fragments), ("circular", sample_circular_fragments)])
+def test_a_component_stores_its_normal_form(kind, sampler):
+    """Any reading of a component, built by hand, equals glue's result:
+    rotated (a circle), reversed, members unsorted; a JSON round trip of
+    its dict keeps that value."""
+    hidden, fragments = sampler(20, 7)
+    (glued,) = glue(fragments)
+    members = [f.fragment_id for f in reversed(fragments)]
+    readings = [hidden, hidden[::-1]]
+    if kind == "circular":
+        readings += [hidden[5:] + hidden[:5], (hidden[5:] + hidden[:5])[::-1]]
+    for reading in readings:
+        assert GlueComponent(kind, reading, members) == glued
+    payload = json.loads(json.dumps(glued.to_json_dict()))
+    assert GlueComponent(payload["kind"], payload["arrangement"], payload["members"]) == glued
 
 
 def test_window_longer_than_the_circle_is_an_internal_error():
@@ -331,8 +366,9 @@ TIE_ELEMENTS = [0, 1, 1.0, 1.5, 2, True, False, "True", "None", None, "1", "a"]
 @example([None, 1, 1.0], 2, ["None"])
 @settings(max_examples=400, deadline=None)
 def test_normalize_circular_matches_every_rotation_scan(block, repeats, tail):
-    """Booth's least rotation agrees with scanning all rotations of both
-    directions, down to which of two tied elements comes out where."""
+    """The rotations from the starts of least key agree with scanning all
+    rotations of both directions, down to which of two tied elements
+    comes out where."""
     seq = tuple(block) * repeats + tuple(tail)
     got = normalize_circular(seq)
     want = brute_normalize_circular(seq)

@@ -814,6 +814,15 @@ def test_profile_sequence_validation():
         with pytest.raises(ParameterError) as info:
             ProfileSequence("x", values, saturated_at)
         assert str(info.value) == f"profile columns must be tuples of ints, got {bad}"
+    # an entry id is a string and a sample size at least 1: both were
+    # accepted, and the CSV of ProfileSequence(5, (1,), (0,)) printed 1,1,0
+    for args, message in (
+        ((5, (1,), (3,)), "profile entry id must be a string, got 5"),
+        (("x", (1,), (0,)), "profile sample sizes must be >= 1, got (0,)"),
+    ):
+        with pytest.raises(ParameterError) as info:
+            ProfileSequence(*args)
+        assert str(info.value) == message
 
 
 def test_profile_sequence_csv_layout():

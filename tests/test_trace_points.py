@@ -46,6 +46,9 @@ def test_the_tracer_wraps_every_patch_point_and_restores_it():
         ("oligoprofile.witnesses", "induced_substructure"),
         ("oligoprofile.witnesses", "canonical_form"),
         ("oligoprofile.catalogue", "get_entry"),
+        ("oligoprofile.glueing", "classify_overlap"),
+        ("oligoprofile.glueing", "normalize_linear"),
+        ("oligoprofile.glueing", "normalize_circular"),
         ("oligoprofile.posets", "linearize"),
         ("oligoprofile.posets", "triangle_step"),
         ("oligoprofile.cli", "main"),
@@ -53,6 +56,22 @@ def test_the_tracer_wraps_every_patch_point_and_restores_it():
     after = _bindings()
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)
+
+
+def test_glue_normalises_each_component_through_the_module_bindings(monkeypatch):
+    """GlueComponent calls normalize_linear and normalize_circular as
+    glueing binds them, once per component, so the tracer's
+    glueing.normalize spans see every normalisation."""
+    calls = []
+    for name in ("normalize_linear", "normalize_circular"):
+        real = getattr(glueing, name)
+        monkeypatch.setattr(glueing, name, lambda seq, name=name, real=real: calls.append(name) or real(seq))
+    _, line = glueing.sample_linear_fragments(20, 1)
+    _, circle = glueing.sample_circular_fragments(20, 2)
+    circle = [glueing.OrderFragment("c" + f.fragment_id, [x + 100 for x in f.elements]) for f in circle]
+    components = glueing.glue(line + tuple(circle))
+    assert sorted(c.kind for c in components) == ["circular", "linear"]
+    assert sorted(calls) == ["normalize_circular", "normalize_linear"]
 
 
 def _traced(layers, call):
